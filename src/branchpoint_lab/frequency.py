@@ -22,6 +22,7 @@ from ._quad import QuadConfig, log_disk_integral, log_line_integral, refined_bre
 from .cantor import CantorSet
 from .errors import DegenerateMassError, ValidationError
 from .series import (
+    FAR_TOL,
     SeriesParams,
     cosine_product_logderiv_many,
     decay_exponent_many,
@@ -56,7 +57,8 @@ def q_roots(w: complex, Q: int) -> QValue:
     w = complex(w)
     if w == 0:
         return QValue((0j,) * Q)
-    v0 = abs(w) ** (1.0 / Q) * cmath.exp(1j * cmath.phase(w) / Q)
+    # math.atan2, not cmath.phase, which raises on a subnormal phase
+    v0 = cmath.rect(abs(w) ** (1.0 / Q), math.atan2(w.imag, w.real) / Q)
     xi = cmath.exp(2j * math.pi / Q)
     return QValue(tuple(v0 * xi**l for l in range(Q)))
 
@@ -290,7 +292,7 @@ class SeriesFactor(BaseFunction):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = 3e-4
+    far_tol: float | None = FAR_TOL
     domain: str = "half_plane"
     vanishes_at_boundary = True
 
@@ -331,31 +333,46 @@ class SeriesProduct(BaseFunction):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = 3e-4
+    far_tol: float | None = FAR_TOL
     domain: str = "half_plane"
     vanishes_at_boundary = True
 
-    def log_h(self, zs):
-        F, _, _ = decay_exponent_many(
-            self.params, self.cs, zs, far_tol=self.far_tol
+    def _F(self, zs, with_deriv=False):
+        return decay_exponent_many(
+            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=self.far_tol
         )
+
+    def _log_h_from_F(self, zs, F):
+        # log|h| and arg h for h = G e^-F; exact zeros of G give -inf
         la_g, arg_g, zero = log_cosine_product_many(self.params, self.cs, zs)
         with np.errstate(invalid="ignore"):
             la = la_g - F.real
-        la = np.where(zero, -np.inf, np.where(np.isnan(la), -np.inf, la))
-        return la, arg_g - F.imag
+        return np.where(zero, -np.inf, la), arg_g - F.imag
+
+    def _ratio(self, zs, Fp):
+        # h'/h = G'/G - F'
+        return cosine_product_logderiv_many(self.params, self.cs, zs) - Fp
+
+    def log_h(self, zs):
+        F, _, _ = self._F(zs)
+        la, arg = self._log_h_from_F(zs, F)
+        return np.where(np.isnan(la), -np.inf, la), arg
 
     def log_hprime(self, zs):
-        # h'/h = (G'/G - F')
-        F, Fp, _ = decay_exponent_many(
-            self.params, self.cs, zs, with_deriv=True, far_tol=self.far_tol
-        )
-        la_g, arg_g, zero = log_cosine_product_many(self.params, self.cs, zs)
-        ratio = cosine_product_logderiv_many(self.params, self.cs, zs) - Fp
+        F, Fp, _ = self._F(zs, with_deriv=True)
+        la, arg = self._log_h_from_F(zs, F)
+        ratio = self._ratio(zs, Fp)
         with np.errstate(invalid="ignore"):
-            la = la_g - F.real + _log_abs(ratio)
-        la = np.where(np.isnan(la), -np.inf, la)
-        return la, arg_g - F.imag + np.angle(ratio)
+            la = la + _log_abs(ratio)
+        return np.where(np.isnan(la), -np.inf, la), arg + np.angle(ratio)
+
+    def log_energy_density(self, Q, zs):
+        # (2/Q)|h|^(2/Q)|h'/h|^2: one series and one product pass, not two
+        F, Fp, _ = self._F(zs, with_deriv=True)
+        la, _ = self._log_h_from_F(zs, F)
+        with np.errstate(invalid="ignore"):
+            out = math.log(2.0 / Q) + (2.0 / Q) * la + 2.0 * _log_abs(self._ratio(zs, Fp))
+        return np.where(np.isfinite(out), out, -np.inf)
 
     def zeros_in_disk(self, center, r):
         out = []
@@ -450,12 +467,6 @@ class FrequencySample:
     quadrature_error: float
     log_D: float = field(default=math.nan)
     log_H: float = field(default=math.nan)
-
-
-def energy_integrand(spec: MinimizerSpec, z: complex) -> float:
-    """|Du|^2 density at one point; +inf marks an algebraic zero of h."""
-    val = spec.h.log_energy_density(spec.Q, np.array([z], dtype=complex))[0]
-    return math.exp(val) if val < 700.0 else math.inf
 
 
 def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:

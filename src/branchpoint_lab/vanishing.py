@@ -21,7 +21,7 @@ from ._quad import QuadConfig, log_disk_integral, refined_breakpoints
 from .cantor import CantorSet
 from .errors import ValidationError
 from .frequency import MinimizerSpec, _theta_limit
-from .series import SeriesParams, decay_exponent_many
+from .series import FAR_TOL, SeriesParams, decay_exponent_many
 
 __all__ = [
     "MassCurve",
@@ -60,7 +60,7 @@ class RealPartTarget(MassTarget):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = 3e-4
+    far_tol: float | None = FAR_TOL
     domain: str = field(default="half_plane", init=False)
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:

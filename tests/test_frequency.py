@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
+    CantorSet,
     DegenerateMassError,
     MinimizerSpec,
     Monomial,
@@ -13,6 +14,8 @@ from branchpoint_lab import (
     QuadConfig,
     Scaled,
     SmoothBlock,
+    SeriesParams,
+    SeriesProduct,
     ValidationError,
     boundary_mass,
     dirichlet_energy,
@@ -29,6 +32,7 @@ complexes = st.complex_numbers(
 
 
 @given(w=complexes, Q=st.integers(min_value=2, max_value=5))
+@example(w=2 + 5e-324j, Q=2)  # subnormal phase: 1j * phase / Q overflowed
 @settings(max_examples=40, deadline=None)
 def test_q_roots_identity(w, Q):
     roots = q_roots(w, Q).values
@@ -136,3 +140,36 @@ def test_half_plane_center_validation():
     spec = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
     with pytest.raises(ValidationError):
         boundary_mass(spec, -0.5 + 0j, 0.1)
+
+
+def _series_product(max_gen=6):
+    return SeriesProduct(params=SeriesParams(s=0.5, max_gen=max_gen),
+                         cs=CantorSet.build(0.5, max_gen))
+
+
+def test_series_product_energy_density_is_the_two_call_form():
+    h = _series_product()
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(1e-3, 1.0, 200) + 1j * rng.uniform(-1.2, 0.2, 200)
+    # a point on the set (F is not finite there) and one where h underflows
+    zs = np.append(zs, [-0.75j, 1e-200 - 0.75j])
+    for Q in (2, 3):
+        la_h, _ = h.log_h(zs)
+        la_p, _ = h.log_hprime(zs)
+        with np.errstate(invalid="ignore"):
+            two = math.log(2.0 / Q) + (2.0 / Q - 2.0) * la_h + 2.0 * la_p
+        two = np.where(np.isfinite(two), two, -np.inf)
+        one = h.log_energy_density(Q, zs)
+        finite = np.isfinite(two)
+        assert np.array_equal(np.isfinite(one), finite)
+        assert np.all(one[~finite] == -np.inf)
+        assert not finite.all()
+        np.testing.assert_allclose(one[finite], two[finite], rtol=1e-12, atol=1e-12)
+
+
+def test_series_product_frequency_is_finite():
+    spec = MinimizerSpec(h=_series_product(), Q=3)
+    cfg = QuadConfig(rel_tol=0.25, order=6, max_refine=2)
+    fs = frequency(spec, 0.5 + 0j, 0.3, cfg, log_scale=True)
+    assert math.isfinite(fs.I) and fs.I > 0.0
+    assert math.isfinite(fs.quadrature_error)

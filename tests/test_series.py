@@ -22,7 +22,12 @@ from branchpoint_lab import (
     derivative,
     product_zero,
 )
-from branchpoint_lab.series import log_cosine_product_many
+from branchpoint_lab.series import (
+    FAR_TOL,
+    POINT_FAR_TOL,
+    expansion_order,
+    log_cosine_product_many,
+)
 
 
 def _probes(n=200, seed=0):
@@ -47,6 +52,60 @@ def test_tree_aggregation_matches_direct_sum(s, max_gen):
         assert rel.max() < 10.0 * far_tol**2
         rel_p = np.abs(Fp1 - Fp0) / np.abs(Fp0)
         assert rel_p.max() < 100.0 * far_tol**2
+
+
+# decay_exponent_many at far_tol = 3e-4, as computed by the two-term far
+# field (C0/C1 weights, separate log-polar powers) before the p-term
+# expansion replaced it.  The scalar path's contour derivatives, and the
+# answers recorded from them, rest on these values.
+_SEED_VALUES = [
+    # (s, max_gen, z, F, F', aggregation bound)
+    (0.5, 16, (0.3+0.4j), (1.3334989910138342-1.4106166556555468j),
+     (0.4554932794824889+2.12374779143503j), 2.8570332648393574e-09),
+    (0.5, 16, (0.01+0j), (19.665421958520305-1.8761017527354782j),
+     (-1390.6361050392816+25.33075226505937j), 8.494679493526564e-09),
+    (0.5, 16, (-0.3-0.1j), (-0.902977862993229+0.02883265112894945j),
+     (-0.11204853755461433+2.4139850371149167j), 5.566382182503974e-09),
+    (0.5, 16, (0.002-0.75j), (63.0298294769925-0.44817760607028867j),
+     (-23146.821526201045+125.54954947600433j), 1.0584436982935377e-08),
+    (0.75, 14, (0.3+0.4j), (1.2105625126373973-1.6700753132022315j),
+     (0.9236935187544761+2.5647751021339955j), 1.958341997744065e-09),
+    (0.75, 14, (0.01+0j), (33.45661579298706-2.1943842348361415j),
+     (-2861.1934306168646+16.856272750624026j), 3.267992116258005e-09),
+    (0.75, 14, (-0.3-0.1j), (-1.9321389093696029-0.3932484046944005j),
+     (-1.8128833798720334+1.76360313625169j), 2.938945034416662e-09),
+    (0.75, 14, (0.002-0.75j), (1.8971182956967025+3.7873514639156176j),
+     (-56.51022310050002+132.67030416138707j), 3.0972973058661122e-09),
+    (1.0, 12, (0.3+0.4j), (1.464614083748854-1.0287887145121066j),
+     (0.06900751325924655+1.4255074684409588j), 1.6452312296270359e-09),
+    (1.0, 12, (0.01+0j), (7.688931466800483-1.4600511518976438j),
+     (-340.693842007661+16.5421086025943j), 2.1839631183127362e-09),
+    (1.0, 12, (-0.3-0.1j), (0.3635620392075422+0.06563383078257484j),
+     (1.2352339347154935+1.260024379658149j), 2.217052546021513e-09),
+    (1.0, 12, (0.002-0.75j), (16.38902905752914-0.2747571281843608j),
+     (-4015.184186901754+56.93872177930741j), 1.7387015063429035e-09),
+]
+
+
+def test_expansion_order_rule():
+    for a in (0.5, 0.75, 0.79, 1.0):
+        assert expansion_order(POINT_FAR_TOL, a) == 2
+        orders = [expansion_order(t, a) for t in np.geomspace(1e-5, 0.9, 60)]
+        assert orders == sorted(orders)
+    assert expansion_order(FAR_TOL, 0.75) == 12
+
+
+@pytest.mark.parametrize("s,max_gen", [(0.5, 16), (0.75, 14), (1.0, 12)])
+def test_scalar_far_tol_reproduces_two_term_values(s, max_gen):
+    params = SeriesParams(s=s, max_gen=max_gen)
+    cs = CantorSet.build(s, max_gen)
+    rows = [r for r in _SEED_VALUES if r[:2] == (s, max_gen)]
+    zs = np.array([r[2] for r in rows])
+    F, Fp, err = decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=POINT_FAR_TOL)
+    for (_, _, _, f0, fp0, e0), f, fp, e in zip(rows, F, Fp, err):
+        assert abs(f - f0) <= 1e-13 * abs(f0)
+        assert abs(fp - fp0) <= 1e-13 * abs(fp0)
+        assert e == pytest.approx(e0, rel=1e-13)
 
 
 def test_tree_descends_past_stored_depth_with_honest_bound():
