@@ -13,9 +13,6 @@ from .logcomplex import (
     LogComplex,
     complex_pow,
     decay_block,
-    lc_abs,
-    lc_mul,
-    lc_to_complex,
     oscillating_block,
     principal_log,
 )
@@ -34,6 +31,7 @@ from .series import (
     decay_exponent_many,
     decay_factor,
     derivative,
+    evaluate_many,
     function_evaluator,
     product_zero,
 )

@@ -181,9 +181,33 @@ class CantorSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CantorSet":
-        s = float(data["s"])
-        depth = int(data["depth"])
-        endpoints = [np.empty(2 ** k) for k in range(depth + 1)]
-        for rec in data["intervals"]:
-            endpoints[rec["k"]][rec["l"] - 1] = rec["left"]
+        """Inverse of :meth:`to_json_dict`.
+
+        Every interval (k, l), 0 <= k <= depth, 1 <= l <= 2^k, must appear
+        exactly once with a finite left endpoint; anything else raises
+        ValidationError.
+        """
+        try:
+            s = float(data["s"])
+            depth = int(data["depth"])
+            records = [(int(r["k"]), int(r["l"]), float(r["left"])) for r in data["intervals"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed set data: {exc!r}") from None
+        _check_s(s)
+        if not (1 <= depth <= MAX_DEPTH):
+            raise ValidationError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
+        # checked before allocating: the arrays then cost no more than the input
+        if len(records) != 2 ** (depth + 1) - 1:
+            raise ValidationError(
+                f"a depth-{depth} set has {2 ** (depth + 1) - 1} intervals, got {len(records)}"
+            )
+        endpoints = [np.full(2 ** k, np.nan) for k in range(depth + 1)]
+        for k, l, left in records:
+            if not (0 <= k <= depth and 1 <= l <= 2 ** k):
+                raise ValidationError(f"interval ({k}, {l}) outside a depth-{depth} set")
+            if not math.isnan(endpoints[k][l - 1]):
+                raise ValidationError(f"interval ({k}, {l}) listed twice")
+            if not math.isfinite(left):
+                raise ValidationError(f"interval ({k}, {l}) has left endpoint {left!r}")
+            endpoints[k][l - 1] = left
         return cls(s, depth, endpoints)

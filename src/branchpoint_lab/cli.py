@@ -30,11 +30,12 @@ from .frequency import (
     SmoothBlock,
     frequency_curve,
 )
+from .logcomplex import LogComplex
 from .series import (
     SeriesParams,
     branched_product,
     cosine_factor,
-    decay_factor,
+    evaluate_many,
     product_zero,
 )
 from .vanishing import (
@@ -48,6 +49,9 @@ from .vanishing import (
 
 _VALIDATION_EXIT = 2
 _RUNTIME_EXIT = 3
+# eval grid points per evaluate_many call (row-major); larger blocks only
+# raise peak memory
+_EVAL_BLOCK = 64
 
 
 def _header(command: str) -> str:
@@ -127,15 +131,34 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValidationError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError("config file must hold a JSON object")
+    types = getattr(args, "flag_types", {})
     out = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             out[key] = flag
         elif key in cfg:
-            out[key] = cfg[key]
+            out[key] = _config_value(key, cfg[key], types.get(key))
         else:
             out[key] = default
+    return out
+
+
+def _config_value(key: str, value, kind):
+    """A config-file value converted to its flag's type, as the flag would be."""
+    if kind is None or value is None:
+        return value
+    try:
+        # JSON true, lists and objects are no flag value; 2.5 is no int
+        if isinstance(value, (bool, list, dict)):
+            raise TypeError(value)
+        out = kind(value)
+        if kind is int and not isinstance(value, str) and out != value:
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"config value {key} = {value!r} is not a valid {kind.__name__}"
+        ) from None
     return out
 
 
@@ -197,27 +220,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ims = np.linspace(float(p["im_min"]), float(p["im_max"]), int(p["ny"]))
     if res.min() < 0.0:
         raise ValidationError("evaluation grid must stay in the closed right half-plane")
+    zs = np.empty(ims.size * res.size, dtype=complex)
+    zs.real = np.tile(res, ims.size)
+    zs.imag = np.repeat(ims, res.size)
     w = _Writer(p["output"])
     try:
         w.line(_header("eval"))
         w.line("re,im,logMag_f,arg_f,logMag_g,arg_g,d_lower,tail_bound")
-        for im in ims:
-            for re in res:
-                z = complex(re, im)
-                d, _ = cs.dist_to_boundary_rays(z)
-                f = decay_factor(params, cs, z)
-                g = branched_product(params, cs, z)
+        for start in range(0, zs.size, _EVAL_BLOCK):
+            block = zs[start : start + _EVAL_BLOCK]
+            v = evaluate_many(params, cs, block)
+            for i, z in enumerate(block):
+                f = LogComplex(float(v.log_f[i]), float(v.arg_f[i]))
+                g = LogComplex(float(v.log_g[i]), float(v.arg_g[i]))
                 w.line(
                     ",".join(
                         [
-                            _fmt(re),
-                            _fmt(im),
-                            _fmt(f.value.log_mag),
-                            _fmt(f.value.reduced_arg()),
-                            _fmt(g.value.log_mag),
-                            _fmt(g.value.reduced_arg()),
-                            _fmt(d),
-                            _fmt(g.tail_bound),
+                            _fmt(z.real),
+                            _fmt(z.imag),
+                            _fmt(f.log_mag),
+                            _fmt(f.reduced_arg()),
+                            _fmt(g.log_mag),
+                            _fmt(g.reduced_arg()),
+                            _fmt(v.d[i]),
+                            _fmt(v.g_tail[i]),
                         ]
                     )
                 )
@@ -415,6 +441,13 @@ def _add_series_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--depth", type=int, help="stored boundary-set depth")
 
 
+def _finish(sp: argparse.ArgumentParser, fn) -> None:
+    """Bind a subcommand's handler and the types its config values take
+    (str for untyped flags; flags that take no value keep the raw value)."""
+    types = {a.dest: a.type or str for a in sp._actions if a.nargs != 0}
+    sp.set_defaults(fn=fn, flag_types=types)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="branchpoint-lab",
@@ -428,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float)
     sp.add_argument("--depth", type=int)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_cantor)
+    _finish(sp, cmd_cantor)
 
     sp = sub.add_parser("eval", help="grid evaluation of the decay factor and product")
     _add_series_flags(sp)
@@ -437,13 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nx", type=int)
     sp.add_argument("--ny", type=int)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_eval)
+    _finish(sp, cmd_eval)
 
     sp = sub.add_parser("zeros", help="constructed zeros of the branched product")
     _add_series_flags(sp)
     sp.add_argument("--max-m", dest="max_m", type=int)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_zeros)
+    _finish(sp, cmd_zeros)
 
     sp = sub.add_parser("frequency", help="Almgren frequency along a radius ladder")
     sp.add_argument("--h", choices=_H_KINDS)
@@ -455,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log-scale", dest="log_scale", action="store_const", const=True)
     sp.add_argument("--rel-tol", dest="rel_tol", type=float)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_frequency)
+    _finish(sp, cmd_frequency)
 
     sp = sub.add_parser("vanishing", help="L2 mass curves and vanishing-order slopes")
     sp.add_argument("--target", choices=_TARGETS)
@@ -469,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", type=int)
     sp.add_argument("--rel-tol", dest="rel_tol", type=float)
     _add_common(sp)
-    sp.set_defaults(fn=cmd_vanishing)
+    _finish(sp, cmd_vanishing)
     return ap
 
 

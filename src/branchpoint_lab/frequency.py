@@ -411,13 +411,20 @@ class Scaled(BaseFunction):
         object.__setattr__(self, "domain", self.base.domain)
         object.__setattr__(self, "vanishes_at_boundary", self.base.vanishes_at_boundary)
 
+    def _log_factor(self) -> tuple[float, float]:
+        # math.atan2, not cmath.phase, which raises on a subnormal phase
+        c = complex(self.factor)
+        return math.log(abs(c)), math.atan2(c.imag, c.real)
+
     def log_h(self, zs):
         la, ar = self.base.log_h(zs)
-        return la + math.log(abs(self.factor)), ar + cmath.phase(self.factor)
+        lc, ac = self._log_factor()
+        return la + lc, ar + ac
 
     def log_hprime(self, zs):
         la, ar = self.base.log_hprime(zs)
-        return la + math.log(abs(self.factor)), ar + cmath.phase(self.factor)
+        lc, ac = self._log_factor()
+        return la + lc, ar + ac
 
     def log_energy_density(self, Q, zs):
         return self.base.log_energy_density(Q, zs) + (2.0 / Q) * math.log(abs(self.factor))
@@ -472,7 +479,8 @@ class FrequencySample:
 def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     """rho * Re(h'/h * e^(i theta)): the radial log-derivative of |h| times rho."""
     dz = complex(z) - complex(center)
-    rho, theta = abs(dz), cmath.phase(dz)
+    # math.atan2, not cmath.phase, which raises on a subnormal phase
+    rho, theta = abs(dz), math.atan2(dz.imag, dz.real)
     la_h, ar_h = spec.h.log_h(np.array([z], dtype=complex))
     la_p, ar_p = spec.h.log_hprime(np.array([z], dtype=complex))
     if la_h[0] == -math.inf:
@@ -545,7 +553,9 @@ def _zero_geometry(
         ref = float(np.max(la_ring[np.isfinite(la_ring)], initial=-math.inf))
         cut = ref - (cfg.drop + 60.0) * spec.Q / 2.0
         keep = [z0 for z0, la in zip(zeros, la_z) if la >= cut]
-    return [(abs(z0 - center), cmath.phase(z0 - center)) for z0 in keep]
+    # math.atan2, not cmath.phase, which raises on a subnormal phase
+    offsets = [z0 - center for z0 in keep]
+    return [(abs(dz), math.atan2(dz.imag, dz.real)) for dz in offsets]
 
 
 def log_boundary_mass(

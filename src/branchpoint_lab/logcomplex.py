@@ -34,7 +34,8 @@ class LogComplex:
         w = complex(w)
         if w == 0:
             return cls.zero()
-        return cls(math.log(abs(w)), cmath.phase(w))
+        # math.atan2, not cmath.phase, which raises on a subnormal phase
+        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
 
     @property
     def is_zero(self) -> bool:
@@ -59,18 +60,6 @@ class LogComplex:
         if self.log_mag < LOG_TINY:
             return 0j
         return cmath.rect(math.exp(self.log_mag), self.reduced_arg())
-
-
-def lc_mul(x: LogComplex, y: LogComplex) -> LogComplex:
-    return x.mul(y)
-
-
-def lc_abs(x: LogComplex) -> float:
-    return x.abs()
-
-
-def lc_to_complex(x: LogComplex) -> complex:
-    return x.to_complex()
 
 
 def principal_log(z: complex) -> complex:
@@ -109,4 +98,4 @@ def oscillating_block(z: complex, alpha: float) -> LogComplex:
     a = decay_block(z, alpha)
     if c == 0:
         return LogComplex.zero()
-    return LogComplex(a.log_mag + math.log(abs(c)), a.arg + cmath.phase(c))
+    return LogComplex(a.log_mag + math.log(abs(c)), a.arg + math.atan2(c.imag, c.real))

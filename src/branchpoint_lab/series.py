@@ -27,16 +27,20 @@ from scipy.special import polygamma
 
 from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import ConvergenceError, SingularPointError, ValidationError
-from .logcomplex import LogComplex
+from .logcomplex import LOG_TINY, LogComplex
 
 _Z_CHUNK = 512
 _Y_CHUNK = 2048
+# Elements (points x shifts) per cosine-product block: a few 64 kB arrays
+# that stay in cache, and no more memory for a 64-point call than for one.
+_COS_BLOCK = 8192
 
 # Default opening ratio of the array-valued base functions (SeriesFactor,
 # SeriesProduct, RealPartTarget); the far-field order rises to match it.
 FAR_TOL = 0.25
-# Opening ratio of the scalar path (decay_exponent and its wrappers); see
-# decay_exponent_many for why it stays at the two-term setting.
+# Opening ratio of the point path (decay_exponent, evaluate_many and the
+# wrappers over them); see decay_exponent_many for why it stays at the
+# two-term setting.
 POINT_FAR_TOL = 3e-4
 # Bound on |C(-a, p)| far_tol^p, the far-field remainder relative to a
 # subtree's weight, that sets the expansion order p.
@@ -152,14 +156,6 @@ def _logpolar(wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lr, np.arctan2(wi, wr)
 
 
-def _logpolar_blocks(zs: np.ndarray, ys: np.ndarray):
-    """Yield (log|w|, arg(w)) blocks for w = z + i*y over a y-chunk."""
-    zr = zs.real[:, None]
-    zi = zs.imag[:, None]
-    for j in range(0, ys.size, _Y_CHUNK):
-        yield _logpolar(zr, zi + ys[None, j : j + _Y_CHUNK])
-
-
 def _neg_power(lr: np.ndarray, th: np.ndarray, alpha: float) -> np.ndarray:
     """w^-alpha from (log|w|, arg(w)), principal branch.
 
@@ -186,12 +182,17 @@ def _log_cos_sum(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate log|cos(b*L)| and arg(cos(b*L)) for L = log(z + i*y).
 
-    Returns (log-magnitude sum, argument sum, exact-zero mask).
+    Returns (log-magnitude sum, argument sum, exact-zero mask).  The shifts
+    are taken in blocks of at most _COS_BLOCK elements.
     """
     log_abs = np.zeros(zs.size)
     arg = np.zeros(zs.size)
     zero = np.zeros(zs.size, dtype=bool)
-    for lr, th in _logpolar_blocks(zs, ys):
+    zr = zs.real[:, None]
+    zi = zs.imag[:, None]
+    step = max(1, _COS_BLOCK // max(zs.size, 1))
+    for j in range(0, ys.size, step):
+        lr, th = _logpolar(zr, zi + ys[None, j : j + step])
         x = b * lr
         y = b * th
         cr = np.cos(x) * np.cosh(y)
@@ -354,10 +355,10 @@ def decay_exponent_many(
     subtree's interval (the Taylor remainder of (w + i t)^-a for offsets
     0 <= t <= len_j).  At p = 2 this is the two-term bound.
 
-    The scalar path (`decay_exponent` and its wrappers) keeps
-    far_tol = 3e-4 (POINT_FAR_TOL): contour derivatives taken through it
-    were recorded with the two-term expansion, which differs from exact
-    sums by up to 3.2e-9 relative in third derivatives.
+    The scalar path (`decay_exponent`, `evaluate_many` and the wrappers
+    over it) keeps far_tol = 3e-4 (POINT_FAR_TOL): contour derivatives
+    taken through it were recorded with the two-term expansion, which
+    differs from exact sums by up to 3.2e-9 relative in third derivatives.
 
     The stored depth only limits how deep the walk can descend: beyond it
     subtrees are aggregated regardless, with the (then larger) error bound
@@ -538,6 +539,28 @@ def _dist_lower(cs: CantorSet, z: complex | AnchoredPoint) -> float:
     return cs.dist_to_boundary_rays(complex(z))[0]
 
 
+def _singular(cs: CantorSet, z: complex) -> SingularPointError:
+    return SingularPointError(
+        f"certified distance to the boundary set vanishes at depth {cs.depth}: z = {z}"
+    )
+
+
+def _exponent_tail(params: SeriesParams, d, ferr=0.0):
+    """Certified bound on the decay exponent's error at distance d: the
+    generation tail max(1, 1/d) * sum_{k>K} 2^k coeff plus the far-field
+    remainder `ferr`; infinite at d = 0."""
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0, 1.0 / np.asarray(d, dtype=float))
+    return scale * params.coeff_tail(params.max_gen) + ferr
+
+
+def _cosine_log_tail(params: SeriesParams, d):
+    """Tail bound on the accumulated log of the cosine product; infinite at d = 0."""
+    with np.errstate(divide="ignore"):
+        ln_d = np.minimum(np.log(np.asarray(d, dtype=float)), 0.0)
+    return (math.pi - ln_d * (_COS_LOG_CONST + 1.0)) * params.coeff_tail(params.max_gen)
+
+
 def decay_exponent(
     params: SeriesParams,
     cs: CantorSet,
@@ -558,28 +581,16 @@ def decay_exponent(
             lr, th = _anchored_logpolar(z, cs.left_endpoints(k))
             total += params.coeff(k) * complex(_neg_power(lr, th, params.exponent(k)).sum())
         d = math.exp(z.log_r) if z.log_r > -745.0 else 0.0
-        tail = math.inf if d == 0.0 else max(1.0, 1.0 / d) * params.coeff_tail(params.max_gen)
-        return TruncatedValue(total, tail)
+        return TruncatedValue(total, float(_exponent_tail(params, d)))
 
     z = complex(z)
     d = _dist_lower(cs, z)
     if d == 0.0:
-        raise SingularPointError(
-            f"certified distance to the boundary set vanishes at depth {cs.depth}: z = {z}"
-        )
+        raise _singular(cs, z)
     vals, _, far_err = decay_exponent_many(
         params, cs, np.array([z]), far_tol=far_tol
     )
-    tail = max(1.0, 1.0 / d) * params.coeff_tail(params.max_gen) + float(far_err[0])
-    return TruncatedValue(complex(vals[0]), tail)
-
-
-def _cosine_log_tail(params: SeriesParams, d: float) -> float:
-    """Tail bound on the accumulated log of the cosine product."""
-    if d == 0.0:
-        return math.inf
-    ln_d = min(math.log(d), 0.0)
-    return (math.pi - ln_d * (_COS_LOG_CONST + 1.0)) * params.coeff_tail(params.max_gen)
+    return TruncatedValue(complex(vals[0]), float(_exponent_tail(params, d, far_err[0])))
 
 
 def cosine_product(
@@ -614,20 +625,106 @@ def cosine_product(
                 return TruncatedValue(LogComplex.zero(), 0.0)
             log_abs += float((0.5 * np.log(m2)).sum())
             arg += float(np.arctan2(ci, cr).sum())
-        return TruncatedValue(
-            LogComplex(log_abs, arg), _cosine_log_tail(params, _dist_lower(cs, z))
-        )
+        tail = _cosine_log_tail(params, _dist_lower(cs, z))
+        return TruncatedValue(LogComplex(log_abs, arg), float(tail))
 
     z = complex(z)
     d = _dist_lower(cs, z)
     if d == 0.0:
-        raise SingularPointError(
-            f"certified distance to the boundary set vanishes at depth {cs.depth}: z = {z}"
-        )
+        raise _singular(cs, z)
     la, ar, zero = log_cosine_product_many(params, cs, np.array([z]), gens=gens)
     if zero[0]:
         return TruncatedValue(LogComplex.zero(), 0.0)
-    return TruncatedValue(LogComplex(float(la[0]), float(ar[0])), _cosine_log_tail(params, d))
+    tail = _cosine_log_tail(params, d)
+    return TruncatedValue(LogComplex(float(la[0]), float(ar[0])), float(tail))
+
+
+# ---------------------------------------------------------------------------
+# F, f = exp(-F) and g = G exp(-F) on an array of complex points
+# ---------------------------------------------------------------------------
+
+
+def _factor(F: np.ndarray, F_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|f|, arg f, tail) of f = exp(-F).
+
+    First-order tail propagation: the bound on |delta F| doubles as a bound
+    on the log error of f while it is small; beyond 0.1 it is reported as
+    infinite.  Re F = +inf is an exact zero (log -inf, tail 0).
+    """
+    zero = np.isposinf(F.real)
+    log_f = -F.real
+    arg_f = np.where(zero, 0.0, -F.imag)
+    tail = np.where(zero, 0.0, np.where(F_tail <= 0.1, F_tail, math.inf))
+    return log_f, arg_f, tail
+
+
+def _to_complex(log_mag: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """exp(log_mag + i*arg) as plain complex, saturating to 0 below LOG_TINY."""
+    live = log_mag >= LOG_TINY
+    out = np.zeros(log_mag.shape, dtype=complex)
+    mag = np.exp(log_mag[live])
+    out.real[live] = mag * np.cos(arg[live])
+    out.imag[live] = mag * np.sin(arg[live])
+    return out
+
+
+@dataclass(frozen=True)
+class PointValues:
+    """F, f = exp(-F) and g = G exp(-F) at an array of complex points.
+
+    Magnitudes are logs and arguments unreduced, as in LogComplex; an exact
+    zero has log -inf and argument 0.  The tails bound the log errors of f
+    and g; d is the certified lower distance to the boundary set that they
+    use.  The g fields are None when the product was not asked for.
+    """
+
+    d: np.ndarray
+    F: np.ndarray
+    log_f: np.ndarray
+    arg_f: np.ndarray
+    f_tail: np.ndarray
+    log_g: np.ndarray | None = None
+    arg_g: np.ndarray | None = None
+    g_zero: np.ndarray | None = None  # exact zeros of the cosine product
+    g_tail: np.ndarray | None = None
+
+    def f(self) -> np.ndarray:
+        return _to_complex(self.log_f, self.arg_f)
+
+    def g(self) -> np.ndarray:
+        return _to_complex(self.log_g, self.arg_g)
+
+
+def evaluate_many(
+    params: SeriesParams, cs: CantorSet, zs: np.ndarray, *, product: bool = True
+) -> PointValues:
+    """The decay exponent F, the decay factor f and (with `product`) the
+    branched product g at every point of `zs`, with certified tails.
+
+    F is computed once per point, at the scalar opening ratio POINT_FAR_TOL.
+    The tails are those of `decay_factor` and `branched_product`: the log
+    tail of f is the exponent's bound (infinite past 0.1); that of g adds
+    the cosine product's log tail, and an exact zero of the cosine product
+    gives g = 0 with tail 0.  Raises SingularPointError if any point's
+    certified distance to the boundary set vanishes.
+    """
+    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+    if product:
+        _require_depth(params, cs)
+    d = cs.dist_to_boundary_rays_many(zs)
+    if (d == 0.0).any():
+        raise _singular(cs, complex(zs[np.argmax(d == 0.0)]))
+    F, _, ferr = decay_exponent_many(params, cs, zs)
+    log_f, arg_f, f_tail = _factor(F, _exponent_tail(params, d, ferr))
+    if not product:
+        return PointValues(d, F, log_f, arg_f, f_tail)
+    la, ar, g_zero = log_cosine_product_many(params, cs, zs)
+    dead = g_zero | np.isneginf(log_f)
+    with np.errstate(invalid="ignore"):
+        log_g = np.where(dead, -math.inf, la + log_f)
+        arg_g = np.where(dead, 0.0, ar + arg_f)
+    g_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + f_tail)
+    return PointValues(d, F, log_f, arg_f, f_tail, log_g, arg_g, g_zero, g_tail)
 
 
 def decay_factor(
@@ -639,23 +736,27 @@ def decay_factor(
     a relative-error bound on the factor, valid while it is small; beyond
     0.1 the bound is reported as infinite.
     """
-    F = decay_exponent(params, cs, z)
-    re = F.value.real
-    if math.isinf(re) and re > 0:
-        return TruncatedValue(LogComplex.zero(), 0.0)
-    tail = F.tail_bound if F.tail_bound <= 0.1 else math.inf
-    return TruncatedValue(LogComplex(-re, -F.value.imag), tail)
+    if isinstance(z, AnchoredPoint):
+        F = decay_exponent(params, cs, z)
+        log_f, arg_f, tail = _factor(np.array([F.value]), np.array([F.tail_bound]))
+    else:
+        v = evaluate_many(params, cs, [z], product=False)
+        log_f, arg_f, tail = v.log_f, v.arg_f, v.f_tail
+    return TruncatedValue(LogComplex(float(log_f[0]), float(arg_f[0])), float(tail[0]))
 
 
 def branched_product(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
     """Cosine product times the decay factor; exact zeros short-circuit."""
-    G = cosine_product(params, cs, z)
-    if G.value.is_zero:
-        return TruncatedValue(LogComplex.zero(), 0.0)
-    f = decay_factor(params, cs, z)
-    return TruncatedValue(G.value.mul(f.value), G.tail_bound + f.tail_bound)
+    if isinstance(z, AnchoredPoint):
+        G = cosine_product(params, cs, z)
+        if G.value.is_zero:
+            return TruncatedValue(LogComplex.zero(), 0.0)
+        f = decay_factor(params, cs, z)
+        return TruncatedValue(G.value.mul(f.value), G.tail_bound + f.tail_bound)
+    v = evaluate_many(params, cs, [z])
+    return TruncatedValue(LogComplex(float(v.log_g[0]), float(v.arg_g[0])), float(v.g_tail[0]))
 
 
 def product_zero(
@@ -697,7 +798,7 @@ def cosine_factor(
 
 
 def cauchy_derivatives(
-    fn: Callable[[complex], complex],
+    fn: Callable[[np.ndarray], np.ndarray],
     z: complex,
     radius: float,
     orders: Sequence[int],
@@ -708,20 +809,22 @@ def cauchy_derivatives(
 ) -> dict[int, tuple[complex, float]]:
     """Derivatives of a holomorphic function by trapezoidal contour sums.
 
-    All requested orders share each ring of samples.  The node count
-    doubles until every order's two latest estimates agree to `rel_tol`
-    relative (or 1e-300 absolute); the final inter-refinement difference is
-    the error estimate.
+    `fn` maps an array of contour nodes to the array of its values; it is
+    called once per ring.  All requested orders share each ring of samples.
+    The node count doubles until every order's two latest estimates agree
+    to `rel_tol` relative (or 1e-300 absolute); the final inter-refinement
+    difference is the error estimate.  The rings are nested: the angles
+    2 pi k / n of one ring are the even-indexed angles of the next, bit for
+    bit, so each doubling evaluates only the new odd-indexed half.
     """
     if radius <= 0.0:
         raise ValidationError(f"contour radius must be positive, got {radius}")
     orders = list(orders)
     prev: dict[int, complex] = {}
     n = start_nodes
+    theta = 2.0 * math.pi * np.arange(n) / n
+    vals = np.asarray(fn(z + radius * np.exp(1j * theta)), dtype=complex)
     while True:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        ring = z + radius * np.exp(1j * theta)
-        vals = np.array([fn(complex(w)) for w in ring])
         est = {
             m: math.factorial(m)
             / (n * radius**m)
@@ -740,6 +843,11 @@ def cauchy_derivatives(
             raise ConvergenceError(
                 f"contour derivative did not converge within {max_nodes} nodes at z = {z}"
             )
+        theta = 2.0 * math.pi * np.arange(n) / n
+        ring = np.empty(n, dtype=complex)
+        ring[0::2] = vals
+        ring[1::2] = fn(z + radius * np.exp(1j * theta[1::2]))
+        vals = ring
 
 
 _EVALUATORS = ("decay_factor", "branched_product", "decay_exponent",
@@ -748,8 +856,13 @@ _EVALUATORS = ("decay_factor", "branched_product", "decay_exponent",
 
 def function_evaluator(
     params: SeriesParams, cs: CantorSet, name: str, *, alpha: float | None = None
-) -> Callable[[complex], complex]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Plain-complex evaluator for one of the named holomorphic functions.
+
+    The evaluator maps an array of complex points to the array of values
+    (a scalar to a complex).  The three series functions evaluate the whole
+    array in one `evaluate_many` call, so F is computed once per point; the
+    two single-shift blocks go point by point.
 
     `alpha` applies to the two single-shift blocks only and defaults to the
     series exponent (which is invalid for the blocks when s = 1; pass it
@@ -760,16 +873,25 @@ def function_evaluator(
     if alpha is None:
         alpha = params.max_exponent()
     if name == "decay_exponent":
-        return lambda z: decay_exponent(params, cs, z).value
-    if name == "decay_factor":
-        return lambda z: decay_factor(params, cs, z).value.to_complex()
-    if name == "branched_product":
-        return lambda z: branched_product(params, cs, z).value.to_complex()
-    if name == "decay_block":
-        return lambda z: lc.decay_block(z, alpha).to_complex()
-    if name == "oscillating_block":
-        return lambda z: lc.oscillating_block(z, alpha).to_complex()
-    raise ValidationError(f"unknown evaluator {name!r}; expected one of {_EVALUATORS}")
+        values = lambda zs: evaluate_many(params, cs, zs, product=False).F
+    elif name == "decay_factor":
+        values = lambda zs: evaluate_many(params, cs, zs, product=False).f()
+    elif name == "branched_product":
+        values = lambda zs: evaluate_many(params, cs, zs).g()
+    elif name in ("decay_block", "oscillating_block"):
+        block = getattr(lc, name)
+        values = lambda zs: np.array(
+            [block(complex(w), alpha).to_complex() for w in zs], dtype=complex
+        )
+    else:
+        raise ValidationError(f"unknown evaluator {name!r}; expected one of {_EVALUATORS}")
+
+    def evaluate(z):
+        zs = np.asarray(z, dtype=complex)
+        out = values(zs.ravel()).reshape(zs.shape)
+        return complex(out) if zs.ndim == 0 else out
+
+    return evaluate
 
 
 def derivative(

@@ -142,3 +142,25 @@ def test_json_round_trip():
     for k in range(7):
         assert np.array_equal(back.left_endpoints(k), cs.left_endpoints(k))
     assert len(data["intervals"]) == 2**7 - 1
+
+
+def test_json_rejects_incomplete_or_invalid_sets():
+    data = CantorSet.build(0.5, 3).to_json_dict()
+    intervals = data["intervals"]
+    bad = [
+        {**data, "intervals": intervals[:5]},  # cut to 5 of 15 intervals
+        {**data, "intervals": intervals[:-1] + [intervals[0]]},  # (0, 1) twice
+        {**data, "intervals": intervals[:-1] + [{**intervals[-1], "l": 9}]},
+        {**data, "s": 7.0},
+        {**data, "s": 0.0},
+        {**data, "depth": 0},
+        {**data, "intervals": intervals[:-1] + [{"k": 3, "l": 8}]},
+        {"s": 0.5, "depth": 3},
+    ]
+    for case in bad:
+        with pytest.raises(ValidationError):
+            CantorSet.from_json_dict(case)
+    # the same records in another order load the same set
+    back = CantorSet.from_json_dict({**data, "intervals": intervals[::-1]})
+    for k in range(4):
+        assert np.array_equal(back.left_endpoints(k), CantorSet.build(0.5, 3).left_endpoints(k))

@@ -1,9 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from branchpoint_lab import __version__
+from branchpoint_lab import (
+    CantorSet,
+    SeriesParams,
+    __version__,
+    branched_product,
+    decay_factor,
+)
 from branchpoint_lab.cli import main, read_json, read_rows
 
 
@@ -146,3 +153,52 @@ def test_bad_center_literal():
          "--radii", "0.5"]
     )
     assert rc == 2
+
+
+def test_eval_rows_match_pointwise(tmp_path):
+    # 72 points: a full 64-point block and a partial one; the tail bound is
+    # finite from distance 1 on and infinite near Re z = 0.05
+    rc, out = _run_to_file(
+        tmp_path, "e.csv",
+        ["eval", "--s", "0.5", "--max-gen", "12", "--nx", "9", "--ny", "8", "--re-max", "2"],
+    )
+    assert rc == 0
+    _, rows = read_rows(str(out))
+    assert len(rows) == 72
+    params = SeriesParams(s=0.5, max_gen=12)
+    cs = CantorSet.build(0.5, 12)
+    for row in rows:
+        re, im, lf, af, lg, ag, d, tail = (float(x) for x in row)
+        z = complex(re, im)
+        f = decay_factor(params, cs, z)
+        g = branched_product(params, cs, z)
+        assert lf == f.value.log_mag and af == f.value.reduced_arg()
+        assert lg == pytest.approx(g.value.log_mag, rel=1e-14, abs=1e-14)
+        assert abs(math.remainder(ag - g.value.reduced_arg(), 2.0 * math.pi)) <= 1e-13
+        assert d == cs.dist_to_boundary_rays_many(np.array([z]))[0]
+        assert d == pytest.approx(cs.dist_to_boundary_rays(z)[0], rel=1e-15)
+        assert tail == g.tail_bound
+    assert any(math.isinf(float(r[7])) for r in rows)
+    assert any(math.isfinite(float(r[7])) for r in rows)
+
+
+def test_config_value_of_wrong_type_is_invalid(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    for values, argv in (
+        ({"P": "x"}, ["frequency", "--h", "monomial", "--radii", "0.5"]),
+        ({"max_gen": 2.5}, ["eval", "--nx", "2", "--ny", "2"]),
+        ({"depth": [4]}, ["cantor"]),
+        ({"s": True}, ["cantor"]),
+    ):
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        assert main(argv + ["--config", str(cfg)]) == 2
+    # a value the flag itself would accept still loads
+    cfg.write_text(json.dumps({"depth": "4", "s": 0.5}), encoding="utf-8")
+    rc, out = _run_to_file(tmp_path, "c.json", ["cantor", "--config", str(cfg)])
+    assert rc == 0
+    assert read_json(str(out))["set"]["depth"] == 4
+    # an untyped flag takes a string: output 1 names a file, not descriptor 1
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text(json.dumps({"output": 1, "depth": 2}), encoding="utf-8")
+    assert main(["cantor", "--config", str(cfg)]) == 0
+    assert read_json(str(tmp_path / "1"))["set"]["depth"] == 2

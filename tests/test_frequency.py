@@ -173,3 +173,20 @@ def test_series_product_frequency_is_finite():
     fs = frequency(spec, 0.5 + 0j, 0.3, cfg, log_scale=True)
     assert math.isfinite(fs.I) and fs.I > 0.0
     assert math.isfinite(fs.quadrature_error)
+
+
+def test_subnormal_phase_does_not_overflow():
+    # cmath.phase raises OverflowError when the phase underflows, as at 2+5e-324j
+    zs = np.array([0.5 + 0.5j, 1.0 - 0.2j])
+    base = Monomial(P=1)
+    scaled = Scaled(base=base, factor=2 + 5e-324j)
+    for got, want in ((scaled.log_h(zs), base.log_h(zs)),
+                      (scaled.log_hprime(zs), base.log_hprime(zs))):
+        assert np.allclose(got[0], want[0] + math.log(2.0), rtol=1e-15)
+        assert np.allclose(got[1], want[1], rtol=1e-15)
+    spec = MinimizerSpec(h=base, Q=2)
+    # z - center = 2+5e-324j: phi_indicator's angle, and the zero's angle
+    # in the disk geometry
+    assert phi_indicator(spec, -5e-324j, 2 + 0j) == pytest.approx(1.0, rel=1e-15)
+    tilted = frequency(spec, -2 - 5e-324j, 3.0)
+    assert tilted.I == pytest.approx(frequency(spec, -2 + 0j, 3.0).I, rel=1e-12)

@@ -9,7 +9,6 @@ from branchpoint_lab import (
     LogComplex,
     complex_pow,
     decay_block,
-    lc_mul,
     oscillating_block,
     principal_log,
 )
@@ -36,7 +35,7 @@ def test_zero_encoding():
     assert z.abs() == 0.0
     assert z.to_complex() == 0j
     assert LogComplex.from_complex(0j).is_zero
-    assert lc_mul(z, lc(3.0, 1.0)).is_zero
+    assert z.mul(lc(3.0, 1.0)).is_zero
 
 
 def test_deep_underflow_preserved_in_log():
@@ -127,3 +126,14 @@ def test_oscillating_block_exact_zero():
 def test_log_tiny_boundary():
     assert lc(LOG_TINY + 1.0, 0.0).to_complex() != 0j
     assert lc(LOG_TINY - 800.0, 0.0).to_complex() == 0j
+
+
+def test_subnormal_phase_does_not_overflow():
+    # cmath.phase(2+5e-324j) raises OverflowError: its result underflows
+    w = 2 + 5e-324j
+    got = LogComplex.from_complex(w)
+    assert got.log_mag == math.log(2.0)
+    assert got.arg == 0.0
+    block = oscillating_block(w, 0.5)
+    assert block.log_mag == pytest.approx(oscillating_block(2 + 0j, 0.5).log_mag, rel=1e-15)
+    assert abs(block.arg) < 1e-300

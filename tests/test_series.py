@@ -20,6 +20,7 @@ from branchpoint_lab import (
     decay_exponent_many,
     decay_factor,
     derivative,
+    function_evaluator,
     product_zero,
 )
 from branchpoint_lab.series import (
@@ -279,3 +280,41 @@ def test_branched_product_zero_mask_vectorized(params_half, cs_half):
     zs = np.array([0.4 + 0.1j, z0.to_complex()])
     la, _, zero = log_cosine_product_many(params_half, cs_half, zs)
     assert not zero[0] and np.isfinite(la[0])
+
+
+def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid):
+    """One array call agrees with the one-point wrappers, on the probe grid
+    and next to a constructed zero of the branched product."""
+    # the rounded complex point: G ~ e^-37 there, not an exact zero
+    near_zero = product_zero(params_half, cs_half, IntervalIndex(1, 2), 1).to_complex()
+    zs = np.append(probe_grid, near_zero)
+    scalar = {
+        "decay_exponent": lambda z: decay_exponent(params_half, cs_half, z).value,
+        "decay_factor": lambda z: decay_factor(params_half, cs_half, z).value.to_complex(),
+        "branched_product": lambda z: branched_product(
+            params_half, cs_half, z).value.to_complex(),
+    }
+    for name, one in scalar.items():
+        got = function_evaluator(params_half, cs_half, name)(zs)
+        want = np.array([one(complex(z)) for z in zs])
+        assert got.shape == zs.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    assert 0.0 < abs(got[-1]) < 1e-12 * np.median(np.abs(got[:-1]))
+    # a scalar in, a complex out
+    one_point = function_evaluator(params_half, cs_half, "decay_factor")(1.0 + 0.5j)
+    assert isinstance(one_point, complex)
+
+
+def test_cauchy_derivatives_reuse_ring_nodes():
+    """Each doubling evaluates only the new odd nodes: 16 + 16 + 32 when the
+    estimates agree at 64 nodes."""
+    calls = []
+
+    def fn(zs):
+        calls.append(zs.size)
+        return 1.0 / (2.0 - zs)  # pole at distance 2; the ring ratio is 0.4
+
+    out = cauchy_derivatives(fn, 0j, 0.8, [1, 2, 3])
+    assert calls == [16, 16, 32]
+    for m in (1, 2, 3):
+        assert out[m][0] == pytest.approx(math.factorial(m) / 2.0 ** (m + 1), rel=1e-12)
