@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._quad import QuadConfig
-from .cantor import CantorSet, IntervalIndex, interval_length
+from .cantor import CantorSet, IntervalIndex
 from .errors import BranchCutError, SingularPointError, ValidationError
 from .frequency import (
     MinimizerSpec,
@@ -52,10 +51,6 @@ _RUNTIME_EXIT = 3
 # eval grid points per evaluate_many call (row-major); larger blocks only
 # raise peak memory
 _EVAL_BLOCK = 64
-
-
-def _header(command: str) -> str:
-    return f"# branchpoint-lab v{__version__} {command}"
 
 
 def _parse_complex(text: str) -> complex:
@@ -99,23 +94,21 @@ def read_json(path: str) -> dict:
     return json.loads(body)
 
 
-class _Writer:
-    """Stream lines to a UTF-8/LF file or stdout."""
+def _write(path: str | None, command: str, head: str, rows: Sequence[str] = ()) -> None:
+    """Write the header comment, `head` (a column line or a whole document)
+    and `rows` as UTF-8/LF lines to `path`, or to stdout when it is None.
 
-    def __init__(self, path: str | None):
-        self._path = path
-        self._fh = (
-            sys.stdout
-            if path is None
-            else open(path, "w", encoding="utf-8", newline="\n")
-        )
-
-    def line(self, text: str) -> None:
-        self._fh.write(text + "\n")
-
-    def close(self) -> None:
-        if self._path is not None:
-            self._fh.close()
+    Callers pass every row already computed, and the file is opened only
+    here, so a command that fails creates no file and leaves an existing
+    one untouched.
+    """
+    header = f"# branchpoint-lab v{__version__} {command}"
+    text = "".join(line + "\n" for line in (header, head, *rows))
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -162,8 +155,9 @@ def _config_value(key: str, value, kind):
     return out
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _row(*fields: float) -> str:
+    """One CSV line: each field as the repr of a float, which reads back exactly."""
+    return ",".join(repr(float(x)) for x in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +173,8 @@ def cmd_cantor(args: argparse.Namespace) -> int:
         {"k": k, "sigma": sigma, "cover_sum": cs.cover_sum(k, sigma)}
         for k in range(1, cs.depth + 1)
     ]
-    w = _Writer(p["output"])
-    try:
-        w.line(_header("cantor"))
-        w.line(json.dumps({"set": cs.to_json_dict(), "cover_sums": table}, indent=1))
-    finally:
-        w.close()
+    _write(p["output"], "cantor",
+           json.dumps({"set": cs.to_json_dict(), "cover_sums": table}, indent=1))
     return 0
 
 
@@ -223,32 +213,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     zs = np.empty(ims.size * res.size, dtype=complex)
     zs.real = np.tile(res, ims.size)
     zs.imag = np.repeat(ims, res.size)
-    w = _Writer(p["output"])
-    try:
-        w.line(_header("eval"))
-        w.line("re,im,logMag_f,arg_f,logMag_g,arg_g,d_lower,tail_bound")
-        for start in range(0, zs.size, _EVAL_BLOCK):
-            block = zs[start : start + _EVAL_BLOCK]
-            v = evaluate_many(params, cs, block)
-            for i, z in enumerate(block):
-                f = LogComplex(float(v.log_f[i]), float(v.arg_f[i]))
-                g = LogComplex(float(v.log_g[i]), float(v.arg_g[i]))
-                w.line(
-                    ",".join(
-                        [
-                            _fmt(z.real),
-                            _fmt(z.imag),
-                            _fmt(f.log_mag),
-                            _fmt(f.reduced_arg()),
-                            _fmt(g.log_mag),
-                            _fmt(g.reduced_arg()),
-                            _fmt(v.d[i]),
-                            _fmt(v.g_tail[i]),
-                        ]
-                    )
-                )
-    finally:
-        w.close()
+    rows = []
+    for start in range(0, zs.size, _EVAL_BLOCK):
+        block = zs[start : start + _EVAL_BLOCK]
+        v = evaluate_many(params, cs, block)
+        for i, z in enumerate(block):
+            f = LogComplex(float(v.log_f[i]), float(v.arg_f[i]))
+            g = LogComplex(float(v.log_g[i]), float(v.arg_g[i]))
+            rows.append(_row(z.real, z.imag, f.log_mag, f.reduced_arg(), g.log_mag,
+                             g.reduced_arg(), v.d[i], v.g_tail[i]))
+    _write(p["output"], "eval", "re,im,logMag_f,arg_f,logMag_g,arg_g,d_lower,tail_bound", rows)
     return 0
 
 
@@ -259,32 +233,16 @@ def cmd_zeros(args: argparse.Namespace) -> int:
          "output": None},
     )
     params, cs = _series_setup(p)
-    w = _Writer(p["output"])
-    try:
-        w.line(_header("zeros"))
-        w.line("gen,pos,m,y_tau,log_offset,cos_residual,g_log_mag")
-        for gen in range(1, params.max_gen + 1):
-            for pos in range(1, 2**gen + 1):
-                idx = IntervalIndex(gen, pos)
-                for m in range(1, int(p["max_m"]) + 1):
-                    z = product_zero(params, cs, idx, m)
-                    resid = abs(cosine_factor(params, cs, idx, z))
-                    g = branched_product(params, cs, z)
-                    w.line(
-                        ",".join(
-                            [
-                                str(gen),
-                                str(pos),
-                                str(m),
-                                _fmt(z.y),
-                                _fmt(z.log_r),
-                                _fmt(resid),
-                                _fmt(g.value.log_mag),
-                            ]
-                        )
-                    )
-    finally:
-        w.close()
+    rows = []
+    for gen in range(1, params.max_gen + 1):
+        for pos in range(1, 2**gen + 1):
+            idx = IntervalIndex(gen, pos)
+            for m in range(1, int(p["max_m"]) + 1):
+                z = product_zero(params, cs, idx, m)
+                resid = abs(cosine_factor(params, cs, idx, z))
+                g = branched_product(params, cs, z)
+                rows.append(f"{gen},{pos},{m}," + _row(z.y, z.log_r, resid, g.value.log_mag))
+    _write(p["output"], "zeros", "gen,pos,m,y_tau,log_offset,cos_residual,g_log_mag", rows)
     return 0
 
 
@@ -332,26 +290,11 @@ def cmd_frequency(args: argparse.Namespace) -> int:
     radii = sorted(_parse_floats(str(p["radii"])))
     cfg = None if p["rel_tol"] is None else QuadConfig(rel_tol=float(p["rel_tol"]))
     samples = frequency_curve(spec, center, radii, cfg, log_scale=bool(p["log_scale"]))
-    w = _Writer(p["output"])
-    try:
-        w.line(_header("frequency"))
-        w.line("center_re,center_im,r,D,H,I,err")
-        for fs in samples:
-            w.line(
-                ",".join(
-                    [
-                        _fmt(center.real),
-                        _fmt(center.imag),
-                        _fmt(fs.radius),
-                        _fmt(fs.D),
-                        _fmt(fs.H),
-                        _fmt(fs.I),
-                        _fmt(fs.quadrature_error),
-                    ]
-                )
-            )
-    finally:
-        w.close()
+    rows = [
+        _row(center.real, center.imag, fs.radius, fs.D, fs.H, fs.I, fs.quadrature_error)
+        for fs in samples
+    ]
+    _write(p["output"], "frequency", "center_re,center_im,r,D,H,I,err", rows)
     return 0
 
 
@@ -400,27 +343,16 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
     curve = mass_curve(target, center, ladder, cfg)
     width = int(p["window"])
     slopes = sliding_window_slopes(curve, width)
-    w = _Writer(p["output"])
-    try:
-        w.line(_header("vanishing"))
-        w.line("center_re,center_im,R,logMass,slope_window_id")
-        for i, (r, lm) in enumerate(zip(curve.radii, curve.log_mass)):
-            w.line(
-                ",".join(
-                    [
-                        _fmt(center.real),
-                        _fmt(center.imag),
-                        _fmt(r),
-                        _fmt(lm),
-                        str(min(i, len(slopes) - 1)),
-                    ]
-                )
-            )
-        for i, slope in enumerate(slopes):
-            w.line(f"# slope window {i} (R in [{curve.radii[i + width - 1]:g}, "
-                   f"{curve.radii[i]:g}]): {slope!r}")
-    finally:
-        w.close()
+    rows = [
+        _row(center.real, center.imag, r, lm) + f",{min(i, len(slopes) - 1)}"
+        for i, (r, lm) in enumerate(zip(curve.radii, curve.log_mass))
+    ]
+    rows += [
+        f"# slope window {i} (R in [{curve.radii[i + width - 1]:g}, "
+        f"{curve.radii[i]:g}]): {slope!r}"
+        for i, slope in enumerate(slopes)
+    ]
+    _write(p["output"], "vanishing", "center_re,center_im,R,logMass,slope_window_id", rows)
     return 0
 
 

@@ -13,23 +13,22 @@ import cmath
 import math
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._quad import QuadConfig, log_disk_integral, log_line_integral, refined_breakpoints
-from .cantor import CantorSet
+from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
+from .logcomplex import log_cos, log_polar, neg_power
 from .series import (
     FAR_TOL,
     SeriesParams,
     cosine_product_logderiv_many,
     decay_exponent_many,
     log_cosine_product_many,
-    product_zero,
 )
-from .cantor import IntervalIndex
 
 _TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
 
@@ -173,13 +172,6 @@ class Polynomial(BaseFunction):
         return [complex(z) for z in roots if abs(z - center) < r]
 
 
-def _logpolar(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    zs = np.asarray(zs, dtype=complex)
-    with np.errstate(divide="ignore"):
-        lr = np.log(np.abs(zs))
-    return lr, np.angle(zs)
-
-
 @dataclass(frozen=True)
 class SmoothBlock(BaseFunction):
     """h(z) = exp(-z**(-alpha)): the single-corner block dying to all orders at 0."""
@@ -192,23 +184,19 @@ class SmoothBlock(BaseFunction):
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    def _w(self, zs):
-        """z**(-alpha) as (Re, Im) without complex transcendentals."""
-        lr, th = _logpolar(zs)
-        mag = np.exp(-self.alpha * lr)
-        return mag * np.cos(self.alpha * th), -mag * np.sin(self.alpha * th)
-
     def log_h(self, zs):
-        wr, wi = self._w(zs)
-        return -wr, -wi
+        zs = np.asarray(zs, dtype=complex)
+        w = neg_power(*log_polar(zs.real, zs.imag), self.alpha)
+        return -w.real, -w.imag
 
     def log_hprime(self, zs):
         # h' = alpha * z**(-alpha-1) * h
-        lr, th = _logpolar(zs)
-        wr, wi = self._w(zs)
+        zs = np.asarray(zs, dtype=complex)
+        lr, th = log_polar(zs.real, zs.imag)
+        w = neg_power(lr, th, self.alpha)
         return (
-            math.log(self.alpha) - (self.alpha + 1.0) * lr - wr,
-            -(self.alpha + 1.0) * th - wi,
+            math.log(self.alpha) - (self.alpha + 1.0) * lr - w.real,
+            -(self.alpha + 1.0) * th - w.imag,
         )
 
     def decay_rate(self, rho):
@@ -240,35 +228,26 @@ class OscillatingPower(BaseFunction):
         if self.P < 1:
             raise ValidationError(f"power must be >= 1, got {self.P}")
 
-    def _parts(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        lr, th = _logpolar(zs)
-        mag = np.exp(-self.alpha * lr)
-        la_a = -mag * np.cos(self.alpha * th)
-        arg_a = mag * np.sin(self.alpha * th)
-        cr = np.cos(lr) * np.cosh(th)
-        ci = -np.sin(lr) * np.sinh(th)
-        with np.errstate(divide="ignore"):
-            la_c = 0.5 * np.log(cr * cr + ci * ci)
-        arg_c = np.arctan2(ci, cr)
-        return lr, th, la_a, arg_a, la_c, arg_c
-
     def log_h(self, zs):
-        _, _, la_a, arg_a, la_c, arg_c = self._parts(zs)
-        return self.P * (la_a + la_c), self.P * (arg_a + arg_c)
+        zs = np.asarray(zs, dtype=complex)
+        lr, th = log_polar(zs.real, zs.imag)
+        w = neg_power(lr, th, self.alpha)
+        la_c, arg_c, _ = log_cos(lr, th, 1.0)
+        return self.P * (la_c - w.real), self.P * (arg_c - w.imag)
 
     def log_hprime(self, zs):
+        # b = a cos(log z), a = exp(-z^-alpha):
         # b' = a * (alpha z^(-alpha-1) cos(log z) - sin(log z)/z); h' = P b^(P-1) b'
         zs = np.asarray(zs, dtype=complex)
-        lr, th, la_a, arg_a, la_c, arg_c = self._parts(zs)
+        lr, th = log_polar(zs.real, zs.imag)
+        w = neg_power(lr, th, self.alpha)
+        la_c, arg_c, _ = log_cos(lr, th, 1.0)
         L = lr + 1j * th
         with np.errstate(over="ignore", invalid="ignore"):
             p = self.alpha * np.exp(-(self.alpha + 1.0) * L) * np.cos(L) - np.sin(L) * np.exp(-L)
-        la_b = la_a + la_c
-        arg_b = arg_a + arg_c
         return (
-            math.log(self.P) + (self.P - 1) * la_b + la_a + _log_abs(p),
-            (self.P - 1) * arg_b + arg_a + np.angle(p),
+            math.log(self.P) + (self.P - 1) * (la_c - w.real) - w.real + _log_abs(p),
+            (self.P - 1) * (arg_c - w.imag) - w.imag + np.angle(p),
         )
 
     def zeros_in_disk(self, center, r):
@@ -501,15 +480,16 @@ def _theta_limit(center: complex, rho: float, domain: str) -> float:
 
 
 def _theta_edges(
-    spec: MinimizerSpec,
     center: complex,
     rho: float,
+    domain: str,
+    rate: float,
     cfg: QuadConfig,
-    rate_factor: float,
-    zero_polar: Sequence[tuple[float, float]],
+    zero_polar: Sequence[tuple[float, float]] = (),
 ) -> np.ndarray:
-    thm = _theta_limit(center, rho, spec.domain)
-    rate = rate_factor * spec.h.decay_rate(rho)
+    """Angular panel edges of the arc of radius rho: refined at the domain's
+    clipping angle for a density decaying at `rate` there, and at zeros."""
+    thm = _theta_limit(center, rho, domain)
     clipped = thm < math.pi
     # a zero ring only needs deep angular resolution at nearby radii
     targets = []
@@ -525,6 +505,46 @@ def _theta_edges(
         targets=targets,
         min_frac=cfg.min_frac,
     )
+
+
+def polar_mesh(
+    center: complex,
+    r: float,
+    domain: str,
+    rate: Callable[[float], float],
+    cfg: QuadConfig,
+    *,
+    r_inner: float = 0.0,
+    zero_polar: Sequence[tuple[float, float]] = (),
+) -> tuple[np.ndarray, Callable[[float], np.ndarray], list[float]]:
+    """Panel edges of the (annular) disk r_inner <= |z - center| <= r,
+    clipped to `domain`, for a log-density whose |d/dr| near the domain edge
+    at radius rho is about rate(rho).
+
+    Returns (radial edges, angular edges at a radius, the radii of the
+    interior zeros in zero_polar that fall inside the annulus).  Radial
+    edges are geometric toward a disk's center and refined toward r by the
+    decay rate and around each zero radius; angular edges as _theta_edges.
+    """
+    inner = [x for x, _ in zero_polar if r_inner < x < r]
+    r_edges = refined_breakpoints(
+        r_inner,
+        r,
+        geo_a=(r_inner == 0.0),
+        rate_b=rate(r) / r,
+        targets=[(x, 1e-7 * x) for x in inner],
+        min_frac=cfg.min_frac,
+    )
+    for x in inner:
+        # every interior zero must carry its own refinement cluster; a zero
+        # merely near a coarse panel edge would poison the Gauss nodes
+        if not np.any(np.abs(r_edges - x) == 0.0):
+            warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
+
+    def theta_edges(rho: float) -> np.ndarray:
+        return _theta_edges(center, rho, domain, rate(rho), cfg, zero_polar)
+
+    return r_edges, theta_edges, inner
 
 
 def _zero_geometry(
@@ -570,7 +590,8 @@ def log_boundary_mass(
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
     zero_polar = _zero_geometry(spec, center, 1.001 * r, cfg)
-    edges = _theta_edges(spec, center, r, cfg, 2.0 / spec.Q, zero_polar)
+    rate = (2.0 / spec.Q) * spec.h.decay_rate(r)
+    edges = _theta_edges(center, r, spec.domain, rate, cfg, zero_polar)
 
     def L(thetas: np.ndarray) -> np.ndarray:
         zs = center + r * np.exp(1j * thetas)
@@ -605,34 +626,20 @@ def log_dirichlet_energy(
     if not (0.0 <= r_inner < r):
         raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
     center = complex(center)
-    zero_polar = _zero_geometry(spec, center, r, cfg)
-    in_range = [(x, 1e-7 * x) for x, _ in zero_polar if r_inner < x < r]
-    rate_out = (2.0 / spec.Q + 2.0) * spec.h.decay_rate(r) / r
-    r_edges = refined_breakpoints(
-        r_inner,
+    r_edges, theta_edges, inner = polar_mesh(
+        center,
         r,
-        geo_a=(r_inner == 0.0),
-        rate_b=rate_out if spec.h.decay_rate(r) > 0 else 0.0,
-        targets=in_range,
-        min_frac=cfg.min_frac,
+        spec.domain,
+        lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
+        cfg,
+        r_inner=r_inner,
+        zero_polar=_zero_geometry(spec, center, r, cfg),
     )
-    for x, _ in in_range:
-        # every interior zero must carry its own refinement cluster; a zero
-        # merely near a coarse panel edge would poison the Gauss nodes
-        if not np.any(np.abs(r_edges - x) == 0.0):
-            warnings.warn(
-                f"interior zero at radius {x:.6g} is not a panel edge"
-            )
-
-    def theta_edges(rho: float) -> np.ndarray:
-        return _theta_edges(spec, center, rho, cfg, 2.0 / spec.Q + 2.0, zero_polar)
 
     def L(zs: np.ndarray) -> np.ndarray:
         return spec.h.log_energy_density(spec.Q, zs)
 
-    return log_disk_integral(
-        L, center, r_edges, theta_edges, cfg, inner_targets=[x for x, _ in in_range]
-    )
+    return log_disk_integral(L, center, r_edges, theta_edges, cfg, inner_targets=inner)
 
 
 def dirichlet_energy(

@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BranchCutError
 
 #: below this log-magnitude, conversion to a plain complex saturates to 0
@@ -75,6 +77,58 @@ def complex_pow(z: complex, alpha: float) -> complex:
     return cmath.exp(alpha * principal_log(z))
 
 
+# ---------------------------------------------------------------------------
+# log-polar array kernels: every module takes its powers and cosines of
+# logarithms from these (real transcendentals only; complex ufuncs are an
+# order of magnitude slower on some BLAS-less hosts)
+# ---------------------------------------------------------------------------
+
+
+def log_polar(wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|w|, arg w) for w = wr + i*wi; log|0| = -inf."""
+    with np.errstate(divide="ignore"):
+        lr = 0.5 * np.log(wr * wr + wi * wi)
+    return lr, np.arctan2(wi, wr)
+
+
+def neg_power(lr: np.ndarray, th: np.ndarray, alpha: float) -> np.ndarray:
+    """w^-alpha from (log|w|, arg w), principal branch (arrays or floats).
+
+    Every higher power w^(-alpha-m) is this value times (1/w)^m, so a
+    series pair costs one exp, cos and sin however many orders it needs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.exp(-alpha * lr)
+        ang = alpha * th
+        out = np.empty(np.shape(ang), dtype=complex)
+        out.real = mag * np.cos(ang)
+        out.imag = -mag * np.sin(ang)
+    return out
+
+
+def log_cos(
+    lr: np.ndarray, th: np.ndarray, b: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cos(b*L) for L = log|w| + i*arg w, in log form (arrays or floats).
+
+    Returns (log|cos|, arg cos, exact-zero mask); where the floating cosine
+    is 0.0 its log is -inf.
+    """
+    x = b * lr
+    y = b * th
+    cr = np.cos(x) * np.cosh(y)
+    ci = -np.sin(x) * np.sinh(y)
+    m2 = cr * cr + ci * ci
+    with np.errstate(divide="ignore"):
+        log_abs = 0.5 * np.log(m2)
+    return log_abs, np.arctan2(ci, cr), m2 == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the single-shift blocks at one point
+# ---------------------------------------------------------------------------
+
+
 def decay_block(z: complex, alpha: float) -> LogComplex:
     """exp(-z**(-alpha)), the smooth factor that dies to all orders at 0.
 
@@ -83,7 +137,8 @@ def decay_block(z: complex, alpha: float) -> LogComplex:
     """
     if not (0.0 < alpha < 1.0):
         raise BranchCutError(f"alpha must lie in (0, 1), got {alpha}")
-    w = complex_pow(z, -alpha)
+    L = principal_log(z)
+    w = complex(neg_power(L.real, L.imag, alpha))
     return LogComplex(-w.real, -w.imag)
 
 
@@ -94,8 +149,9 @@ def oscillating_block(z: complex, alpha: float) -> LogComplex:
     cosine of a rounded argument rarely lands on 0.0 exactly, in which case
     the result is merely tiny rather than the exact-zero encoding.
     """
-    c = cmath.cos(principal_log(z))
     a = decay_block(z, alpha)
-    if c == 0:
+    L = principal_log(z)
+    log_abs, arg, zero = log_cos(L.real, L.imag, 1.0)
+    if zero:
         return LogComplex.zero()
-    return LogComplex(a.log_mag + math.log(abs(c)), a.arg + math.atan2(c.imag, c.real))
+    return LogComplex(a.log_mag + float(log_abs), a.arg + float(arg))

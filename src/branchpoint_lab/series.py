@@ -18,22 +18,19 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import polygamma
 
 from .cantor import CantorSet, IntervalIndex, interval_length
-from .errors import ConvergenceError, SingularPointError, ValidationError
-from .logcomplex import LOG_TINY, LogComplex
+from .errors import BranchCutError, ConvergenceError, SingularPointError, ValidationError
+from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 
-_Z_CHUNK = 512
-_Y_CHUNK = 2048
-# Elements (points x shifts) per cosine-product block: a few 64 kB arrays
+# Elements (points x shifts) per block of a pair sum: a few 64 kB arrays
 # that stay in cache, and no more memory for a 64-point call than for one.
-_COS_BLOCK = 8192
+_PAIR_BLOCK = 8192
 
 # Default opening ratio of the array-valued base functions (SeriesFactor,
 # SeriesProduct, RealPartTarget); the far-field order rises to match it.
@@ -120,7 +117,7 @@ class AnchoredPoint:
     theta: float = 0.0
 
     def to_complex(self) -> complex:
-        if self.log_r < math.log(2.2250738585072014e-308):
+        if self.log_r < LOG_TINY:
             off = 0j
         else:
             off = cmath.rect(math.exp(self.log_r), self.theta)
@@ -144,32 +141,8 @@ def _require_depth(params: SeriesParams, cs: CantorSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels (real-transcendental formulations; complex ufuncs are
-# an order of magnitude slower on some BLAS-less hosts)
+# direct pair sums over the shifts
 # ---------------------------------------------------------------------------
-
-
-def _logpolar(wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|w|, arg(w)) for w = wr + i*wi."""
-    with np.errstate(divide="ignore"):
-        lr = 0.5 * np.log(wr * wr + wi * wi)
-    return lr, np.arctan2(wi, wr)
-
-
-def _neg_power(lr: np.ndarray, th: np.ndarray, alpha: float) -> np.ndarray:
-    """w^-alpha from (log|w|, arg(w)), principal branch.
-
-    The power kernel of the series: every higher order w^(-alpha-m) is
-    this value times (1/w)^m, so a pair costs one exp, cos and sin however
-    many orders it needs.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mag = np.exp(-alpha * lr)
-        ang = alpha * th
-        out = np.empty(ang.shape, dtype=complex)
-        out.real = mag * np.cos(ang)
-        out.imag = -mag * np.sin(ang)
-    return out
 
 
 def _inverse(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
@@ -177,37 +150,32 @@ def _inverse(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
         return 1.0 / (wr + 1j * wi)
 
 
+def _shift_blocks(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
+    """The shifts ys in row blocks of at most _PAIR_BLOCK pairs with n points
+    (one shift at a time once n exceeds it)."""
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    for j in range(0, ys.size, step):
+        yield ys[None, j : j + step]
+
+
 def _log_cos_sum(
     zs: np.ndarray, ys: np.ndarray, b: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate log|cos(b*L)| and arg(cos(b*L)) for L = log(z + i*y).
 
-    Returns (log-magnitude sum, argument sum, exact-zero mask).  The shifts
-    are taken in blocks of at most _COS_BLOCK elements.
+    Returns (log-magnitude sum, argument sum, exact-zero mask).
     """
     log_abs = np.zeros(zs.size)
     arg = np.zeros(zs.size)
     zero = np.zeros(zs.size, dtype=bool)
     zr = zs.real[:, None]
     zi = zs.imag[:, None]
-    step = max(1, _COS_BLOCK // max(zs.size, 1))
-    for j in range(0, ys.size, step):
-        lr, th = _logpolar(zr, zi + ys[None, j : j + step])
-        x = b * lr
-        y = b * th
-        cr = np.cos(x) * np.cosh(y)
-        ci = -np.sin(x) * np.sinh(y)
-        m2 = cr * cr + ci * ci
-        zero |= (m2 == 0.0).any(axis=1)
-        with np.errstate(divide="ignore"):
-            log_abs += (0.5 * np.log(m2)).sum(axis=1)
-        arg += np.arctan2(ci, cr).sum(axis=1)
+    for yb in _shift_blocks(zs.size, ys):
+        la, ar, zm = log_cos(*log_polar(zr, zi + yb), b)
+        zero |= zm.any(axis=1)
+        log_abs += la.sum(axis=1)
+        arg += ar.sum(axis=1)
     return log_abs, arg, zero
-
-
-def _chunked(zs: np.ndarray) -> Iterable[slice]:
-    for i in range(0, zs.size, _Z_CHUNK):
-        yield slice(i, min(i + _Z_CHUNK, zs.size))
 
 
 def _direct_sum(
@@ -219,19 +187,17 @@ def _direct_sum(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     F = np.zeros(zs.size, dtype=complex)
     Fp = np.zeros(zs.size, dtype=complex) if with_deriv else None
-    for sl in _chunked(zs):
-        zr = zs[sl].real[:, None]
-        zi = zs[sl].imag[:, None]
-        for k in range(1, k_max + 1):
-            ys = cs.left_endpoints(k)
-            a_k = params.coeff(k)
-            al = params.exponent(k)
-            for j in range(0, ys.size, _Y_CHUNK):
-                wi = zi + ys[None, j : j + _Y_CHUNK]
-                wa = _neg_power(*_logpolar(zr, wi), al)
-                F[sl] += a_k * wa.sum(axis=1)
-                if with_deriv:
-                    Fp[sl] += -al * a_k * (wa * _inverse(zr, wi)).sum(axis=1)
+    zr = zs.real[:, None]
+    zi = zs.imag[:, None]
+    for k in range(1, k_max + 1):
+        a_k = params.coeff(k)
+        al = params.exponent(k)
+        for yb in _shift_blocks(zs.size, cs.left_endpoints(k)):
+            wi = zi + yb
+            wa = neg_power(*log_polar(zr, wi), al)
+            F += a_k * wa.sum(axis=1)
+            if with_deriv:
+                Fp += -al * a_k * (wa * _inverse(zr, wi)).sum(axis=1)
     return F, Fp
 
 
@@ -389,9 +355,9 @@ def decay_exponent_many(
         len_j = interval_length(j, params.s)
         wr = zr[idx]
         wi = zi[idx] + roots
-        lr, th = _logpolar(wr, wi)
+        lr, th = log_polar(wr, wi)
         al = params.exponent(max(j, 1))
-        wa = _neg_power(lr, th, al)
+        wa = neg_power(lr, th, al)
         inv = _inverse(wr, wi)
         if j == K:
             # leaves: every remaining generation-K term is summed exactly
@@ -411,7 +377,7 @@ def decay_exponent_many(
             with np.errstate(over="ignore", invalid="ignore"):
                 for g in table.groups[j]:
                     a_g = table.alphas[g]
-                    wg = wa[far] if a_g == al else _neg_power(lr[far], th[far], a_g)
+                    wg = wa[far] if a_g == al else neg_power(lr[far], th[far], a_g)
                     vF += wg * _horner(table.coef[g, j], q)
                     if with_deriv:
                         vFp += wg * _horner(table.dcoef[g, j], q)
@@ -474,12 +440,11 @@ def log_cosine_product_many(
     log_abs = np.zeros(zs.size)
     arg = np.zeros(zs.size)
     zero = np.zeros(zs.size, dtype=bool)
-    for sl in _chunked(zs):
-        for k in gens:
-            la, ar, zm = _log_cos_sum(zs[sl], cs.left_endpoints(k), params.coeff(k))
-            log_abs[sl] += la
-            arg[sl] += ar
-            zero[sl] |= zm
+    for k in gens:
+        la, ar, zm = _log_cos_sum(zs, cs.left_endpoints(k), params.coeff(k))
+        log_abs += la
+        arg += ar
+        zero |= zm
     return log_abs, arg, zero
 
 
@@ -491,15 +456,12 @@ def cosine_product_logderiv_many(
     _require_depth(params, cs)
     zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     out = np.zeros(zs.size, dtype=complex)
-    for sl in _chunked(zs):
-        zc = zs[sl]
-        for k in range(1, params.max_gen + 1):
-            b = params.coeff(k)
-            ys = cs.left_endpoints(k)
-            for j in range(0, ys.size, _Y_CHUNK):
-                w = zc[:, None] + 1j * ys[None, j : j + _Y_CHUNK]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out[sl] += (-b * np.tan(b * np.log(w)) / w).sum(axis=1)
+    for k in range(1, params.max_gen + 1):
+        b = params.coeff(k)
+        for yb in _shift_blocks(zs.size, cs.left_endpoints(k)):
+            w = zs[:, None] + 1j * yb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out += (-b * np.tan(b * np.log(w)) / w).sum(axis=1)
     return out
 
 
@@ -523,10 +485,7 @@ def _anchored_logpolar(z: AnchoredPoint, ys: np.ndarray) -> tuple[np.ndarray, np
     rest = ~matched
     if rest.any():
         off = z.to_complex() + 1j * z.y  # the pure radial offset
-        w = off + 1j * (ys[rest] - z.y)
-        with np.errstate(divide="ignore"):
-            lr[rest] = np.log(np.abs(w))
-        th[rest] = np.angle(w)
+        lr[rest], th[rest] = log_polar(off.real, off.imag + (ys[rest] - z.y))
     return lr, th
 
 
@@ -579,7 +538,7 @@ def decay_exponent(
         total = 0j
         for k in range(1, params.max_gen + 1):
             lr, th = _anchored_logpolar(z, cs.left_endpoints(k))
-            total += params.coeff(k) * complex(_neg_power(lr, th, params.exponent(k)).sum())
+            total += params.coeff(k) * complex(neg_power(lr, th, params.exponent(k)).sum())
         d = math.exp(z.log_r) if z.log_r > -745.0 else 0.0
         return TruncatedValue(total, float(_exponent_tail(params, d)))
 
@@ -612,19 +571,13 @@ def cosine_product(
         arg = 0.0
         for k in gen_list:
             lr, th = _anchored_logpolar(z, cs.left_endpoints(k))
-            b = params.coeff(k)
-            cr = np.cos(b * lr) * np.cosh(b * th)
-            ci = -np.sin(b * lr) * np.sinh(b * th)
+            la, ar, zero = log_cos(lr, th, params.coeff(k))
             if isinstance(z, ProductZero) and k == z.idx.gen:
-                cr = cr.copy()
-                ci = ci.copy()
-                cr[z.idx.pos - 1] = 0.0
-                ci[z.idx.pos - 1] = 0.0
-            m2 = cr * cr + ci * ci
-            if (m2 == 0.0).any():
+                zero[z.idx.pos - 1] = True
+            if zero.any():
                 return TruncatedValue(LogComplex.zero(), 0.0)
-            log_abs += float((0.5 * np.log(m2)).sum())
-            arg += float(np.arctan2(ci, cr).sum())
+            log_abs += float(la.sum())
+            arg += float(ar.sum())
         tail = _cosine_log_tail(params, _dist_lower(cs, z))
         return TruncatedValue(LogComplex(log_abs, arg), float(tail))
 
@@ -860,15 +813,17 @@ def function_evaluator(
     """Plain-complex evaluator for one of the named holomorphic functions.
 
     The evaluator maps an array of complex points to the array of values
-    (a scalar to a complex).  The three series functions evaluate the whole
-    array in one `evaluate_many` call, so F is computed once per point; the
-    two single-shift blocks go point by point.
+    (a scalar to a complex) in one array call: `evaluate_many` for the three
+    series functions, so F is computed once per point, and the `log_h` of
+    SmoothBlock or OscillatingPower for the two single-shift blocks, which
+    raise BranchCutError on the cut (-inf, 0].
 
     `alpha` applies to the two single-shift blocks only and defaults to the
     series exponent (which is invalid for the blocks when s = 1; pass it
     explicitly there).
     """
-    from . import logcomplex as lc
+    # frequency imports this module, so its block classes load here
+    from .frequency import OscillatingPower, SmoothBlock
 
     if alpha is None:
         alpha = params.max_exponent()
@@ -879,10 +834,12 @@ def function_evaluator(
     elif name == "branched_product":
         values = lambda zs: evaluate_many(params, cs, zs).g()
     elif name in ("decay_block", "oscillating_block"):
-        block = getattr(lc, name)
-        values = lambda zs: np.array(
-            [block(complex(w), alpha).to_complex() for w in zs], dtype=complex
-        )
+        h = SmoothBlock(alpha) if name == "decay_block" else OscillatingPower(alpha)
+
+        def values(zs):
+            if ((zs.imag == 0.0) & (zs.real <= 0.0)).any():
+                raise BranchCutError(f"{name} undefined on the cut (-inf, 0]")
+            return _to_complex(*h.log_h(zs))
     else:
         raise ValidationError(f"unknown evaluator {name!r}; expected one of {_EVALUATORS}")
 

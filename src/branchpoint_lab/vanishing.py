@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._quad import QuadConfig, log_disk_integral, refined_breakpoints
+from ._quad import QuadConfig, log_disk_integral
 from .cantor import CantorSet
 from .errors import ValidationError
-from .frequency import MinimizerSpec, _theta_limit
+from .frequency import MinimizerSpec, polar_mesh
 from .series import FAR_TOL, SeriesParams, decay_exponent_many
 
 __all__ = [
@@ -150,27 +150,7 @@ def log_mass(
     if r <= 0:
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
-    rate_out = target.decay_rate(r) / r
-    r_edges = refined_breakpoints(
-        0.0,
-        r,
-        geo_a=True,
-        rate_b=rate_out,
-        min_frac=cfg.min_frac,
-    )
-
-    def theta_edges(rho: float) -> np.ndarray:
-        thm = _theta_limit(center, rho, target.domain)
-        rate = target.decay_rate(rho)
-        clipped = thm < math.pi
-        return refined_breakpoints(
-            -thm,
-            thm,
-            rate_a=rate if clipped else 0.0,
-            rate_b=rate if clipped else 0.0,
-            min_frac=cfg.min_frac,
-        )
-
+    r_edges, theta_edges, _ = polar_mesh(center, r, target.domain, target.decay_rate, cfg)
     return log_disk_integral(target.log_density, center, r_edges, theta_edges, cfg)
 
 

@@ -182,6 +182,17 @@ def test_eval_rows_match_pointwise(tmp_path):
     assert any(math.isfinite(float(r[7])) for r in rows)
 
 
+def test_failed_eval_writes_no_file(tmp_path):
+    # the grid touches the boundary set at z = -1j, so eval exits 2
+    argv = ["eval", "--re-min", "0", "--nx", "3", "--ny", "3", "--max-gen", "6"]
+    rc, out = _run_to_file(tmp_path, "x.csv", argv)
+    assert rc == 2
+    assert not out.exists()
+    out.write_text("earlier table\n", encoding="utf-8")
+    assert main(argv + ["--output", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "earlier table\n"
+
+
 def test_config_value_of_wrong_type_is_invalid(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     for values, argv in (

@@ -24,6 +24,7 @@ from branchpoint_lab import (
     q_roots,
 )
 from branchpoint_lab.frequency import OscillatingPower, phi_indicator
+from branchpoint_lab.logcomplex import decay_block, oscillating_block
 
 
 complexes = st.complex_numbers(
@@ -190,3 +191,18 @@ def test_subnormal_phase_does_not_overflow():
     assert phi_indicator(spec, -5e-324j, 2 + 0j) == pytest.approx(1.0, rel=1e-15)
     tilted = frequency(spec, -2 - 5e-324j, 3.0)
     assert tilted.I == pytest.approx(frequency(spec, -2 + 0j, 3.0).I, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_block_classes_match_one_point_blocks(alpha):
+    """SmoothBlock and OscillatingPower (P = 1) are the array forms of
+    decay_block and oscillating_block."""
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(0.05, 2.0, 40) + 1j * rng.uniform(-2.0, 2.0, 40)
+    for h, block in ((SmoothBlock(alpha), decay_block),
+                     (OscillatingPower(alpha), oscillating_block)):
+        la, ar = h.log_h(zs)
+        for z, got_la, got_ar in zip(zs, la, ar):
+            want = block(complex(z), alpha)
+            assert got_la == pytest.approx(want.log_mag, rel=1e-14, abs=1e-14)
+            assert got_ar == pytest.approx(want.arg, rel=1e-14, abs=1e-14)

@@ -109,6 +109,13 @@ def test_decay_block_validation():
             decay_block(1 + 0j, alpha)
 
 
+def test_blocks_reject_the_cut():
+    for block in (decay_block, oscillating_block):
+        for z in (0j, -1 + 0j):
+            with pytest.raises(BranchCutError):
+                block(z, 0.5)
+
+
 def test_oscillating_block_matches_direct():
     for z in [0.5 + 0.2j, 1.5 - 1j, 0.7 + 0j]:
         got = oscillating_block(z, 0.5)

@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from branchpoint_lab import (
     AnchoredPoint,
+    BranchCutError,
     CantorSet,
     IntervalIndex,
     SeriesParams,
@@ -23,9 +25,11 @@ from branchpoint_lab import (
     function_evaluator,
     product_zero,
 )
+from branchpoint_lab.logcomplex import decay_block, oscillating_block
 from branchpoint_lab.series import (
     FAR_TOL,
     POINT_FAR_TOL,
+    cosine_product_logderiv_many,
     expansion_order,
     log_cosine_product_many,
 )
@@ -288,18 +292,26 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
     # the rounded complex point: G ~ e^-37 there, not an exact zero
     near_zero = product_zero(params_half, cs_half, IntervalIndex(1, 2), 1).to_complex()
     zs = np.append(probe_grid, near_zero)
+    alpha = params_half.max_exponent()
     scalar = {
         "decay_exponent": lambda z: decay_exponent(params_half, cs_half, z).value,
         "decay_factor": lambda z: decay_factor(params_half, cs_half, z).value.to_complex(),
         "branched_product": lambda z: branched_product(
             params_half, cs_half, z).value.to_complex(),
+        "decay_block": lambda z: decay_block(z, alpha).to_complex(),
+        "oscillating_block": lambda z: oscillating_block(z, alpha).to_complex(),
     }
+    got = {}
     for name, one in scalar.items():
-        got = function_evaluator(params_half, cs_half, name)(zs)
+        got[name] = function_evaluator(params_half, cs_half, name)(zs)
         want = np.array([one(complex(z)) for z in zs])
-        assert got.shape == zs.shape
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-    assert 0.0 < abs(got[-1]) < 1e-12 * np.median(np.abs(got[:-1]))
+        assert got[name].shape == zs.shape
+        assert np.all(np.abs(got[name] - want) <= 1e-14 * np.abs(want))
+    g = got["branched_product"]
+    assert 0.0 < abs(g[-1]) < 1e-12 * np.median(np.abs(g[:-1]))
+    for name in ("decay_block", "oscillating_block"):
+        with pytest.raises(BranchCutError):
+            function_evaluator(params_half, cs_half, name)(np.array([1.0, -1.0]))
     # a scalar in, a complex out
     one_point = function_evaluator(params_half, cs_half, "decay_factor")(1.0 + 0.5j)
     assert isinstance(one_point, complex)
@@ -318,3 +330,23 @@ def test_cauchy_derivatives_reuse_ring_nodes():
     assert calls == [16, 16, 32]
     for m in (1, 2, 3):
         assert out[m][0] == pytest.approx(math.factorial(m) / 2.0 ** (m + 1), rel=1e-12)
+
+
+def test_pair_sums_keep_to_the_block_budget():
+    """The cosine product's log-derivative and the exact direct sum take
+    their shifts in blocks of at most _PAIR_BLOCK pairs: on 512 points at
+    max_gen 12 neither holds more than a few hundred kB at once."""
+    params = SeriesParams(s=0.5, max_gen=12)
+    cs = CantorSet.build(0.5, 12)
+    zs = _probes(512)
+    for run in (
+        lambda: cosine_product_logderiv_many(params, cs, zs),
+        lambda: decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=None),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
