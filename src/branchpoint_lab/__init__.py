@@ -11,7 +11,6 @@ from .errors import (
 )
 from .logcomplex import (
     LogComplex,
-    complex_pow,
     decay_block,
     oscillating_block,
     principal_log,

@@ -19,22 +19,25 @@ from scipy.special import logsumexp, roots_legendre
 from .errors import ConvergenceError, ValidationError
 
 
+# The smallest geometric panel as a share of its span; the log gap below the
+# running total at which inner radial panels of a disk integral count as
+# negligible; the node budget of one line-integral level.
+MIN_FRAC = 1e-8
+DROP = 45.0
+MAX_NODES = 2**16
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Knobs for the log-space quadrature.
 
     rel_tol bounds the change of the log-integral under mesh halving (which
-    approximates the relative error of the integral); drop is the log gap
-    below the running total at which inner radial panels are declared
-    negligible.
+    approximates the relative error of the integral).
     """
 
     rel_tol: float = 1e-8
     order: int = 12
     max_refine: int = 8
-    min_frac: float = 1e-8
-    drop: float = 45.0
-    max_nodes: int = 2**16
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.order < 2 or self.max_refine < 1:
@@ -76,7 +79,7 @@ def refined_breakpoints(
     rate_a: float = 0.0,
     rate_b: float = 0.0,
     targets: Sequence[float | tuple[float, float]] = (),
-    min_frac: float = 1e-8,
+    min_frac: float = MIN_FRAC,
 ) -> np.ndarray:
     """Panel edges on [a, b], geometrically clustered toward marked ends and
     interior targets (integrable singularities get an edge exactly on them).
@@ -129,25 +132,20 @@ def panel_nodes(
     return nodes, logw
 
 
-def log_line_integral(
-    L_fn: Callable[[np.ndarray], np.ndarray],
+def _refine(
+    estimate: Callable[[int, np.ndarray], float],
     edges: np.ndarray,
     cfg: QuadConfig,
+    kind: str,
 ) -> tuple[float, float]:
-    """Adaptive log-space integral of exp(L) over a 1-d panel mesh.
+    """Halve the panel mesh until two successive log-estimates agree.
 
+    `estimate(level, edges)` gives the log-integral on the level-th mesh.
     Returns (log of the integral, log-error estimate from the last halving).
     """
     prev = None
-    for _ in range(cfg.max_refine + 1):
-        if (edges.size - 1) * cfg.order > cfg.max_nodes:
-            raise ConvergenceError(
-                f"line quadrature exceeded {cfg.max_nodes} nodes without "
-                f"meeting rel_tol {cfg.rel_tol}"
-            )
-        nodes, logw = panel_nodes(edges, cfg.order)
-        with np.errstate(invalid="ignore"):
-            cur = float(logsumexp(L_fn(nodes) + logw))
+    for level in range(cfg.max_refine + 1):
+        cur = estimate(level, edges)
         if prev is not None:
             if cur == -math.inf and prev == -math.inf:
                 return cur, 0.0
@@ -157,8 +155,31 @@ def log_line_integral(
         prev = cur
         edges = halve_edges(edges)
     raise ConvergenceError(
-        f"line quadrature did not converge within {cfg.max_refine} refinements"
+        f"{kind} quadrature did not converge within {cfg.max_refine} refinements"
     )
+
+
+def log_line_integral(
+    L_fn: Callable[[np.ndarray], np.ndarray],
+    edges: np.ndarray,
+    cfg: QuadConfig,
+) -> tuple[float, float]:
+    """Adaptive log-space integral of exp(L) over a 1-d panel mesh.
+
+    Returns (log of the integral, log-error estimate from the last halving).
+    """
+
+    def estimate(level: int, edges: np.ndarray) -> float:
+        if (edges.size - 1) * cfg.order > MAX_NODES:
+            raise ConvergenceError(
+                f"line quadrature exceeded {MAX_NODES} nodes without "
+                f"meeting rel_tol {cfg.rel_tol}"
+            )
+        nodes, logw = panel_nodes(edges, cfg.order)
+        with np.errstate(invalid="ignore"):
+            return float(logsumexp(L_fn(nodes) + logw))
+
+    return _refine(estimate, edges, cfg, "line")
 
 
 def _disk_level(
@@ -190,7 +211,7 @@ def _disk_level(
             vals = L_fn(np.concatenate(zs)) + np.concatenate(logw)
         contrib = float(logsumexp(vals))
         total = float(np.logaddexp(total, contrib))
-        if contrib < total - cfg.drop:
+        if contrib < total - DROP:
             quiet += 1
             if quiet >= 3 and not any(t < lo for t in inner_targets):
                 break
@@ -215,18 +236,11 @@ def log_disk_integral(
     of interior singularities that must never be skipped by early exit.
     Returns (log integral, log-error estimate).
     """
-    prev = None
-    edges = r_edges
-    for level in range(cfg.max_refine + 1):
-        cur = _disk_level(L_fn, center, edges, theta_edges_fn, cfg, level, inner_targets)
-        if prev is not None:
-            if cur == -math.inf and prev == -math.inf:
-                return cur, 0.0
-            err = abs(cur - prev)
-            if err <= cfg.rel_tol:
-                return cur, err
-        prev = cur
-        edges = halve_edges(edges)
-    raise ConvergenceError(
-        f"disk quadrature did not converge within {cfg.max_refine} refinements"
+    return _refine(
+        lambda level, edges: _disk_level(
+            L_fn, center, edges, theta_edges_fn, cfg, level, inner_targets
+        ),
+        r_edges,
+        cfg,
+        "disk",
     )

@@ -121,16 +121,8 @@ class CantorSet:
         set is inside that union); both endpoints of every stored interval
         survive to the limit set, so lower + length(K) is an upper bound.
         """
-        lefts = self._endpoints[self.depth]
-        length = interval_length(self.depth, self.s)
-        i = np.searchsorted(lefts, y)
-        lower = math.inf
-        if i > 0:
-            a = lefts[i - 1]
-            lower = min(lower, max(0.0, y - (a + length)))
-        if i < lefts.size:
-            lower = min(lower, max(0.0, lefts[i] - y))
-        return lower, lower + length
+        lower = float(self.dist_to_set_many(np.array([y]))[0])
+        return lower, lower + interval_length(self.depth, self.s)
 
     def dist_to_set_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized lower distance bound for an array of reals."""
@@ -151,11 +143,12 @@ class CantorSet:
         the mirrored limit set on the imaginary axis.
 
         For Re(z) >= 0 this equals the distance to the mirrored set itself.
+        The lower end is that of :meth:`dist_to_boundary_rays_many`.
         """
         dlo, dhi = self.dist_to_set(-z.imag)
         x = z.real
         if x >= 0.0:
-            return math.hypot(x, dlo), math.hypot(x, dhi)
+            return float(np.hypot(x, dlo)), math.hypot(x, dhi)
         return dlo, dhi
 
     def dist_to_boundary_rays_many(self, zs: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -53,20 +54,31 @@ _RUNTIME_EXIT = 3
 _EVAL_BLOCK = 64
 
 
+def number(text) -> float:
+    """float(text) for a finite value; nan and infinities raise ValueError.
+
+    The type of every float flag, so argparse and config values reject them
+    like any other bad number."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def _parse_complex(text: str) -> complex:
     """'re,im' -> complex."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError(f"expected 're,im', got {text!r}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(number(parts[0]), number(parts[1]))
     except ValueError as exc:
         raise ValidationError(f"bad complex literal {text!r}: {exc}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        return [number(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad number list {text!r}: {exc}") from None
 
@@ -367,8 +379,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_series_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--s", type=float, help="Hausdorff parameter in (0, 1]")
-    sp.add_argument("--alpha", type=float, help="power-law exponent")
+    sp.add_argument("--s", type=number, help="Hausdorff parameter in (0, 1]")
+    sp.add_argument("--alpha", type=number, help="power-law exponent")
     sp.add_argument("--max-gen", dest="max_gen", type=int, help="truncation generation")
     sp.add_argument("--depth", type=int, help="stored boundary-set depth")
 
@@ -390,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("cantor", help="emit a boundary set and its cover sums")
-    sp.add_argument("--s", type=float)
+    sp.add_argument("--s", type=number)
     sp.add_argument("--depth", type=int)
     _add_common(sp)
     _finish(sp, cmd_cantor)
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="grid evaluation of the decay factor and product")
     _add_series_flags(sp)
     for flag in ("--re-min", "--re-max", "--im-min", "--im-max"):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=float)
+        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=number)
     sp.add_argument("--nx", type=int)
     sp.add_argument("--ny", type=int)
     _add_common(sp)
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--center")
     sp.add_argument("--radii")
     sp.add_argument("--log-scale", dest="log_scale", action="store_const", const=True)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
+    sp.add_argument("--rel-tol", dest="rel_tol", type=number)
     _add_common(sp)
     _finish(sp, cmd_frequency)
 
@@ -428,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", choices=_H_KINDS)
     sp.add_argument("--P", type=int)
     sp.add_argument("--Q", type=int)
-    sp.add_argument("--value", type=float)
+    sp.add_argument("--value", type=number)
     sp.add_argument("--center")
     sp.add_argument("--ladder")
     sp.add_argument("--window", type=int)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
+    sp.add_argument("--rel-tol", dest="rel_tol", type=number)
     _add_common(sp)
     _finish(sp, cmd_vanishing)
     return ap

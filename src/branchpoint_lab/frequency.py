@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quad import QuadConfig, log_disk_integral, log_line_integral, refined_breakpoints
+from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral, log_line_integral
+from ._quad import refined_breakpoints
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
@@ -177,7 +178,7 @@ class SmoothBlock(BaseFunction):
     """h(z) = exp(-z**(-alpha)): the single-corner block dying to all orders at 0."""
 
     alpha: float
-    domain: str = "half_plane"
+    domain = "half_plane"
     vanishes_at_boundary = True
 
     def __post_init__(self) -> None:
@@ -219,7 +220,7 @@ class OscillatingPower(BaseFunction):
 
     alpha: float
     P: int = 1
-    domain: str = "half_plane"
+    domain = "half_plane"
     vanishes_at_boundary = True
 
     def __post_init__(self) -> None:
@@ -271,13 +272,12 @@ class SeriesFactor(BaseFunction):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = FAR_TOL
-    domain: str = "half_plane"
+    domain = "half_plane"
     vanishes_at_boundary = True
 
     def _F(self, zs, with_deriv=False):
         return decay_exponent_many(
-            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=self.far_tol
+            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=FAR_TOL
         )
 
     def log_h(self, zs):
@@ -312,13 +312,12 @@ class SeriesProduct(BaseFunction):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = FAR_TOL
-    domain: str = "half_plane"
+    domain = "half_plane"
     vanishes_at_boundary = True
 
     def _F(self, zs, with_deriv=False):
         return decay_exponent_many(
-            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=self.far_tol
+            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=FAR_TOL
         )
 
     def _log_h_from_F(self, zs, F):
@@ -426,19 +425,20 @@ class MinimizerSpec:
 
     h: BaseFunction
     Q: int
-    domain: str | None = None
 
     def __post_init__(self) -> None:
         if self.Q < 2:
             raise ValidationError(f"Q must be >= 2, got {self.Q}")
-        if self.domain is None:
-            object.__setattr__(self, "domain", self.h.domain)
         if self.domain not in ("plane", "half_plane"):
             raise ValidationError(f"unknown domain {self.domain!r}")
         if isinstance(self.h, OscillatingPower) and math.gcd(self.h.P, self.Q) != 1:
             raise ValidationError(
                 f"P = {self.h.P} and Q = {self.Q} must be coprime for a pure branch point"
             )
+
+    @property
+    def domain(self) -> str:
+        return self.h.domain
 
 
 @dataclass(frozen=True)
@@ -484,7 +484,6 @@ def _theta_edges(
     rho: float,
     domain: str,
     rate: float,
-    cfg: QuadConfig,
     zero_polar: Sequence[tuple[float, float]] = (),
 ) -> np.ndarray:
     """Angular panel edges of the arc of radius rho: refined at the domain's
@@ -495,7 +494,7 @@ def _theta_edges(
     targets = []
     for rz, az in zero_polar:
         if -thm < az < thm:
-            w0 = max(cfg.min_frac * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
+            w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
             targets.append((az, w0))
     return refined_breakpoints(
         -thm,
@@ -503,7 +502,6 @@ def _theta_edges(
         rate_a=rate if clipped else 0.0,
         rate_b=rate if clipped else 0.0,
         targets=targets,
-        min_frac=cfg.min_frac,
     )
 
 
@@ -512,7 +510,6 @@ def polar_mesh(
     r: float,
     domain: str,
     rate: Callable[[float], float],
-    cfg: QuadConfig,
     *,
     r_inner: float = 0.0,
     zero_polar: Sequence[tuple[float, float]] = (),
@@ -533,7 +530,6 @@ def polar_mesh(
         geo_a=(r_inner == 0.0),
         rate_b=rate(r) / r,
         targets=[(x, 1e-7 * x) for x in inner],
-        min_frac=cfg.min_frac,
     )
     for x in inner:
         # every interior zero must carry its own refinement cluster; a zero
@@ -542,19 +538,17 @@ def polar_mesh(
             warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
 
     def theta_edges(rho: float) -> np.ndarray:
-        return _theta_edges(center, rho, domain, rate(rho), cfg, zero_polar)
+        return _theta_edges(center, rho, domain, rate(rho), zero_polar)
 
     return r_edges, theta_edges, inner
 
 
-def _zero_geometry(
-    spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig
-) -> list[tuple[float, float]]:
+def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple[float, float]]:
     """(radius, angle) of the interior zeros of h that can matter.
 
     For boundary-vanishing h the zeros accumulate at the singular corner
     under an envelope like exp(-c rho^-alpha); zeros whose envelope sits
-    cfg.drop + 60 e-folds below the largest probed magnitude cannot move
+    DROP + 60 e-folds below the largest probed magnitude cannot move
     any digit of the integrals and are dropped.
     """
     center = complex(center)
@@ -571,7 +565,7 @@ def _zero_geometry(
         la_ring, _ = spec.h.log_h(ring)
         la_z, _ = spec.h.log_h(probes)
         ref = float(np.max(la_ring[np.isfinite(la_ring)], initial=-math.inf))
-        cut = ref - (cfg.drop + 60.0) * spec.Q / 2.0
+        cut = ref - (DROP + 60.0) * spec.Q / 2.0
         keep = [z0 for z0, la in zip(zeros, la_z) if la >= cut]
     # math.atan2, not cmath.phase, which raises on a subnormal phase
     offsets = [z0 - center for z0 in keep]
@@ -589,9 +583,9 @@ def log_boundary_mass(
     if r <= 0:
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
-    zero_polar = _zero_geometry(spec, center, 1.001 * r, cfg)
+    zero_polar = _zero_geometry(spec, center, 1.001 * r)
     rate = (2.0 / spec.Q) * spec.h.decay_rate(r)
-    edges = _theta_edges(center, r, spec.domain, rate, cfg, zero_polar)
+    edges = _theta_edges(center, r, spec.domain, rate, zero_polar)
 
     def L(thetas: np.ndarray) -> np.ndarray:
         zs = center + r * np.exp(1j * thetas)
@@ -631,9 +625,8 @@ def log_dirichlet_energy(
         r,
         spec.domain,
         lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
-        cfg,
         r_inner=r_inner,
-        zero_polar=_zero_geometry(spec, center, r, cfg),
+        zero_polar=_zero_geometry(spec, center, r),
     )
 
     def L(zs: np.ndarray) -> np.ndarray:

@@ -72,11 +72,6 @@ def principal_log(z: complex) -> complex:
     return cmath.log(z)
 
 
-def complex_pow(z: complex, alpha: float) -> complex:
-    """z**alpha through the principal logarithm."""
-    return cmath.exp(alpha * principal_log(z))
-
-
 # ---------------------------------------------------------------------------
 # log-polar array kernels: every module takes its powers and cosines of
 # logarithms from these (real transcendentals only; complex ufuncs are an

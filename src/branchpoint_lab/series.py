@@ -44,6 +44,11 @@ POINT_FAR_TOL = 3e-4
 _ORDER_TARGET = 1e-7
 _MAX_ORDER = 40
 
+# Contour derivatives: first ring, relative agreement of two rings, node cap.
+_CONTOUR_START = 16
+_CONTOUR_REL_TOL = 1e-9
+_CONTOUR_MAX_NODES = 2**14
+
 # h(pi/4) = -ln(cos(pi/4)) / (pi/4), the constant in the cosine-log estimate
 _COS_LOG_CONST = -math.log(math.cos(math.pi / 4.0)) / (math.pi / 4.0)
 
@@ -145,11 +150,6 @@ def _require_depth(params: SeriesParams, cs: CantorSet) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _inverse(wr: np.ndarray, wi: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / (wr + 1j * wi)
-
-
 def _shift_blocks(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
     """The shifts ys in row blocks of at most _PAIR_BLOCK pairs with n points
     (one shift at a time once n exceeds it)."""
@@ -158,20 +158,44 @@ def _shift_blocks(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
         yield ys[None, j : j + step]
 
 
+def _size(zs: np.ndarray | AnchoredPoint) -> int:
+    return 1 if isinstance(zs, AnchoredPoint) else zs.size
+
+
+def _pair_polar(
+    zs: np.ndarray | AnchoredPoint, yb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log|w|, arg w) for w = z + i*y: one row per point of zs (a complex
+    array, or one AnchoredPoint) and one column per shift in the row yb.
+
+    At an anchored point the shift equal to its own anchor takes the stored
+    log-polar offset exactly; the rest go through the saturated complex
+    offset, whose underflow error is negligible against the endpoint
+    separation.
+    """
+    if not isinstance(zs, AnchoredPoint):
+        return log_polar(zs.real[:, None], zs.imag[:, None] + yb)
+    off = zs.to_complex() + 1j * zs.y  # the pure radial offset
+    lr, th = log_polar(off.real, off.imag + (yb - zs.y))
+    own = yb == zs.y
+    lr[own] = zs.log_r
+    th[own] = zs.theta
+    return lr, th
+
+
 def _log_cos_sum(
-    zs: np.ndarray, ys: np.ndarray, b: float
+    zs: np.ndarray | AnchoredPoint, ys: np.ndarray, b: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate log|cos(b*L)| and arg(cos(b*L)) for L = log(z + i*y).
 
     Returns (log-magnitude sum, argument sum, exact-zero mask).
     """
-    log_abs = np.zeros(zs.size)
-    arg = np.zeros(zs.size)
-    zero = np.zeros(zs.size, dtype=bool)
-    zr = zs.real[:, None]
-    zi = zs.imag[:, None]
-    for yb in _shift_blocks(zs.size, ys):
-        la, ar, zm = log_cos(*log_polar(zr, zi + yb), b)
+    n = _size(zs)
+    log_abs = np.zeros(n)
+    arg = np.zeros(n)
+    zero = np.zeros(n, dtype=bool)
+    for yb in _shift_blocks(n, ys):
+        la, ar, zm = log_cos(*_pair_polar(zs, yb), b)
         zero |= zm.any(axis=1)
         log_abs += la.sum(axis=1)
         arg += ar.sum(axis=1)
@@ -181,23 +205,23 @@ def _log_cos_sum(
 def _direct_sum(
     params: SeriesParams,
     cs: CantorSet,
-    zs: np.ndarray,
+    zs: np.ndarray | AnchoredPoint,
     k_max: int,
     with_deriv: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    F = np.zeros(zs.size, dtype=complex)
-    Fp = np.zeros(zs.size, dtype=complex) if with_deriv else None
-    zr = zs.real[:, None]
-    zi = zs.imag[:, None]
+    n = _size(zs)
+    F = np.zeros(n, dtype=complex)
+    Fp = np.zeros(n, dtype=complex) if with_deriv else None
     for k in range(1, k_max + 1):
         a_k = params.coeff(k)
         al = params.exponent(k)
-        for yb in _shift_blocks(zs.size, cs.left_endpoints(k)):
-            wi = zi + yb
-            wa = neg_power(*log_polar(zr, wi), al)
-            F += a_k * wa.sum(axis=1)
-            if with_deriv:
-                Fp += -al * a_k * (wa * _inverse(zr, wi)).sum(axis=1)
+        for yb in _shift_blocks(n, cs.left_endpoints(k)):
+            lr, th = _pair_polar(zs, yb)
+            # an anchored offset below e^-745 makes its own term infinite
+            with np.errstate(invalid="ignore"):
+                F += a_k * neg_power(lr, th, al).sum(axis=1)
+                if with_deriv:
+                    Fp += -al * a_k * neg_power(lr, th, al + 1.0).sum(axis=1)
     return F, Fp
 
 
@@ -358,7 +382,8 @@ def decay_exponent_many(
         lr, th = log_polar(wr, wi)
         al = params.exponent(max(j, 1))
         wa = neg_power(lr, th, al)
-        inv = _inverse(wr, wi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (wr + 1j * wi)
         if j == K:
             # leaves: every remaining generation-K term is summed exactly
             far = np.zeros(idx.size, dtype=bool)
@@ -428,18 +453,21 @@ def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
 def log_cosine_product_many(
     params: SeriesParams,
     cs: CantorSet,
-    zs: np.ndarray,
+    zs: np.ndarray | AnchoredPoint,
     *,
     gens: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulated (log-magnitude, argument, exact-zero mask) of the cosine
-    product truncated at `params.max_gen` (or restricted to `gens`)."""
+    product truncated at `params.max_gen` (or restricted to `gens`), on an
+    array of points or at one AnchoredPoint (a one-element result)."""
     _require_depth(params, cs)
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+    if not isinstance(zs, AnchoredPoint):
+        zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     gens = range(1, params.max_gen + 1) if gens is None else gens
-    log_abs = np.zeros(zs.size)
-    arg = np.zeros(zs.size)
-    zero = np.zeros(zs.size, dtype=bool)
+    n = _size(zs)
+    log_abs = np.zeros(n)
+    arg = np.zeros(n)
+    zero = np.zeros(n, dtype=bool)
     for k in gens:
         la, ar, zm = _log_cos_sum(zs, cs.left_endpoints(k), params.coeff(k))
         log_abs += la
@@ -466,35 +494,15 @@ def cosine_product_logderiv_many(
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation, including log-polar anchored points
+# one point: a complex z or an AnchoredPoint, as a one-element array call
 # ---------------------------------------------------------------------------
-
-
-def _anchored_logpolar(z: AnchoredPoint, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|w|, arg(w)) for w = z + i*y at an anchored point.
-
-    Anchor-matched entries use the stored log-polar offset exactly; the
-    rest go through the saturated complex offset, whose underflow error is
-    negligible against the endpoint separation.
-    """
-    matched = ys == z.y
-    lr = np.empty(ys.size)
-    th = np.empty(ys.size)
-    lr[matched] = z.log_r
-    th[matched] = z.theta
-    rest = ~matched
-    if rest.any():
-        off = z.to_complex() + 1j * z.y  # the pure radial offset
-        lr[rest], th[rest] = log_polar(off.real, off.imag + (ys[rest] - z.y))
-    return lr, th
 
 
 def _dist_lower(cs: CantorSet, z: complex | AnchoredPoint) -> float:
     if isinstance(z, AnchoredPoint):
-        zc = z.to_complex()
-        if zc.real == 0.0 and -zc.imag == z.y:
-            return 0.0  # offset underflowed entirely
-        return cs.dist_to_boundary_rays(zc)[0]
+        # the anchor is a point of the set, so the offset bounds the distance
+        # from above, also where the complex form rounds or underflows it
+        return min(cs.dist_to_boundary_rays(z.to_complex())[0], math.exp(z.log_r))
     return cs.dist_to_boundary_rays(complex(z))[0]
 
 
@@ -520,6 +528,20 @@ def _cosine_log_tail(params: SeriesParams, d):
     return (math.pi - ln_d * (_COS_LOG_CONST + 1.0)) * params.coeff_tail(params.max_gen)
 
 
+def _one_point(
+    cs: CantorSet, z: complex | AnchoredPoint
+) -> tuple[np.ndarray | AnchoredPoint, float]:
+    """(z as a one-element input of the pair sums, its certified lower
+    distance d).  A complex z at d = 0 raises SingularPointError; an
+    anchored point whose offset underflowed keeps d = 0 (infinite tails)."""
+    d = _dist_lower(cs, z)
+    if isinstance(z, AnchoredPoint):
+        return z, d
+    if d == 0.0:
+        raise _singular(cs, z)
+    return np.array([complex(z)]), d
+
+
 def decay_exponent(
     params: SeriesParams,
     cs: CantorSet,
@@ -531,25 +553,16 @@ def decay_exponent(
 
     The bound combines the generation tail max(1, 1/d) * sum_{k>K} 2^k coeff
     with the far-field aggregation remainder (zero when aggregation is off
-    or inactive).
+    or inactive).  An anchored point is summed directly, with no far field.
     """
-    if isinstance(z, AnchoredPoint):
+    zs, d = _one_point(cs, z)
+    if isinstance(zs, AnchoredPoint):
         _require_depth(params, cs)
-        total = 0j
-        for k in range(1, params.max_gen + 1):
-            lr, th = _anchored_logpolar(z, cs.left_endpoints(k))
-            total += params.coeff(k) * complex(neg_power(lr, th, params.exponent(k)).sum())
-        d = math.exp(z.log_r) if z.log_r > -745.0 else 0.0
-        return TruncatedValue(total, float(_exponent_tail(params, d)))
-
-    z = complex(z)
-    d = _dist_lower(cs, z)
-    if d == 0.0:
-        raise _singular(cs, z)
-    vals, _, far_err = decay_exponent_many(
-        params, cs, np.array([z]), far_tol=far_tol
-    )
-    return TruncatedValue(complex(vals[0]), float(_exponent_tail(params, d, far_err[0])))
+        F, _ = _direct_sum(params, cs, zs, params.max_gen, False)
+        far_err = np.zeros(1)
+    else:
+        F, _, far_err = decay_exponent_many(params, cs, zs, far_tol=far_tol)
+    return TruncatedValue(complex(F[0]), float(_exponent_tail(params, d, far_err[0])))
 
 
 def cosine_product(
@@ -562,30 +575,15 @@ def cosine_product(
     """Truncated cosine product as a LogComplex, tail bound on its log.
 
     With a `gens` restriction the reported tail still covers only the
-    generations beyond max_gen (the omitted ones are deliberate).
+    generations beyond max_gen (the omitted ones are deliberate).  A
+    ProductZero whose generation is among them is an exact zero.
     """
     _require_depth(params, cs)
     gen_list = range(1, params.max_gen + 1) if gens is None else gens
-    if isinstance(z, AnchoredPoint):
-        log_abs = 0.0
-        arg = 0.0
-        for k in gen_list:
-            lr, th = _anchored_logpolar(z, cs.left_endpoints(k))
-            la, ar, zero = log_cos(lr, th, params.coeff(k))
-            if isinstance(z, ProductZero) and k == z.idx.gen:
-                zero[z.idx.pos - 1] = True
-            if zero.any():
-                return TruncatedValue(LogComplex.zero(), 0.0)
-            log_abs += float(la.sum())
-            arg += float(ar.sum())
-        tail = _cosine_log_tail(params, _dist_lower(cs, z))
-        return TruncatedValue(LogComplex(log_abs, arg), float(tail))
-
-    z = complex(z)
-    d = _dist_lower(cs, z)
-    if d == 0.0:
-        raise _singular(cs, z)
-    la, ar, zero = log_cosine_product_many(params, cs, np.array([z]), gens=gens)
+    if isinstance(z, ProductZero) and z.idx.gen in gen_list:
+        return TruncatedValue(LogComplex.zero(), 0.0)
+    zs, d = _one_point(cs, z)
+    la, ar, zero = log_cosine_product_many(params, cs, zs, gens=gens)
     if zero[0]:
         return TruncatedValue(LogComplex.zero(), 0.0)
     tail = _cosine_log_tail(params, d)
@@ -689,12 +687,8 @@ def decay_factor(
     a relative-error bound on the factor, valid while it is small; beyond
     0.1 the bound is reported as infinite.
     """
-    if isinstance(z, AnchoredPoint):
-        F = decay_exponent(params, cs, z)
-        log_f, arg_f, tail = _factor(np.array([F.value]), np.array([F.tail_bound]))
-    else:
-        v = evaluate_many(params, cs, [z], product=False)
-        log_f, arg_f, tail = v.log_f, v.arg_f, v.f_tail
+    F = decay_exponent(params, cs, z)
+    log_f, arg_f, tail = _factor(np.array([F.value]), np.array([F.tail_bound]))
     return TruncatedValue(LogComplex(float(log_f[0]), float(arg_f[0])), float(tail[0]))
 
 
@@ -702,14 +696,11 @@ def branched_product(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
     """Cosine product times the decay factor; exact zeros short-circuit."""
-    if isinstance(z, AnchoredPoint):
-        G = cosine_product(params, cs, z)
-        if G.value.is_zero:
-            return TruncatedValue(LogComplex.zero(), 0.0)
-        f = decay_factor(params, cs, z)
-        return TruncatedValue(G.value.mul(f.value), G.tail_bound + f.tail_bound)
-    v = evaluate_many(params, cs, [z])
-    return TruncatedValue(LogComplex(float(v.log_g[0]), float(v.arg_g[0])), float(v.g_tail[0]))
+    G = cosine_product(params, cs, z)
+    if G.value.is_zero:
+        return TruncatedValue(LogComplex.zero(), 0.0)
+    f = decay_factor(params, cs, z)
+    return TruncatedValue(G.value.mul(f.value), G.tail_bound + f.tail_bound)
 
 
 def product_zero(
@@ -755,26 +746,23 @@ def cauchy_derivatives(
     z: complex,
     radius: float,
     orders: Sequence[int],
-    *,
-    rel_tol: float = 1e-9,
-    max_nodes: int = 2**14,
-    start_nodes: int = 16,
 ) -> dict[int, tuple[complex, float]]:
     """Derivatives of a holomorphic function by trapezoidal contour sums.
 
     `fn` maps an array of contour nodes to the array of its values; it is
     called once per ring.  All requested orders share each ring of samples.
-    The node count doubles until every order's two latest estimates agree
-    to `rel_tol` relative (or 1e-300 absolute); the final inter-refinement
-    difference is the error estimate.  The rings are nested: the angles
-    2 pi k / n of one ring are the even-indexed angles of the next, bit for
-    bit, so each doubling evaluates only the new odd-indexed half.
+    The node count doubles from 16 until every order's two latest estimates
+    agree to 1e-9 relative (or 1e-300 absolute), at most up to 2^14 nodes;
+    the final inter-refinement difference is the error estimate.  The rings
+    are nested: the angles 2 pi k / n of one ring are the even-indexed
+    angles of the next, bit for bit, so each doubling evaluates only the
+    new odd-indexed half.
     """
     if radius <= 0.0:
         raise ValidationError(f"contour radius must be positive, got {radius}")
     orders = list(orders)
     prev: dict[int, complex] = {}
-    n = start_nodes
+    n = _CONTOUR_START
     theta = 2.0 * math.pi * np.arange(n) / n
     vals = np.asarray(fn(z + radius * np.exp(1j * theta)), dtype=complex)
     while True:
@@ -787,14 +775,15 @@ def cauchy_derivatives(
         if prev:
             errs = {m: abs(est[m] - prev[m]) for m in orders}
             if all(
-                errs[m] <= rel_tol * max(abs(est[m]), 1e-300) for m in orders
+                errs[m] <= _CONTOUR_REL_TOL * max(abs(est[m]), 1e-300) for m in orders
             ):
                 return {m: (est[m], errs[m]) for m in orders}
         prev = est
         n *= 2
-        if n > max_nodes:
+        if n > _CONTOUR_MAX_NODES:
             raise ConvergenceError(
-                f"contour derivative did not converge within {max_nodes} nodes at z = {z}"
+                f"contour derivative did not converge within {_CONTOUR_MAX_NODES} "
+                f"nodes at z = {z}"
             )
         theta = 2.0 * math.pi * np.arange(n) / n
         ring = np.empty(n, dtype=complex)
@@ -859,7 +848,6 @@ def derivative(
     m: int,
     radius: float | None = None,
     alpha: float | None = None,
-    **kwargs,
 ) -> tuple[complex, float]:
     """m-th derivative of a named function at z via a certified-radius contour."""
     z = complex(z)
@@ -876,7 +864,7 @@ def derivative(
     elif radius >= d:
         raise ValidationError(f"radius {radius} reaches the singular set (dist >= {d})")
     fn = function_evaluator(params, cs, name, alpha=alpha)
-    out = cauchy_derivatives(fn, z, radius, [m], **kwargs)
+    out = cauchy_derivatives(fn, z, radius, [m])
     return out[m]
 
 

@@ -12,7 +12,7 @@ a nonvanishing function both settle at the area exponent 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,13 +60,10 @@ class RealPartTarget(MassTarget):
 
     params: SeriesParams
     cs: CantorSet
-    far_tol: float | None = FAR_TOL
-    domain: str = field(default="half_plane", init=False)
+    domain = "half_plane"
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:
-        F, _, _ = decay_exponent_many(
-            self.params, self.cs, zs, far_tol=self.far_tol
-        )
+        F, _, _ = decay_exponent_many(self.params, self.cs, zs, far_tol=FAR_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = -2.0 * F.real + 2.0 * np.log(np.abs(np.cos(F.imag)))
         return np.where(np.isnan(out), -np.inf, out)
@@ -102,7 +99,6 @@ class ConstantTarget(MassTarget):
     """u identically constant; mass over B_R is pi R^2 c^2."""
 
     value: float
-    domain: str = "plane"
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:
         if self.value == 0.0:
@@ -150,7 +146,7 @@ def log_mass(
     if r <= 0:
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
-    r_edges, theta_edges, _ = polar_mesh(center, r, target.domain, target.decay_rate, cfg)
+    r_edges, theta_edges, _ = polar_mesh(center, r, target.domain, target.decay_rate)
     return log_disk_integral(target.log_density, center, r_edges, theta_edges, cfg)
 
 

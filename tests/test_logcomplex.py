@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from branchpoint_lab import (
     BranchCutError,
     LogComplex,
-    complex_pow,
     decay_block,
     oscillating_block,
     principal_log,
@@ -79,14 +78,6 @@ def test_principal_log_and_cut():
     for z in [-1.0 + 0j, -2.5 + 0j, 0j]:
         with pytest.raises(BranchCutError):
             principal_log(z)
-
-
-def test_complex_pow_matches_cmath():
-    for z in [2 + 1j, 0.01 + 0j, 1j, 0.5 - 0.5j]:
-        for a in [-0.75, -0.5, 0.3, 2.0]:
-            assert complex_pow(z, a) == pytest.approx(
-                cmath.exp(a * cmath.log(z)), rel=1e-14
-            )
 
 
 def test_decay_block_matches_direct():

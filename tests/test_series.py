@@ -143,16 +143,36 @@ def test_singular_point_rejected(params_half, cs_half):
 
 
 def test_anchored_point_matches_complex(params_half, cs_half):
+    # at max_gen 14 one generation (16384 shifts) spans two pair blocks
+    sets = [(params_half, cs_half), (SeriesParams(s=0.5, max_gen=14), CantorSet.build(0.5, 14))]
+    for params, cs in sets:
+        y = cs.left_endpoint(IntervalIndex(3, 5))
+        z_anch = AnchoredPoint(y=y, log_r=math.log(0.05), theta=0.3)
+        z_c = z_anch.to_complex()
+        a = decay_exponent(params, cs, z_anch)
+        c = decay_exponent(params, cs, z_c)
+        assert a.value == pytest.approx(c.value, rel=1e-9)
+        for fn in (cosine_product, decay_factor, branched_product):
+            va = fn(params, cs, z_anch).value
+            vc = fn(params, cs, z_c).value
+            assert va.log_mag == pytest.approx(vc.log_mag, rel=1e-9)
+            assert va.arg == pytest.approx(vc.arg, rel=1e-9, abs=1e-9)
+
+
+def test_anchored_tail_uses_certified_distance(params_half, cs_half):
+    # anchored at 0.75, the left end of interval (3, 5), but 4.7e-8 from
+    # 0.796875, the left end of interval (3, 6): the tail must follow the
+    # distance to the set, not the offset from the anchor
     y = cs_half.left_endpoint(IntervalIndex(3, 5))
-    z_anch = AnchoredPoint(y=y, log_r=math.log(0.05), theta=0.3)
-    z_c = z_anch.to_complex()
-    a = decay_exponent(params_half, cs_half, z_anch)
-    c = decay_exponent(params_half, cs_half, z_c)
-    assert a.value == pytest.approx(c.value, rel=1e-9)
-    ga = cosine_product(params_half, cs_half, z_anch)
-    gc = cosine_product(params_half, cs_half, z_c)
-    assert ga.value.log_mag == pytest.approx(gc.value.log_mag, rel=1e-9)
-    assert ga.value.arg == pytest.approx(gc.value.arg, rel=1e-9, abs=1e-9)
+    z = AnchoredPoint(y=y, log_r=math.log(0.046874953125), theta=-math.pi / 2)
+    d = cs_half.dist_to_boundary_rays(z.to_complex())[0]
+    assert 0.0 < d < 1e-7
+    trigamma_13 = math.pi**2 / 6.0 - sum(1.0 / j**2 for j in range(1, 13))
+    F = decay_exponent(params_half, cs_half, z)
+    assert F.tail_bound >= (1.0 - 1e-12) * max(1.0, 1.0 / d) * trigamma_13
+    # the complex form of the point adds only its far-field remainder
+    complex_tail = decay_exponent(params_half, cs_half, z.to_complex()).tail_bound
+    assert F.tail_bound == pytest.approx(complex_tail, rel=1e-9)
 
 
 def test_anchored_point_survives_underflowing_offset(params_half, cs_half):
@@ -215,6 +235,17 @@ def test_product_zero_is_exact(params_half, cs_half):
     g = branched_product(params_half, cs_half, z)
     assert g.value.is_zero
     assert g.tail_bound == 0.0
+
+
+def test_product_zero_follows_gens(params_half, cs_half):
+    z = product_zero(params_half, cs_half, IntervalIndex(3, 2), m=2)
+    others = [k for k in range(1, 13) if k != 3]
+    G = cosine_product(params_half, cs_half, z, gens=others)
+    assert not G.value.is_zero
+    assert math.isfinite(G.value.log_mag) and math.isfinite(G.value.arg)
+    G = cosine_product(params_half, cs_half, z, gens=others + [3])
+    assert G.value.is_zero
+    assert G.tail_bound == 0.0
 
 
 def test_product_zeros_accumulate_at_anchor(params_half, cs_half):
