@@ -56,7 +56,6 @@ from .frequency import (
 from .vanishing import (
     ConstantTarget,
     MassCurve,
-    MinimizerTarget,
     RealPartTarget,
     default_ladder,
     doubling_ratio,

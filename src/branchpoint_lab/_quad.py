@@ -40,7 +40,7 @@ class QuadConfig:
     max_refine: int = 8
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.order < 2 or self.max_refine < 1:
+        if not (0.0 < self.rel_tol < math.inf) or self.order < 2 or self.max_refine < 1:
             raise ValidationError("invalid quadrature configuration")
 
 

@@ -40,7 +40,6 @@ from .series import (
 )
 from .vanishing import (
     ConstantTarget,
-    MinimizerTarget,
     RealPartTarget,
     default_ladder,
     mass_curve,
@@ -338,7 +337,7 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
         params, cs = _series_setup(p)
         target = RealPartTarget(params=params, cs=cs)
     elif kind == "q_minimizer":
-        target = MinimizerTarget(MinimizerSpec(h=_build_h(p), Q=int(p["Q"])))
+        target = MinimizerSpec(h=_build_h(p), Q=int(p["Q"]))
     elif kind == "constant":
         target = ConstantTarget(float(p["value"]))
     else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral, log_line_integral
 from ._quad import refined_breakpoints
@@ -72,9 +73,10 @@ class BaseFunction(ABC):
     """A holomorphic h whose Q-th roots define the minimizer.
 
     Log-magnitude/argument evaluation keeps densities meaningful when |h|
-    underflows.  `decay_rate(rho)` bounds |d log|h| / dtheta| at distance
-    rho from the function's singular corner; it seeds boundary-layer panels
-    and may be zero for smooth cases.
+    underflows.  `log_h_hprime` returns h and h' from one pass, and its
+    first two arrays are `log_h` bit for bit.  `decay_rate(rho)` bounds
+    |d log|h| / dtheta| at distance rho from the function's singular corner;
+    it seeds boundary-layer panels and may be zero for smooth cases.
     """
 
     domain: str = "plane"
@@ -85,8 +87,8 @@ class BaseFunction(ABC):
         """(log|h|, arg h) on an array; log|h| = -inf marks an exact zero."""
 
     @abstractmethod
-    def log_hprime(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log|h'|, arg h') on an array."""
+    def log_h_hprime(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(log|h|, arg h, log|h'|, arg h') on an array."""
 
     def zeros_in_disk(self, center: complex, r: float) -> list[complex]:
         return []
@@ -94,27 +96,16 @@ class BaseFunction(ABC):
     def decay_rate(self, rho: float) -> float:
         return 0.0
 
-    def log_energy_density(self, Q: int, zs: np.ndarray) -> np.ndarray:
-        """log of |Du|^2 = (2/Q)|h|^(2/Q-2)|h'|^2.
 
-        For boundary-vanishing h the indeterminate -inf/-inf combinations
-        arise only where the density truly collapses, so they sanitize to
-        -inf; algebraic zeros keep their +inf (integrable) marker.
-        """
-        la_h, _ = self.log_h(zs)
-        la_p, _ = self.log_hprime(zs)
-        with np.errstate(invalid="ignore"):
-            out = math.log(2.0 / Q) + (2.0 / Q - 2.0) * la_h + 2.0 * la_p
-        if self.vanishes_at_boundary:
-            out = np.where(np.isfinite(out), out, -np.inf)
-        else:
-            out = np.where(np.isnan(out), np.inf, out)
-        return out
-
-
-def _log_abs(vals: np.ndarray) -> np.ndarray:
+def _log_split(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|v|, arg v) of a complex array; log|0| = -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(vals))
+        return np.log(np.abs(vals)), np.angle(vals)
+
+
+def _nan_is_zero(la: np.ndarray) -> np.ndarray:
+    """A log-magnitude with NaN (an indeterminate sum on the set) read as -inf."""
+    return np.where(np.isnan(la), -np.inf, la)
 
 
 @dataclass(frozen=True)
@@ -128,17 +119,15 @@ class Monomial(BaseFunction):
             raise ValidationError(f"monomial power must be >= 1, got {self.P}")
 
     def log_h(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        return self.P * _log_abs(zs), self.P * np.angle(zs)
+        lz, az = _log_split(np.asarray(zs, dtype=complex))
+        return self.P * lz, self.P * az
 
-    def log_hprime(self, zs):
-        zs = np.asarray(zs, dtype=complex)
+    def log_h_hprime(self, zs):
+        lz, az = _log_split(np.asarray(zs, dtype=complex))
         if self.P == 1:
-            return np.zeros(zs.shape), np.zeros(zs.shape)
-        return (
-            math.log(self.P) + (self.P - 1) * _log_abs(zs),
-            (self.P - 1) * np.angle(zs),
-        )
+            return lz, az, np.zeros(lz.shape), np.zeros(lz.shape)
+        lp = math.log(self.P) + (self.P - 1) * lz
+        return self.P * lz, self.P * az, lp, (self.P - 1) * az
 
     def zeros_in_disk(self, center, r):
         return [0j] if abs(center) < r else []
@@ -154,23 +143,25 @@ class Polynomial(BaseFunction):
         if len(self.coeffs) < 1 or self.coeffs[-1] == 0:
             raise ValidationError("need a nonzero leading coefficient")
 
-    def _val(self, zs):
-        return np.polynomial.polynomial.polyval(np.asarray(zs, dtype=complex), self.coeffs)
-
     def log_h(self, zs):
-        v = self._val(zs)
-        return _log_abs(v), np.angle(v)
+        return _log_split(npoly.polyval(np.asarray(zs, dtype=complex), self.coeffs))
 
-    def log_hprime(self, zs):
-        der = np.polynomial.polynomial.polyder(self.coeffs)
-        v = np.polynomial.polynomial.polyval(np.asarray(zs, dtype=complex), der)
-        return _log_abs(v), np.angle(v)
+    def log_h_hprime(self, zs):
+        zs = np.asarray(zs, dtype=complex)
+        return (*self.log_h(zs), *_log_split(npoly.polyval(zs, npoly.polyder(self.coeffs))))
 
     def zeros_in_disk(self, center, r):
         if len(self.coeffs) == 1:
             return []
-        roots = np.polynomial.polynomial.polyroots(self.coeffs)
+        roots = npoly.polyroots(self.coeffs)
         return [complex(z) for z in roots if abs(z - center) < r]
+
+
+def _log_power(zs, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log|z|, arg z, z^-alpha) on an array."""
+    zs = np.asarray(zs, dtype=complex)
+    lr, th = log_polar(zs.real, zs.imag)
+    return lr, th, neg_power(lr, th, alpha)
 
 
 @dataclass(frozen=True)
@@ -186,19 +177,14 @@ class SmoothBlock(BaseFunction):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
     def log_h(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        w = neg_power(*log_polar(zs.real, zs.imag), self.alpha)
+        w = _log_power(zs, self.alpha)[2]
         return -w.real, -w.imag
 
-    def log_hprime(self, zs):
+    def log_h_hprime(self, zs):
         # h' = alpha * z**(-alpha-1) * h
-        zs = np.asarray(zs, dtype=complex)
-        lr, th = log_polar(zs.real, zs.imag)
-        w = neg_power(lr, th, self.alpha)
-        return (
-            math.log(self.alpha) - (self.alpha + 1.0) * lr - w.real,
-            -(self.alpha + 1.0) * th - w.imag,
-        )
+        lr, th, w = _log_power(zs, self.alpha)
+        a1 = self.alpha + 1.0
+        return -w.real, -w.imag, math.log(self.alpha) - a1 * lr - w.real, -a1 * th - w.imag
 
     def decay_rate(self, rho):
         return self.alpha * rho ** (-self.alpha)
@@ -229,27 +215,26 @@ class OscillatingPower(BaseFunction):
         if self.P < 1:
             raise ValidationError(f"power must be >= 1, got {self.P}")
 
-    def log_h(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        lr, th = log_polar(zs.real, zs.imag)
-        w = neg_power(lr, th, self.alpha)
+    def _log_b(self, zs):
+        # log|b|, arg b for the block b = cos(log z) exp(-z^-alpha), h = b^P
+        lr, th, w = _log_power(zs, self.alpha)
         la_c, arg_c, _ = log_cos(lr, th, 1.0)
-        return self.P * (la_c - w.real), self.P * (arg_c - w.imag)
+        return lr, th, w, la_c - w.real, arg_c - w.imag
 
-    def log_hprime(self, zs):
+    def log_h(self, zs):
+        *_, lb, ab = self._log_b(zs)
+        return self.P * lb, self.P * ab
+
+    def log_h_hprime(self, zs):
         # b = a cos(log z), a = exp(-z^-alpha):
         # b' = a * (alpha z^(-alpha-1) cos(log z) - sin(log z)/z); h' = P b^(P-1) b'
-        zs = np.asarray(zs, dtype=complex)
-        lr, th = log_polar(zs.real, zs.imag)
-        w = neg_power(lr, th, self.alpha)
-        la_c, arg_c, _ = log_cos(lr, th, 1.0)
+        lr, th, w, lb, ab = self._log_b(zs)
         L = lr + 1j * th
         with np.errstate(over="ignore", invalid="ignore"):
-            p = self.alpha * np.exp(-(self.alpha + 1.0) * L) * np.cos(L) - np.sin(L) * np.exp(-L)
-        return (
-            math.log(self.P) + (self.P - 1) * (la_c - w.real) - w.real + _log_abs(p),
-            (self.P - 1) * (arg_c - w.imag) - w.imag + np.angle(p),
-        )
+            db = self.alpha * np.exp(-(self.alpha + 1.0) * L) * np.cos(L) - np.sin(L) * np.exp(-L)
+        l_db, a_db = _log_split(db)  # b' / a
+        lp = math.log(self.P) + (self.P - 1) * lb - w.real + l_db
+        return self.P * lb, self.P * ab, lp, (self.P - 1) * ab - w.imag + a_db
 
     def zeros_in_disk(self, center, r):
         lo = max(abs(center) - r, 1e-14)
@@ -267,8 +252,8 @@ class OscillatingPower(BaseFunction):
 
 
 @dataclass(frozen=True)
-class SeriesFactor(BaseFunction):
-    """h = the decay factor exp(-F) built over a Cantor boundary set."""
+class _OverSet(BaseFunction):
+    """A base function built from the series over a Cantor boundary set."""
 
     params: SeriesParams
     cs: CantorSet
@@ -280,77 +265,46 @@ class SeriesFactor(BaseFunction):
             self.params, self.cs, zs, with_deriv=with_deriv, far_tol=FAR_TOL
         )
 
-    def log_h(self, zs):
-        F, _, _ = self._F(zs)
-        la = -F.real
-        la = np.where(np.isnan(la), -np.inf, la)
-        return la, -F.imag
 
-    def log_hprime(self, zs):
+class SeriesFactor(_OverSet):
+    """h = the decay factor exp(-F) built over a Cantor boundary set."""
+
+    def log_h(self, zs):
+        F = self._F(zs)[0]
+        return _nan_is_zero(-F.real), -F.imag
+
+    def log_h_hprime(self, zs):
         # h' = -F' h
         F, Fp, _ = self._F(zs, with_deriv=True)
+        lf, af = _log_split(-Fp)
         with np.errstate(invalid="ignore"):
-            la = _log_abs(Fp) - F.real
-            arg = np.angle(-Fp) - F.imag
-        return np.where(np.isnan(la), -np.inf, la), arg
-
-    def log_energy_density(self, Q, zs):
-        # (2/Q)|F'|^2 |h|^(2/Q): one series pass instead of two
-        F, Fp, _ = self._F(zs, with_deriv=True)
-        with np.errstate(invalid="ignore"):
-            out = math.log(2.0 / Q) + 2.0 * _log_abs(Fp) - (2.0 / Q) * F.real
-        return np.where(np.isfinite(out), out, -np.inf)
+            return _nan_is_zero(-F.real), -F.imag, _nan_is_zero(lf - F.real), af - F.imag
 
     def decay_rate(self, rho):
         am = self.params.max_exponent()
         return (math.pi**2 / 6.0) * am * rho ** (-am)
 
 
-@dataclass(frozen=True)
-class SeriesProduct(BaseFunction):
+class SeriesProduct(_OverSet):
     """h = the branched product: cosine product times the decay factor."""
-
-    params: SeriesParams
-    cs: CantorSet
-    domain = "half_plane"
-    vanishes_at_boundary = True
-
-    def _F(self, zs, with_deriv=False):
-        return decay_exponent_many(
-            self.params, self.cs, zs, with_deriv=with_deriv, far_tol=FAR_TOL
-        )
 
     def _log_h_from_F(self, zs, F):
         # log|h| and arg h for h = G e^-F; exact zeros of G give -inf
         la_g, arg_g, zero = log_cosine_product_many(self.params, self.cs, zs)
         with np.errstate(invalid="ignore"):
-            la = la_g - F.real
+            la = _nan_is_zero(la_g - F.real)
         return np.where(zero, -np.inf, la), arg_g - F.imag
 
-    def _ratio(self, zs, Fp):
-        # h'/h = G'/G - F'
-        return cosine_product_logderiv_many(self.params, self.cs, zs) - Fp
-
     def log_h(self, zs):
-        F, _, _ = self._F(zs)
-        la, arg = self._log_h_from_F(zs, F)
-        return np.where(np.isnan(la), -np.inf, la), arg
+        return self._log_h_from_F(zs, self._F(zs)[0])
 
-    def log_hprime(self, zs):
+    def log_h_hprime(self, zs):
+        # h'/h = G'/G - F'
         F, Fp, _ = self._F(zs, with_deriv=True)
         la, arg = self._log_h_from_F(zs, F)
-        ratio = self._ratio(zs, Fp)
+        lr, ar = _log_split(cosine_product_logderiv_many(self.params, self.cs, zs) - Fp)
         with np.errstate(invalid="ignore"):
-            la = la + _log_abs(ratio)
-        return np.where(np.isnan(la), -np.inf, la), arg + np.angle(ratio)
-
-    def log_energy_density(self, Q, zs):
-        # (2/Q)|h|^(2/Q)|h'/h|^2: one series and one product pass, not two
-        F, Fp, _ = self._F(zs, with_deriv=True)
-        la, _ = self._log_h_from_F(zs, F)
-        with np.errstate(invalid="ignore"):
-            out = math.log(2.0 / Q) + (2.0 / Q) * la + 2.0 * _log_abs(self._ratio(zs, Fp))
-        return np.where(np.isfinite(out), out, -np.inf)
+            return la, arg, _nan_is_zero(la + lr), arg + ar
 
     def zeros_in_disk(self, center, r):
         out = []
@@ -399,13 +353,10 @@ class Scaled(BaseFunction):
         lc, ac = self._log_factor()
         return la + lc, ar + ac
 
-    def log_hprime(self, zs):
-        la, ar = self.base.log_hprime(zs)
+    def log_h_hprime(self, zs):
+        la, ar, lp, ap = self.base.log_h_hprime(zs)
         lc, ac = self._log_factor()
-        return la + lc, ar + ac
-
-    def log_energy_density(self, Q, zs):
-        return self.base.log_energy_density(Q, zs) + (2.0 / Q) * math.log(abs(self.factor))
+        return la + lc, ar + ac, lp + lc, ap + ac
 
     def zeros_in_disk(self, center, r):
         return self.base.zeros_in_disk(center, r)
@@ -440,6 +391,32 @@ class MinimizerSpec:
     def domain(self) -> str:
         return self.h.domain
 
+    def log_density(self, zs: np.ndarray) -> np.ndarray:
+        """log of the mass density |u|^2 = Q|h|^(2/Q)."""
+        la, _ = self.h.log_h(zs)
+        out = math.log(self.Q) + (2.0 / self.Q) * la
+        if self.h.vanishes_at_boundary:
+            out = np.where(np.isfinite(out), out, -np.inf)
+        return out
+
+    def decay_rate(self, rho: float) -> float:
+        """|d/dr log density| near the domain edge at radius rho."""
+        return (2.0 / self.Q) * self.h.decay_rate(rho)
+
+    def log_energy_density(self, zs: np.ndarray) -> np.ndarray:
+        """log of the energy density |Du|^2 = (2/Q)|h|^(2/Q-2)|h'|^2.
+
+        For boundary-vanishing h the indeterminate -inf/-inf combinations
+        arise only where the density truly collapses, so they sanitize to
+        -inf; algebraic zeros keep their +inf (integrable) marker.
+        """
+        la_h, _, la_p, _ = self.h.log_h_hprime(zs)
+        with np.errstate(invalid="ignore"):
+            out = math.log(2.0 / self.Q) + (2.0 / self.Q - 2.0) * la_h + 2.0 * la_p
+        if self.h.vanishes_at_boundary:
+            return np.where(np.isfinite(out), out, -np.inf)
+        return np.where(np.isnan(out), np.inf, out)
+
 
 @dataclass(frozen=True)
 class FrequencySample:
@@ -460,8 +437,7 @@ def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     dz = complex(z) - complex(center)
     # math.atan2, not cmath.phase, which raises on a subnormal phase
     rho, theta = abs(dz), math.atan2(dz.imag, dz.real)
-    la_h, ar_h = spec.h.log_h(np.array([z], dtype=complex))
-    la_p, ar_p = spec.h.log_hprime(np.array([z], dtype=complex))
+    la_h, ar_h, la_p, ar_p = spec.h.log_h_hprime(np.array([z], dtype=complex))
     if la_h[0] == -math.inf:
         return math.inf
     ratio = math.exp(la_p[0] - la_h[0])
@@ -584,13 +560,10 @@ def log_boundary_mass(
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
     zero_polar = _zero_geometry(spec, center, 1.001 * r)
-    rate = (2.0 / spec.Q) * spec.h.decay_rate(r)
-    edges = _theta_edges(center, r, spec.domain, rate, zero_polar)
+    edges = _theta_edges(center, r, spec.domain, spec.decay_rate(r), zero_polar)
 
     def L(thetas: np.ndarray) -> np.ndarray:
-        zs = center + r * np.exp(1j * thetas)
-        la, _ = spec.h.log_h(zs)
-        return math.log(spec.Q) + (2.0 / spec.Q) * la
+        return spec.log_density(center + r * np.exp(1j * thetas))
 
     return log_line_integral(L, edges, cfg)
 
@@ -628,11 +601,9 @@ def log_dirichlet_energy(
         r_inner=r_inner,
         zero_polar=_zero_geometry(spec, center, r),
     )
-
-    def L(zs: np.ndarray) -> np.ndarray:
-        return spec.h.log_energy_density(spec.Q, zs)
-
-    return log_disk_integral(L, center, r_edges, theta_edges, cfg, inner_targets=inner)
+    return log_disk_integral(
+        spec.log_energy_density, center, r_edges, theta_edges, cfg, inner_targets=inner
+    )
 
 
 def dirichlet_energy(

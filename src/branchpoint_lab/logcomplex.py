@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import BranchCutError
 
-#: below this log-magnitude, conversion to a plain complex saturates to 0
-LOG_TINY = math.log(2.2250738585072014e-308)
+#: the smallest normal double; below its log, conversion to a plain complex
+#: saturates to 0
+TINY = 2.2250738585072014e-308
+LOG_TINY = math.log(TINY)
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,19 @@ def principal_log(z: complex) -> complex:
 
 
 def log_polar(wr: np.ndarray, wi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log|w|, arg w) for w = wr + i*wi; log|0| = -inf."""
-    with np.errstate(divide="ignore"):
-        lr = 0.5 * np.log(wr * wr + wi * wi)
+    """(log|w|, arg w) for w = wr + i*wi; log|0| = -inf.
+
+    0.5 log(wr^2 + wi^2) is exact to rounding while the squared modulus is a
+    finite normal double, about 1e-154 < |w| < 1e154.  The rare elements
+    outside that range are recomputed as log(hypot(wr, wi)).
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        m2 = wr * wr + wi * wi
+        lr = 0.5 * np.log(m2)
+        # ufunc reductions: np.min and np.max cost twice as much per call
+        lo = np.minimum.reduce(m2, axis=None, initial=math.inf)
+        if not (lo >= TINY and np.maximum.reduce(m2, axis=None, initial=0.0) < math.inf):
+            lr = np.where((m2 >= TINY) & (m2 < math.inf), lr, np.log(np.hypot(wr, wi)))
     return lr, np.arctan2(wi, wr)
 
 

@@ -25,9 +25,7 @@ from .series import FAR_TOL, SeriesParams, decay_exponent_many
 
 __all__ = [
     "MassCurve",
-    "MassTarget",
     "RealPartTarget",
-    "MinimizerTarget",
     "ConstantTarget",
     "default_ladder",
     "mass_curve",
@@ -37,21 +35,8 @@ __all__ = [
 ]
 
 
-class MassTarget:
-    """A nonnegative density |u|^2 presented through its logarithm."""
-
-    domain: str = "plane"
-
-    def log_density(self, zs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def decay_rate(self, rho: float) -> float:
-        """Hint: |d/dr log density| near the domain boundary at radius rho."""
-        return 0.0
-
-
 @dataclass(frozen=True)
-class RealPartTarget(MassTarget):
+class RealPartTarget:
     """u = Re(exp(-F)) for the shifted power sum F over a boundary set.
 
     The density (Re u)^2 = exp(-2 Re F) cos^2(Im F) is smooth on the open
@@ -74,36 +59,28 @@ class RealPartTarget(MassTarget):
 
 
 @dataclass(frozen=True)
-class MinimizerTarget(MassTarget):
-    """|u|^2 = Q |h|^(2/Q) for a Q-valued minimizer built from h."""
-
-    spec: MinimizerSpec
-
-    @property
-    def domain(self) -> str:  # type: ignore[override]
-        return self.spec.domain
-
-    def log_density(self, zs: np.ndarray) -> np.ndarray:
-        la, _ = self.spec.h.log_h(zs)
-        out = math.log(self.spec.Q) + (2.0 / self.spec.Q) * la
-        if self.spec.h.vanishes_at_boundary:
-            out = np.where(np.isfinite(out), out, -np.inf)
-        return out
-
-    def decay_rate(self, rho: float) -> float:
-        return (2.0 / self.spec.Q) * self.spec.h.decay_rate(rho)
-
-
-@dataclass(frozen=True)
-class ConstantTarget(MassTarget):
+class ConstantTarget:
     """u identically constant; mass over B_R is pi R^2 c^2."""
 
     value: float
+    domain = "plane"
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValidationError(f"constant value must be finite, got {self.value}")
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:
         if self.value == 0.0:
             return np.full(np.asarray(zs).shape, -np.inf)
         return np.full(np.asarray(zs).shape, 2.0 * math.log(abs(self.value)))
+
+    def decay_rate(self, rho: float) -> float:
+        return 0.0
+
+
+# a mass target: anything with `domain`, `log_density(zs)` (the log of |u|^2)
+# and `decay_rate(rho)` (|d/dr log density| near the domain edge at radius rho)
+Target = MinimizerSpec | RealPartTarget | ConstantTarget
 
 
 @dataclass(frozen=True)
@@ -135,7 +112,7 @@ def default_ladder(rungs: int = 12, largest: float = 0.2) -> list[float]:
 
 
 def log_mass(
-    target: MassTarget,
+    target: Target,
     center: complex,
     r: float,
     config: QuadConfig | None = None,
@@ -151,7 +128,7 @@ def log_mass(
 
 
 def mass_curve(
-    target: MassTarget,
+    target: Target,
     center: complex,
     radii: Sequence[float] | None = None,
     config: QuadConfig | None = None,

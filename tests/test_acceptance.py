@@ -15,7 +15,6 @@ from branchpoint_lab import (
     CantorSet,
     IntervalIndex,
     MinimizerSpec,
-    MinimizerTarget,
     Monomial,
     OscillatingPower,
     Polynomial,
@@ -271,7 +270,7 @@ def test_power_law_contrast():
     """Contrast case: the monomial minimizer mass has the fixed finite slope
     2P/Q + 2 on every window."""
     for P, Q in [(1, 2), (2, 3)]:
-        target = MinimizerTarget(MinimizerSpec(h=Monomial(P=P), Q=Q))
+        target = MinimizerSpec(h=Monomial(P=P), Q=Q)
         radii = [10.0 ** (-0.5 - 0.2 * k) for k in range(8)]
         curve = mass_curve(target, 0j, radii)
         for s in sliding_window_slopes(curve):

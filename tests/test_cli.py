@@ -103,6 +103,23 @@ def test_vanishing_constant(tmp_path):
     assert got == pytest.approx(math.log(math.pi * 0.16 * 4.0), abs=1e-6)
 
 
+def test_vanishing_q_minimizer(tmp_path):
+    # |u|^2 = Q|z|^(2P/Q): logMass has slope 2P/Q + 2 = 5 on every window
+    rc, out = _run_to_file(
+        tmp_path,
+        "q.csv",
+        ["vanishing", "--target", "q_minimizer", "--h", "monomial", "--P", "3", "--Q", "2",
+         "--ladder", "0.2,0.1,0.05"],
+    )
+    assert rc == 0
+    _, rows = read_rows(str(out))
+    assert len(rows) == 3
+    lines = out.read_text(encoding="utf-8").splitlines()
+    slopes = [float(line.rsplit(":", 1)[1]) for line in lines if line.startswith("# slope")]
+    assert len(slopes) == 1
+    assert slopes[0] == pytest.approx(5.0, abs=1e-8)
+
+
 def test_determinism(tmp_path):
     args = ["eval", "--s", "0.5", "--max-gen", "6", "--nx", "3", "--ny", "3"]
     _, out1 = _run_to_file(tmp_path, "a.csv", args)

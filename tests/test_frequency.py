@@ -14,6 +14,7 @@ from branchpoint_lab import (
     QuadConfig,
     Scaled,
     SmoothBlock,
+    SeriesFactor,
     SeriesParams,
     SeriesProduct,
     ValidationError,
@@ -25,6 +26,7 @@ from branchpoint_lab import (
 )
 from branchpoint_lab.frequency import OscillatingPower, phi_indicator
 from branchpoint_lab.logcomplex import decay_block, oscillating_block
+from branchpoint_lab.series import FAR_TOL, cosine_product_logderiv_many, decay_exponent_many
 
 
 complexes = st.complex_numbers(
@@ -149,18 +151,20 @@ def _series_product(max_gen=6):
 
 
 def test_series_product_energy_density_is_the_two_call_form():
+    """(2/Q)|h|^(2/Q)|h'/h|^2 with h'/h = G'/G - F' from the series calls."""
     h = _series_product()
     rng = np.random.default_rng(3)
     zs = rng.uniform(1e-3, 1.0, 200) + 1j * rng.uniform(-1.2, 0.2, 200)
     # a point on the set (F is not finite there) and one where h underflows
     zs = np.append(zs, [-0.75j, 1e-200 - 0.75j])
+    _, Fp, _ = decay_exponent_many(h.params, h.cs, zs, with_deriv=True, far_tol=FAR_TOL)
+    ratio = cosine_product_logderiv_many(h.params, h.cs, zs) - Fp
+    la_h, _ = h.log_h(zs)
     for Q in (2, 3):
-        la_h, _ = h.log_h(zs)
-        la_p, _ = h.log_hprime(zs)
-        with np.errstate(invalid="ignore"):
-            two = math.log(2.0 / Q) + (2.0 / Q - 2.0) * la_h + 2.0 * la_p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            two = math.log(2.0 / Q) + (2.0 / Q) * la_h + 2.0 * np.log(np.abs(ratio))
         two = np.where(np.isfinite(two), two, -np.inf)
-        one = h.log_energy_density(Q, zs)
+        one = MinimizerSpec(h=h, Q=Q).log_energy_density(zs)
         finite = np.isfinite(two)
         assert np.array_equal(np.isfinite(one), finite)
         assert np.all(one[~finite] == -np.inf)
@@ -182,7 +186,7 @@ def test_subnormal_phase_does_not_overflow():
     base = Monomial(P=1)
     scaled = Scaled(base=base, factor=2 + 5e-324j)
     for got, want in ((scaled.log_h(zs), base.log_h(zs)),
-                      (scaled.log_hprime(zs), base.log_hprime(zs))):
+                      (scaled.log_h_hprime(zs)[2:], base.log_h_hprime(zs)[2:])):
         assert np.allclose(got[0], want[0] + math.log(2.0), rtol=1e-15)
         assert np.allclose(got[1], want[1], rtol=1e-15)
     spec = MinimizerSpec(h=base, Q=2)
@@ -206,3 +210,42 @@ def test_block_classes_match_one_point_blocks(alpha):
             want = block(complex(z), alpha)
             assert got_la == pytest.approx(want.log_mag, rel=1e-14, abs=1e-14)
             assert got_ar == pytest.approx(want.arg, rel=1e-14, abs=1e-14)
+
+
+def _base_functions():
+    params = SeriesParams(s=0.5, max_gen=6)
+    cs = CantorSet.build(0.5, 6)
+    return [
+        Monomial(P=3),
+        Polynomial(coeffs=(0.3, -1.0, 0.0, 2.0)),
+        SmoothBlock(0.5),
+        OscillatingPower(0.5, P=3),
+        SeriesFactor(params=params, cs=cs),
+        SeriesProduct(params=params, cs=cs),
+        Scaled(base=SmoothBlock(0.7), factor=2 - 1j),
+    ]
+
+
+@pytest.mark.parametrize("h", _base_functions(), ids=lambda h: type(h).__name__)
+def test_log_h_hprime_contract(h):
+    """log_h_hprime repeats log_h bit for bit, and its h'/h is the derivative
+    of log h (a central difference along the real axis)."""
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(0.2, 1.0, 20) + 1j * rng.uniform(-1.0, 0.6, 20)
+    la, ar, lp, ap = h.log_h_hprime(zs)
+    l0, a0 = h.log_h(zs)
+    assert np.array_equal(la, l0) and np.array_equal(ar, a0)
+    ratio = np.exp(lp - la + 1j * (ap - ar))
+    d = 1e-5
+    (l_hi, a_hi), (l_lo, a_lo) = h.log_h(zs + d), h.log_h(zs - d)
+    # fold the argument step into [-pi, pi): principal arguments may wrap
+    d_arg = np.remainder(a_hi - a_lo + np.pi, 2.0 * np.pi) - np.pi
+    np.testing.assert_allclose((l_hi - l_lo + 1j * d_arg) / (2.0 * d), ratio, rtol=1e-6)
+
+
+def test_blocks_log_h_at_tiny_z():
+    # log|h| = -Re z^-alpha = -1e100 at z = 1e-200, alpha = 1/2; the squared
+    # modulus of z underflows there
+    for h in (SmoothBlock(0.5), OscillatingPower(0.5)):
+        la, _ = h.log_h(np.array([1e-200 + 0j]))
+        assert la[0] == pytest.approx(-1e100, rel=1e-12)

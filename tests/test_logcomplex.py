@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from branchpoint_lab import (
     oscillating_block,
     principal_log,
 )
-from branchpoint_lab.logcomplex import LOG_TINY
+from branchpoint_lab.logcomplex import LOG_TINY, log_polar
 
 finite = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -135,3 +136,15 @@ def test_subnormal_phase_does_not_overflow():
     block = oscillating_block(w, 0.5)
     assert block.log_mag == pytest.approx(oscillating_block(2 + 0j, 0.5).log_mag, rel=1e-15)
     assert abs(block.arg) < 1e-300
+
+
+@pytest.mark.parametrize("w", [1e-200 + 0j, 1e-160 * (1 + 1j), 1e200 + 0j])
+def test_log_polar_outside_the_squared_range(w):
+    # wr^2 + wi^2 under- or overflows at these moduli
+    lr, th = log_polar(w.real, w.imag)
+    assert float(lr) == pytest.approx(math.log(abs(w)), rel=1e-15)
+    assert float(th) == math.atan2(w.imag, w.real)
+    # elements in range keep 0.5 log(wr^2 + wi^2) exactly
+    lr, _ = log_polar(np.array([0.3, w.real, 2.0]), np.array([0.4, w.imag, -1.0]))
+    assert lr[0] == 0.5 * np.log(0.25) and lr[2] == 0.5 * np.log(5.0)
+    assert lr[1] == pytest.approx(math.log(abs(w)), rel=1e-15)

@@ -20,6 +20,12 @@ def test_config_validation():
         QuadConfig(order=1)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+def test_config_rejects_non_finite_rel_tol(rel_tol):
+    with pytest.raises(ValidationError):
+        QuadConfig(rel_tol=rel_tol)
+
+
 def test_breakpoints_contain_ends_and_targets():
     edges = refined_breakpoints(0.0, 2.0, geo_a=True, targets=[0.7])
     assert edges[0] == 0.0 and edges[-1] == 2.0

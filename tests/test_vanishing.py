@@ -8,7 +8,6 @@ from branchpoint_lab import (
     ConstantTarget,
     MassCurve,
     MinimizerSpec,
-    MinimizerTarget,
     Monomial,
     QuadConfig,
     RealPartTarget,
@@ -26,6 +25,12 @@ from branchpoint_lab.vanishing import log_mass
 def test_constant_target_area_formula():
     got, _ = log_mass(ConstantTarget(2.5), 0.3 + 0.4j, 0.7)
     assert got == pytest.approx(math.log(math.pi * 0.49 * 6.25), abs=1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constant_target_rejects_non_finite(value):
+    with pytest.raises(ValidationError):
+        ConstantTarget(value)
 
 
 def test_default_ladder():
@@ -74,7 +79,7 @@ def test_constant_slope_is_area_exponent():
 
 def test_monomial_minimizer_slope_and_doubling():
     for P, Q in [(1, 2), (3, 2)]:
-        t = MinimizerTarget(MinimizerSpec(h=Monomial(P=P), Q=Q))
+        t = MinimizerSpec(h=Monomial(P=P), Q=Q)
         curve = mass_curve(t, 0j, default_ladder(8))
         for s in sliding_window_slopes(curve):
             assert s == pytest.approx(2.0 * P / Q + 2.0, abs=1e-8)
