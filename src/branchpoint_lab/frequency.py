@@ -23,14 +23,8 @@ from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral, log_line_integ
 from ._quad import refined_breakpoints
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
-from .logcomplex import log_cos, log_polar, neg_power
-from .series import (
-    FAR_TOL,
-    SeriesParams,
-    cosine_product_logderiv_many,
-    decay_exponent_many,
-    log_cosine_product_many,
-)
+from .logcomplex import dlog_cos, log_cos, log_polar, neg_power
+from .series import FAR_TOL, SeriesParams, decay_exponent_many, log_cosine_product_many
 
 _TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
 
@@ -219,22 +213,21 @@ class OscillatingPower(BaseFunction):
         # log|b|, arg b for the block b = cos(log z) exp(-z^-alpha), h = b^P
         lr, th, w = _log_power(zs, self.alpha)
         la_c, arg_c, _ = log_cos(lr, th, 1.0)
-        return lr, th, w, la_c - w.real, arg_c - w.imag
+        return lr, th, la_c - w.real, arg_c - w.imag
 
     def log_h(self, zs):
         *_, lb, ab = self._log_b(zs)
         return self.P * lb, self.P * ab
 
     def log_h_hprime(self, zs):
-        # b = a cos(log z), a = exp(-z^-alpha):
-        # b' = a * (alpha z^(-alpha-1) cos(log z) - sin(log z)/z); h' = P b^(P-1) b'
-        lr, th, w, lb, ab = self._log_b(zs)
-        L = lr + 1j * th
+        # h'/h = P b'/b = P (alpha z^(-alpha-1) - tan(log z) / z)
+        lr, th, lb, ab = self._log_b(zs)
         with np.errstate(over="ignore", invalid="ignore"):
-            db = self.alpha * np.exp(-(self.alpha + 1.0) * L) * np.cos(L) - np.sin(L) * np.exp(-L)
-        l_db, a_db = _log_split(db)  # b' / a
-        lp = math.log(self.P) + (self.P - 1) * lb - w.real + l_db
-        return self.P * lb, self.P * ab, lp, (self.P - 1) * ab - w.imag + a_db
+            ratio = self.P * (self.alpha * neg_power(lr, th, self.alpha + 1.0)
+                              + dlog_cos(lr, th, 1.0))
+        l_r, a_r = _log_split(ratio)
+        la, ar = self.P * lb, self.P * ab
+        return la, ar, la + l_r, ar + a_r
 
     def zeros_in_disk(self, center, r):
         lo = max(abs(center) - r, 1e-14)
@@ -288,21 +281,23 @@ class SeriesFactor(_OverSet):
 class SeriesProduct(_OverSet):
     """h = the branched product: cosine product times the decay factor."""
 
-    def _log_h_from_F(self, zs, F):
-        # log|h| and arg h for h = G e^-F; exact zeros of G give -inf
-        la_g, arg_g, zero = log_cosine_product_many(self.params, self.cs, zs)
+    def _log_h(self, zs, with_deriv):
+        # log|h|, arg h for h = G e^-F (exact zeros of G give -inf) and
+        # h'/h = G'/G - F' (None without the derivative)
+        F, Fp, _ = self._F(zs, with_deriv)
+        la_g, arg_g, zero, dlog_g = log_cosine_product_many(
+            self.params, self.cs, zs, with_deriv=with_deriv
+        )
         with np.errstate(invalid="ignore"):
-            la = _nan_is_zero(la_g - F.real)
-        return np.where(zero, -np.inf, la), arg_g - F.imag
+            la = np.where(zero, -np.inf, _nan_is_zero(la_g - F.real))
+            return la, arg_g - F.imag, dlog_g - Fp if with_deriv else None
 
     def log_h(self, zs):
-        return self._log_h_from_F(zs, self._F(zs)[0])
+        return self._log_h(zs, False)[:2]
 
     def log_h_hprime(self, zs):
-        # h'/h = G'/G - F'
-        F, Fp, _ = self._F(zs, with_deriv=True)
-        la, arg = self._log_h_from_F(zs, F)
-        lr, ar = _log_split(cosine_product_logderiv_many(self.params, self.cs, zs) - Fp)
+        la, arg, ratio = self._log_h(zs, True)
+        lr, ar = _log_split(ratio)
         with np.errstate(invalid="ignore"):
             return la, arg, _nan_is_zero(la + lr), arg + ar
 

@@ -123,12 +123,33 @@ def log_cos(
     """
     x = b * lr
     y = b * th
-    cr = np.cos(x) * np.cosh(y)
-    ci = -np.sin(x) * np.sinh(y)
-    m2 = cr * cr + ci * ci
-    with np.errstate(divide="ignore"):
+    # log|w| = -inf (w on the set) gives NaN by design
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cr = np.cos(x) * np.cosh(y)
+        ci = -np.sin(x) * np.sinh(y)
+        m2 = cr * cr + ci * ci
         log_abs = 0.5 * np.log(m2)
     return log_abs, np.arctan2(ci, cr), m2 == 0.0
+
+
+def dlog_cos(lr: np.ndarray, th: np.ndarray, b: float) -> np.ndarray:
+    """d/dw log cos(b*log w) = -b tan(b*L) / w for L = log|w| + i*arg w
+    (arrays or floats).
+
+    tan(x + iy) = (sin x cos x + i sinh y cosh y) / |cos(x + iy)|^2, with
+    the denominator the sum of squares that log_cos forms.  The double-angle
+    form (sin 2x + i sinh 2y) / (cos 2x + cosh 2y) cancels next to a zero.
+    """
+    x = b * lr
+    y = b * th
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c, s = np.cos(x), np.sin(x)
+        ch, sh = np.cosh(y), np.sinh(y)
+        m2 = (c * ch) ** 2 + (s * sh) ** 2
+        tan = np.empty(np.shape(x), dtype=complex)
+        tan.real = s * c / m2
+        tan.imag = sh * ch / m2
+        return -b * tan * neg_power(lr, th, 1.0)
 
 
 # ---------------------------------------------------------------------------

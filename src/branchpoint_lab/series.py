@@ -26,7 +26,7 @@ from scipy.special import polygamma
 
 from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import BranchCutError, ConvergenceError, SingularPointError, ValidationError
-from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
+from .logcomplex import LOG_TINY, LogComplex, dlog_cos, log_cos, log_polar, neg_power
 
 # Elements (points x shifts) per block of a pair sum: a few 64 kB arrays
 # that stay in cache, and no more memory for a 64-point call than for one.
@@ -150,56 +150,34 @@ def _require_depth(params: SeriesParams, cs: CantorSet) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _shift_blocks(n: int, ys: np.ndarray) -> Iterator[np.ndarray]:
-    """The shifts ys in row blocks of at most _PAIR_BLOCK pairs with n points
-    (one shift at a time once n exceeds it)."""
-    step = max(1, _PAIR_BLOCK // max(n, 1))
-    for j in range(0, ys.size, step):
-        yield ys[None, j : j + step]
-
-
 def _size(zs: np.ndarray | AnchoredPoint) -> int:
     return 1 if isinstance(zs, AnchoredPoint) else zs.size
 
 
-def _pair_polar(
-    zs: np.ndarray | AnchoredPoint, yb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_blocks(
+    zs: np.ndarray | AnchoredPoint, ys: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(log|w|, arg w) for w = z + i*y: one row per point of zs (a complex
-    array, or one AnchoredPoint) and one column per shift in the row yb.
+    array, or one AnchoredPoint) and one column per shift of ys, in blocks
+    of at most _PAIR_BLOCK pairs (one shift at a time past that many points).
 
     At an anchored point the shift equal to its own anchor takes the stored
     log-polar offset exactly; the rest go through the saturated complex
     offset, whose underflow error is negligible against the endpoint
     separation.
     """
-    if not isinstance(zs, AnchoredPoint):
-        return log_polar(zs.real[:, None], zs.imag[:, None] + yb)
-    off = zs.to_complex() + 1j * zs.y  # the pure radial offset
-    lr, th = log_polar(off.real, off.imag + (yb - zs.y))
-    own = yb == zs.y
-    lr[own] = zs.log_r
-    th[own] = zs.theta
-    return lr, th
-
-
-def _log_cos_sum(
-    zs: np.ndarray | AnchoredPoint, ys: np.ndarray, b: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate log|cos(b*L)| and arg(cos(b*L)) for L = log(z + i*y).
-
-    Returns (log-magnitude sum, argument sum, exact-zero mask).
-    """
-    n = _size(zs)
-    log_abs = np.zeros(n)
-    arg = np.zeros(n)
-    zero = np.zeros(n, dtype=bool)
-    for yb in _shift_blocks(n, ys):
-        la, ar, zm = log_cos(*_pair_polar(zs, yb), b)
-        zero |= zm.any(axis=1)
-        log_abs += la.sum(axis=1)
-        arg += ar.sum(axis=1)
-    return log_abs, arg, zero
+    step = max(1, _PAIR_BLOCK // max(_size(zs), 1))
+    for j in range(0, ys.size, step):
+        yb = ys[None, j : j + step]
+        if not isinstance(zs, AnchoredPoint):
+            yield log_polar(zs.real[:, None], zs.imag[:, None] + yb)
+            continue
+        off = zs.to_complex() + 1j * zs.y  # the pure radial offset
+        lr, th = log_polar(off.real, off.imag + (yb - zs.y))
+        own = yb == zs.y
+        lr[own] = zs.log_r
+        th[own] = zs.theta
+        yield lr, th
 
 
 def _direct_sum(
@@ -215,8 +193,7 @@ def _direct_sum(
     for k in range(1, k_max + 1):
         a_k = params.coeff(k)
         al = params.exponent(k)
-        for yb in _shift_blocks(n, cs.left_endpoints(k)):
-            lr, th = _pair_polar(zs, yb)
+        for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
             # an anchored offset below e^-745 makes its own term infinite
             with np.errstate(invalid="ignore"):
                 F += a_k * neg_power(lr, th, al).sum(axis=1)
@@ -423,9 +400,11 @@ def decay_exponent_many(
         if j >= 1:
             a_k = params.coeff(j)
             hits.append(idx[near])
-            vals.append(a_k * wa[near])
-            if with_deriv:
-                dvals.append(-al * a_k * wa[near] * inv[near])
+            # a point on the set makes its own term infinite or NaN
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals.append(a_k * wa[near])
+                if with_deriv:
+                    dvals.append(-al * a_k * wa[near] * inv[near])
         if j == K:
             break
         shift = len_j - interval_length(j + 1, params.s)
@@ -456,10 +435,16 @@ def log_cosine_product_many(
     zs: np.ndarray | AnchoredPoint,
     *,
     gens: Sequence[int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    with_deriv: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Accumulated (log-magnitude, argument, exact-zero mask) of the cosine
     product truncated at `params.max_gen` (or restricted to `gens`), on an
-    array of points or at one AnchoredPoint (a one-element result)."""
+    array of points or at one AnchoredPoint (a one-element result), and
+    with `with_deriv` its logarithmic derivative G'/G (else None).
+
+    Both come from one (log|w|, arg w) split of each block of pairs: G'/G is
+    the sum of -b_k tan(b_k log w) / w over all shifts w = z + i*y.
+    """
     _require_depth(params, cs)
     if not isinstance(zs, AnchoredPoint):
         zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
@@ -468,29 +453,28 @@ def log_cosine_product_many(
     log_abs = np.zeros(n)
     arg = np.zeros(n)
     zero = np.zeros(n, dtype=bool)
+    dlog = np.zeros(n, dtype=complex) if with_deriv else None
     for k in gens:
-        la, ar, zm = _log_cos_sum(zs, cs.left_endpoints(k), params.coeff(k))
-        log_abs += la
-        arg += ar
-        zero |= zm
-    return log_abs, arg, zero
+        b = params.coeff(k)
+        # sum each generation first: the rounding recorded log G answers have
+        la_k, ar_k = np.zeros(n), np.zeros(n)
+        for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
+            la, ar, zm = log_cos(lr, th, b)
+            zero |= zm.any(axis=1)
+            la_k += la.sum(axis=1)
+            ar_k += ar.sum(axis=1)
+            if with_deriv:
+                dlog += dlog_cos(lr, th, b).sum(axis=1)
+        log_abs += la_k
+        arg += ar_k
+    return log_abs, arg, zero, dlog
 
 
 def cosine_product_logderiv_many(
     params: SeriesParams, cs: CantorSet, zs: np.ndarray
 ) -> np.ndarray:
-    """Logarithmic derivative of the cosine product: sum of
-    -b_k tan(b_k log(w)) / w over all shifts w = z + i*y."""
-    _require_depth(params, cs)
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
-    out = np.zeros(zs.size, dtype=complex)
-    for k in range(1, params.max_gen + 1):
-        b = params.coeff(k)
-        for yb in _shift_blocks(zs.size, cs.left_endpoints(k)):
-            w = zs[:, None] + 1j * yb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out += (-b * np.tan(b * np.log(w)) / w).sum(axis=1)
-    return out
+    """Logarithmic derivative G'/G of the cosine product on an array."""
+    return log_cosine_product_many(params, cs, zs, with_deriv=True)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +567,7 @@ def cosine_product(
     if isinstance(z, ProductZero) and z.idx.gen in gen_list:
         return TruncatedValue(LogComplex.zero(), 0.0)
     zs, d = _one_point(cs, z)
-    la, ar, zero = log_cosine_product_many(params, cs, zs, gens=gens)
+    la, ar, zero, _ = log_cosine_product_many(params, cs, zs, gens=gens)
     if zero[0]:
         return TruncatedValue(LogComplex.zero(), 0.0)
     tail = _cosine_log_tail(params, d)
@@ -669,7 +653,7 @@ def evaluate_many(
     log_f, arg_f, f_tail = _factor(F, _exponent_tail(params, d, ferr))
     if not product:
         return PointValues(d, F, log_f, arg_f, f_tail)
-    la, ar, g_zero = log_cosine_product_many(params, cs, zs)
+    la, ar, g_zero, _ = log_cosine_product_many(params, cs, zs)
     dead = g_zero | np.isneginf(log_f)
     with np.errstate(invalid="ignore"):
         log_g = np.where(dead, -math.inf, la + log_f)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import CantorSet, IntervalIndex, ValidationError, interval_length
 from branchpoint_lab.cantor import log2_interval_length
@@ -41,13 +41,21 @@ def test_left_child_is_bitwise_parent():
         np.testing.assert_allclose(child[1::2], parent + shift, rtol=1e-15)
 
 
-def test_children_nest_inside_parent():
-    cs = CantorSet.build(0.7, 9)
-    for k in range(9):
+# every s in (0, 1], the borderline s = 1 included
+S_ANY = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@given(s=S_ANY, depth=st.integers(min_value=1, max_value=14))
+@example(s=0.7, depth=9)
+@example(s=1.0, depth=14)
+@settings(max_examples=25, deadline=None)
+def test_children_nest_inside_parent(s, depth):
+    cs = CantorSet.build(s, depth)
+    for k in range(depth):
         parent = cs.left_endpoints(k)
         child = cs.left_endpoints(k + 1).reshape(-1, 2)
-        plen = interval_length(k, 0.7)
-        clen = interval_length(k + 1, 0.7)
+        plen = interval_length(k, s)
+        clen = interval_length(k + 1, s)
         assert np.all(child[:, 0] >= parent)
         assert np.all(child[:, 1] + clen <= parent + plen + 1e-15)
 
@@ -134,14 +142,18 @@ def test_endpoint_on_set_has_zero_distance():
         assert cs.dist_to_set(y)[0] == 0.0
 
 
-def test_json_round_trip():
-    cs = CantorSet.build(0.5, 6)
+@given(s=S_ANY, depth=st.integers(min_value=1, max_value=14))
+@example(s=0.5, depth=6)
+@example(s=1.0, depth=14)
+@settings(max_examples=25, deadline=None)
+def test_json_round_trip(s, depth):
+    cs = CantorSet.build(s, depth)
     data = json.loads(cs.to_json())
     back = CantorSet.from_json_dict(data)
     assert back.s == cs.s and back.depth == cs.depth
-    for k in range(7):
+    for k in range(depth + 1):
         assert np.array_equal(back.left_endpoints(k), cs.left_endpoints(k))
-    assert len(data["intervals"]) == 2**7 - 1
+    assert len(data["intervals"]) == 2 ** (depth + 1) - 1
 
 
 def test_json_rejects_incomplete_or_invalid_sets():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_series_product_energy_density_is_the_two_call_form():
         assert np.all(one[~finite] == -np.inf)
         assert not finite.all()
         np.testing.assert_allclose(one[finite], two[finite], rtol=1e-12, atol=1e-12)
+
+
+def test_series_base_functions_on_the_set_raise_no_warnings():
+    """On the set F, F' and G are infinite or NaN by design, and 1e-200 off
+    it F' overflows; neither raises a RuntimeWarning."""
+    h = _series_product()
+    zs = np.array([-0.75j, 1e-200 - 0.75j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for base in (SeriesFactor(params=h.params, cs=h.cs), h):
+            la = base.log_h_hprime(zs)[0]
+            assert la[0] == -np.inf and la[1] < -1e100
 
 
 def test_series_product_frequency_is_finite():

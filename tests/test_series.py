@@ -313,7 +313,7 @@ def test_boundary_decay_table(params_half, cs_half):
 def test_branched_product_zero_mask_vectorized(params_half, cs_half):
     z0 = product_zero(params_half, cs_half, IntervalIndex(3, 2), 2)
     zs = np.array([0.4 + 0.1j, z0.to_complex()])
-    la, _, zero = log_cosine_product_many(params_half, cs_half, zs)
+    la, _, zero, _ = log_cosine_product_many(params_half, cs_half, zs)
     assert not zero[0] and np.isfinite(la[0])
 
 
