@@ -1,10 +1,11 @@
 """Log-space panel quadrature for integrands spanning thousands of e-folds.
 
-Integrals of exp(L) are assembled with Gauss-Legendre panels and logsumexp,
-so masses like exp(-10^4) keep their logarithm even though the integrand
-underflows every double.  Panels are seeded geometrically toward integrable
-singularities and exponential boundary layers (with an optional decay-rate
-hint), then the whole mesh is halved until two successive estimates agree.
+Integrals of exp(L) are assembled with Gauss-Legendre panels and a
+log-sum-exp, so masses like exp(-10^4) keep their logarithm even though the
+integrand underflows every double.  Panels are seeded geometrically toward
+integrable singularities and exponential boundary layers (with an optional
+decay-rate hint), then the whole mesh is halved until two successive
+estimates agree.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, roots_legendre
+from scipy.special import roots_legendre
 
 from .errors import ConvergenceError, ValidationError
 
@@ -118,18 +119,39 @@ def halve_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
+def _gauss(
+    lo: np.ndarray, hi: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and log-weights of the panels [lo, hi], one row
+    per panel."""
+    x, w = _gl(order)
+    hw = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + hw[:, None] * x[None, :]
+    logw = np.log(hw)[:, None] + np.log(w)[None, :]
+    return nodes, logw
+
+
 def panel_nodes(
     edges: np.ndarray, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """All Gauss-Legendre nodes and log-weights for a set of panels."""
-    x, w = _gl(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    hw = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + hw[:, None] * x[None, :]).ravel()
-    logw = (np.log(hw)[:, None] + np.log(w)[None, :]).ravel()
-    return nodes, logw
+    nodes, logw = _gauss(edges[:-1], edges[1:], order)
+    return nodes.ravel(), logw.ravel()
+
+
+def _lse(v: np.ndarray) -> float:
+    """log(sum(exp(v))) of a 1-d array, bit for bit as
+    scipy.special.logsumexp forms it: the maximal terms are taken out of the
+    sum, and a non-finite maximum (+inf, -inf or NaN) is the answer."""
+    top = np.maximum.reduce(v, initial=-math.inf)
+    if not math.isfinite(top):
+        return float(top)
+    hit = v == top
+    k = np.count_nonzero(hit)
+    terms = np.exp(v - top)
+    terms[hit] = 0.0
+    return float(np.log1p(np.add.reduce(terms) / k) + np.log(k) + top)
 
 
 def _refine(
@@ -141,21 +163,25 @@ def _refine(
     """Halve the panel mesh until two successive log-estimates agree.
 
     `estimate(level, edges)` gives the log-integral on the level-th mesh.
-    Returns (log of the integral, log-error estimate from the last halving).
+    Returns (log of the integral, log-error estimate from the last halving);
+    the ConvergenceError raised when they never agree carries every level's
+    estimate.
     """
-    prev = None
+    estimates: list[float] = []
     for level in range(cfg.max_refine + 1):
         cur = estimate(level, edges)
-        if prev is not None:
+        if estimates:
+            prev = estimates[-1]
             if cur == -math.inf and prev == -math.inf:
                 return cur, 0.0
             err = abs(cur - prev)
             if err <= cfg.rel_tol:
                 return cur, err
-        prev = cur
+        estimates.append(cur)
         edges = halve_edges(edges)
     raise ConvergenceError(
-        f"{kind} quadrature did not converge within {cfg.max_refine} refinements"
+        f"{kind} quadrature did not converge within {cfg.max_refine} refinements",
+        tuple(estimates),
     )
 
 
@@ -177,7 +203,7 @@ def log_line_integral(
             )
         nodes, logw = panel_nodes(edges, cfg.order)
         with np.errstate(invalid="ignore"):
-            return float(logsumexp(L_fn(nodes) + logw))
+            return _lse(L_fn(nodes) + logw)
 
     return _refine(estimate, edges, cfg, "line")
 
@@ -192,24 +218,33 @@ def _disk_level(
     inner_targets: Sequence[float],
 ) -> float:
     """One mesh level of the polar integral, outermost radial panel first,
-    with early exit once inner panels are provably negligible."""
+    with early exit once inner panels are provably negligible.
+
+    The angular panels of all radial nodes of a ring are one flat (lo, hi)
+    pair, each panel split at its midpoint `level` times, so the nodes and
+    weights, in their order, are those of halving each node's own mesh.
+    """
     total = -math.inf
     quiet = 0
     for i in range(r_edges.size - 2, -1, -1):
         lo, hi = r_edges[i], r_edges[i + 1]
         rho, logw_r = panel_nodes(np.array([lo, hi]), cfg.order)
-        zs = []
-        logw = []
-        for j, rj in enumerate(rho):
-            th_edges = theta_edges_fn(float(rj))
-            for _ in range(level):
-                th_edges = halve_edges(th_edges)
-            th, logw_t = panel_nodes(th_edges, cfg.order)
-            zs.append(center + rj * np.exp(1j * th))
-            logw.append(logw_t + logw_r[j] + math.log(rj))
+        meshes = [theta_edges_fn(float(rj)) for rj in rho]
+        a = np.concatenate([m[:-1] for m in meshes])
+        b = np.concatenate([m[1:] for m in meshes])
+        for _ in range(level):
+            mid = 0.5 * (a + b)
+            a = np.stack([a, mid], axis=1).ravel()
+            b = np.stack([mid, b], axis=1).ravel()
+        th, logw_t = _gauss(a, b, cfg.order)
+        per_node = np.array([m.size - 1 for m in meshes]) << level
+        log_rho = np.array([math.log(rj) for rj in rho])
+        logw = (logw_t + np.repeat(logw_r, per_node)[:, None]
+                + np.repeat(log_rho, per_node)[:, None])
+        zs = center + np.repeat(rho, per_node)[:, None] * np.exp(1j * th)
         with np.errstate(invalid="ignore"):
-            vals = L_fn(np.concatenate(zs)) + np.concatenate(logw)
-        contrib = float(logsumexp(vals))
+            vals = L_fn(zs.ravel()) + logw.ravel()
+        contrib = _lse(vals)
         total = float(np.logaddexp(total, contrib))
         if contrib < total - DROP:
             quiet += 1

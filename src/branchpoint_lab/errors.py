@@ -14,7 +14,14 @@ class SingularPointError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An adaptive quadrature hit its node cap without meeting its tolerance."""
+    """An adaptive quadrature hit its node cap without meeting its tolerance.
+
+    `estimates` holds the log-estimates it reached, one per mesh level.
+    """
+
+    def __init__(self, message: str, estimates: tuple[float, ...] = ()) -> None:
+        super().__init__(message)
+        self.estimates = estimates
 
 
 class DegenerateMassError(RuntimeError):

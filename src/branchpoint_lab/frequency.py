@@ -23,7 +23,7 @@ from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral, log_line_integ
 from ._quad import refined_breakpoints
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
-from .logcomplex import dlog_cos, log_cos, log_polar, neg_power
+from .logcomplex import log_cos, log_polar, neg_power
 from .series import FAR_TOL, SeriesParams, decay_exponent_many, log_cosine_product_many
 
 _TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
@@ -209,22 +209,22 @@ class OscillatingPower(BaseFunction):
         if self.P < 1:
             raise ValidationError(f"power must be >= 1, got {self.P}")
 
-    def _log_b(self, zs):
-        # log|b|, arg b for the block b = cos(log z) exp(-z^-alpha), h = b^P
+    def _log_b(self, zs, with_deriv=False):
+        # log|b|, arg b for the block b = cos(log z) exp(-z^-alpha), h = b^P,
+        # and with_deriv the log-derivative of the cosine factor
         lr, th, w = _log_power(zs, self.alpha)
-        la_c, arg_c, _ = log_cos(lr, th, 1.0)
-        return lr, th, la_c - w.real, arg_c - w.imag
+        la_c, arg_c, _, dlog_c = log_cos(lr, th, 1.0, with_deriv)
+        return lr, th, la_c - w.real, arg_c - w.imag, dlog_c
 
     def log_h(self, zs):
-        *_, lb, ab = self._log_b(zs)
+        _, _, lb, ab, _ = self._log_b(zs)
         return self.P * lb, self.P * ab
 
     def log_h_hprime(self, zs):
         # h'/h = P b'/b = P (alpha z^(-alpha-1) - tan(log z) / z)
-        lr, th, lb, ab = self._log_b(zs)
+        lr, th, lb, ab, dlog_c = self._log_b(zs, with_deriv=True)
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = self.P * (self.alpha * neg_power(lr, th, self.alpha + 1.0)
-                              + dlog_cos(lr, th, 1.0))
+            ratio = self.P * (self.alpha * neg_power(lr, th, self.alpha + 1.0) + dlog_c)
         l_r, a_r = _log_split(ratio)
         la, ar = self.P * lb, self.P * ab
         return la, ar, la + l_r, ar + a_r
@@ -450,30 +450,34 @@ def _theta_limit(center: complex, rho: float, domain: str) -> float:
     return math.acos(max(-1.0, -x / rho))
 
 
-def _theta_edges(
+def _arc_key(
     center: complex,
     rho: float,
     domain: str,
     rate: float,
     zero_polar: Sequence[tuple[float, float]] = (),
-) -> np.ndarray:
-    """Angular panel edges of the arc of radius rho: refined at the domain's
-    clipping angle for a density decaying at `rate` there, and at zeros."""
+) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """(clip angle, rate, zero targets) of the arc of radius rho: the rate
+    of a density decaying at `rate` at the domain's clip, 0 when the arc is
+    not clipped, and the zeros inside the arc with their cluster widths."""
     thm = _theta_limit(center, rho, domain)
-    clipped = thm < math.pi
     # a zero ring only needs deep angular resolution at nearby radii
     targets = []
     for rz, az in zero_polar:
         if -thm < az < thm:
             w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
             targets.append((az, w0))
-    return refined_breakpoints(
-        -thm,
-        thm,
-        rate_a=rate if clipped else 0.0,
-        rate_b=rate if clipped else 0.0,
-        targets=targets,
-    )
+    return thm, rate if thm < math.pi else 0.0, tuple(targets)
+
+
+def _arc_edges(
+    thm: float, rate: float, targets: tuple[tuple[float, float], ...]
+) -> np.ndarray:
+    """Angular panel edges of the arc [-thm, thm], refined at both ends for
+    `rate` and at the zeros; read-only, as successive radii share them."""
+    edges = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
+    edges.setflags(write=False)
+    return edges
 
 
 def polar_mesh(
@@ -492,7 +496,7 @@ def polar_mesh(
     Returns (radial edges, angular edges at a radius, the radii of the
     interior zeros in zero_polar that fall inside the annulus).  Radial
     edges are geometric toward a disk's center and refined toward r by the
-    decay rate and around each zero radius; angular edges as _theta_edges.
+    decay rate and around each zero radius; angular edges as _arc_edges.
     """
     inner = [x for x, _ in zero_polar if r_inner < x < r]
     r_edges = refined_breakpoints(
@@ -508,8 +512,15 @@ def polar_mesh(
         if not np.any(np.abs(r_edges - x) == 0.0):
             warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
 
+    key, mesh = None, None
+
     def theta_edges(rho: float) -> np.ndarray:
-        return _theta_edges(center, rho, domain, rate(rho), zero_polar)
+        # successive radii mostly share their arc: build its mesh on a change
+        nonlocal key, mesh
+        k = _arc_key(center, rho, domain, rate(rho), zero_polar)
+        if k != key:
+            key, mesh = k, _arc_edges(*k)
+        return mesh
 
     return r_edges, theta_edges, inner
 
@@ -555,7 +566,7 @@ def log_boundary_mass(
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
     zero_polar = _zero_geometry(spec, center, 1.001 * r)
-    edges = _theta_edges(center, r, spec.domain, spec.decay_rate(r), zero_polar)
+    edges = _arc_edges(*_arc_key(center, r, spec.domain, spec.decay_rate(r), zero_polar))
 
     def L(thetas: np.ndarray) -> np.ndarray:
         return spec.log_density(center + r * np.exp(1j * thetas))

@@ -114,42 +114,35 @@ def neg_power(lr: np.ndarray, th: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def log_cos(
-    lr: np.ndarray, th: np.ndarray, b: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos(b*L) for L = log|w| + i*arg w, in log form (arrays or floats).
+    lr: np.ndarray, th: np.ndarray, b: float, with_deriv: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """cos(b*L) for L = log|w| + i*arg w, in log form (arrays or floats),
+    and with `with_deriv` d/dw log cos(b*log w) = -b tan(b*L) / w (else None).
 
-    Returns (log|cos|, arg cos, exact-zero mask); where the floating cosine
-    is 0.0 its log is -inf.
+    Returns (log|cos|, arg cos, exact-zero mask, derivative); where the
+    floating cosine is 0.0 its log is -inf.  tan(x + iy) = (sin x cos x +
+    i sinh y cosh y) / |cos(x + iy)|^2 takes its parts and denominator from
+    the cosine; the double-angle form (sin 2x + i sinh 2y) / (cos 2x +
+    cosh 2y) cancels next to a zero.
     """
     x = b * lr
     y = b * th
     # log|w| = -inf (w on the set) gives NaN by design
     with np.errstate(divide="ignore", invalid="ignore"):
-        cr = np.cos(x) * np.cosh(y)
-        ci = -np.sin(x) * np.sinh(y)
-        m2 = cr * cr + ci * ci
-        log_abs = 0.5 * np.log(m2)
-    return log_abs, np.arctan2(ci, cr), m2 == 0.0
-
-
-def dlog_cos(lr: np.ndarray, th: np.ndarray, b: float) -> np.ndarray:
-    """d/dw log cos(b*log w) = -b tan(b*L) / w for L = log|w| + i*arg w
-    (arrays or floats).
-
-    tan(x + iy) = (sin x cos x + i sinh y cosh y) / |cos(x + iy)|^2, with
-    the denominator the sum of squares that log_cos forms.  The double-angle
-    form (sin 2x + i sinh 2y) / (cos 2x + cosh 2y) cancels next to a zero.
-    """
-    x = b * lr
-    y = b * th
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c, s = np.cos(x), np.sin(x)
         ch, sh = np.cosh(y), np.sinh(y)
-        m2 = (c * ch) ** 2 + (s * sh) ** 2
-        tan = np.empty(np.shape(x), dtype=complex)
-        tan.real = s * c / m2
-        tan.imag = sh * ch / m2
-        return -b * tan * neg_power(lr, th, 1.0)
+        cr = c * ch
+        ci = -s * sh
+        m2 = cr * cr + ci * ci
+        log_abs = 0.5 * np.log(m2)
+    dlog = None
+    if with_deriv:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tan = np.empty(np.shape(x), dtype=complex)
+            tan.real = s * c / m2
+            tan.imag = sh * ch / m2
+            dlog = -b * tan * neg_power(lr, th, 1.0)
+    return log_abs, np.arctan2(ci, cr), m2 == 0.0, dlog
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ def oscillating_block(z: complex, alpha: float) -> LogComplex:
     """
     a = decay_block(z, alpha)
     L = principal_log(z)
-    log_abs, arg, zero = log_cos(L.real, L.imag, 1.0)
+    log_abs, arg, zero, _ = log_cos(L.real, L.imag, 1.0)
     if zero:
         return LogComplex.zero()
     return LogComplex(a.log_mag + float(log_abs), a.arg + float(arg))

@@ -26,7 +26,7 @@ from scipy.special import polygamma
 
 from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import BranchCutError, ConvergenceError, SingularPointError, ValidationError
-from .logcomplex import LOG_TINY, LogComplex, dlog_cos, log_cos, log_polar, neg_power
+from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 
 # Elements (points x shifts) per block of a pair sum: a few 64 kB arrays
 # that stay in cache, and no more memory for a 64-point call than for one.
@@ -459,12 +459,12 @@ def log_cosine_product_many(
         # sum each generation first: the rounding recorded log G answers have
         la_k, ar_k = np.zeros(n), np.zeros(n)
         for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
-            la, ar, zm = log_cos(lr, th, b)
+            la, ar, zm, dl = log_cos(lr, th, b, with_deriv)
             zero |= zm.any(axis=1)
             la_k += la.sum(axis=1)
             ar_k += ar.sum(axis=1)
             if with_deriv:
-                dlog += dlog_cos(lr, th, b).sum(axis=1)
+                dlog += dl.sum(axis=1)
         log_abs += la_k
         arg += ar_k
     return log_abs, arg, zero, dlog

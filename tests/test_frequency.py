@@ -25,7 +25,14 @@ from branchpoint_lab import (
     frequency_curve,
     q_roots,
 )
-from branchpoint_lab.frequency import OscillatingPower, phi_indicator
+from branchpoint_lab._quad import refined_breakpoints
+from branchpoint_lab.frequency import (
+    OscillatingPower,
+    _arc_edges,
+    _arc_key,
+    phi_indicator,
+    polar_mesh,
+)
 from branchpoint_lab.logcomplex import decay_block, oscillating_block
 from branchpoint_lab.series import FAR_TOL, cosine_product_logderiv_many, decay_exponent_many
 
@@ -51,6 +58,46 @@ def test_q_roots_zero_and_validation():
     assert q_roots(0j, 3).values == (0j, 0j, 0j)
     with pytest.raises(ValidationError):
         q_roots(1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "thm, rate, targets",
+    [
+        (math.pi, 0.0, ()),
+        (0.5 * math.pi, 37.5, ()),
+        (1.2, 4.0, ((0.3, 1e-6), (-0.9, 0.02))),
+    ],
+)
+def test_arc_edges_are_read_only_breakpoints(thm, rate, targets):
+    got = _arc_edges(thm, rate, targets)
+    want = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0] = 0.0
+
+
+def test_arc_key_drops_the_rate_of_an_unclipped_arc():
+    # the full circle of a plane disk, or a half-plane arc that stays inside
+    assert _arc_key(0j, 0.3, "plane", 50.0) == (math.pi, 0.0, ())
+    assert _arc_key(1.0 + 0j, 0.3, "half_plane", 50.0) == (math.pi, 0.0, ())
+    thm = math.acos(-0.1 / 0.3)
+    assert _arc_key(0.1 + 0j, 0.3, "half_plane", 50.0) == (thm, 50.0, ())
+
+
+def test_polar_mesh_rebuilds_the_arc_mesh_only_on_a_change():
+    _, plane, _ = polar_mesh(0j, 0.5, "plane", lambda rho: 50.0)
+    first = plane(0.1)
+    assert plane(0.4) is first
+    assert np.array_equal(first, refined_breakpoints(-math.pi, math.pi))
+    # a clipped half-plane arc changes with the radius
+    _, half, _ = polar_mesh(0.1 + 0j, 0.5, "half_plane", lambda rho: 50.0 * rho)
+    for rho in (0.05, 0.3, 0.3, 0.45):
+        thm, rate, targets = _arc_key(0.1 + 0j, rho, "half_plane", 50.0 * rho)
+        want = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
+        assert np.array_equal(half(rho), want)
+    assert half(0.3) is half(0.3)
+    assert half(0.3) is not half(0.45)
 
 
 def test_monomial_closed_forms():

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError
 from branchpoint_lab._quad import (
+    DROP,
+    _disk_level,
+    _lse,
+    _refine,
     halve_edges,
     log_disk_integral,
     log_line_integral,
@@ -90,6 +97,44 @@ def test_log_line_integral_node_cap():
         log_line_integral(lambda x: np.cos(40.0 * x) * 30.0, edges, cfg)
 
 
+def test_convergence_error_carries_estimates():
+    cfg = QuadConfig(rel_tol=1e-15, order=4, max_refine=2)
+    edges = refined_breakpoints(0.0, 1.0)
+    with pytest.raises(ConvergenceError) as info:
+        log_line_integral(lambda x: np.cos(40.0 * x) * 30.0, edges, cfg)
+    assert str(info.value) == "line quadrature did not converge within 2 refinements"
+    est = info.value.estimates
+    assert len(est) == cfg.max_refine + 1
+    assert all(math.isfinite(e) for e in est)
+    # each one is the estimate of its level's mesh
+    for level, e in enumerate(est):
+        nodes, logw = panel_nodes(edges, cfg.order)
+        assert e == _lse(np.cos(40.0 * nodes) * 30.0 + logw)
+        edges = halve_edges(edges)
+
+
+def _same(got: float, want: float) -> bool:
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+_LSE_ELEMENTS = st.one_of(
+    st.floats(-50.0, 50.0),
+    st.floats(-1e300, 1e300),
+    st.just(-math.inf),
+)
+
+
+@given(v=arrays(np.float64, st.integers(1, 2000), elements=_LSE_ELEMENTS))
+@example(v=np.full(5, -math.inf))
+@example(v=np.array([0.0, math.inf, -3.0]))
+@example(v=np.array([1.0, math.nan, 2.0]))
+@example(v=np.array([2.5, -1.0, 2.5, 2.5, 0.0]))
+@example(v=np.array([-7.25]))
+@settings(max_examples=200, deadline=None)
+def test_lse_matches_scipy(v):
+    assert _same(_lse(v), float(logsumexp(v)))
+
+
 def _full_theta(rho):
     return np.array([-math.pi, 0.0, math.pi])
 
@@ -127,3 +172,79 @@ def test_disk_integral_early_exit_matches_full():
 
     ref, _ = quad(lambda r: math.exp(-rate * (1.0 - r)) * r, 0.0, 1.0, limit=200)
     assert got == pytest.approx(math.log(2.0 * math.pi * ref), abs=1e-7)
+
+
+def _per_node_level(L_fn, center, r_edges, theta_edges_fn, cfg, level, inner_targets):
+    """A disk level assembled node by node: each radial node halves its own
+    angular mesh and the ring's log-sum-exp is scipy's."""
+    total = -math.inf
+    quiet = 0
+    for i in range(r_edges.size - 2, -1, -1):
+        lo, hi = r_edges[i], r_edges[i + 1]
+        rho, logw_r = panel_nodes(np.array([lo, hi]), cfg.order)
+        zs, logw = [], []
+        for j, rj in enumerate(rho):
+            th_edges = theta_edges_fn(float(rj))
+            for _ in range(level):
+                th_edges = halve_edges(th_edges)
+            th, logw_t = panel_nodes(th_edges, cfg.order)
+            zs.append(center + rj * np.exp(1j * th))
+            logw.append(logw_t + logw_r[j] + math.log(rj))
+        with np.errstate(invalid="ignore"):
+            vals = L_fn(np.concatenate(zs)) + np.concatenate(logw)
+        contrib = float(logsumexp(vals))
+        total = float(np.logaddexp(total, contrib))
+        if contrib < total - DROP:
+            quiet += 1
+            if quiet >= 3 and not any(t < lo for t in inner_targets):
+                break
+        else:
+            quiet = 0
+    return total
+
+
+def _ragged_theta(rho):
+    # the panel count grows with rho, so the nodes of one radial panel own
+    # different numbers of angular panels; a target clusters them unevenly
+    n = 2 + int(40.0 * rho)
+    return refined_breakpoints(-math.pi, math.pi, targets=[(0.3 * n / 40.0, 1e-4 * rho)])
+
+
+_RING_CASES = [
+    # (log-density, center, radial edges, inner targets)
+    (lambda zs: -3.0 * np.abs(zs - 0.5) ** 2, 0.2 + 0.1j,
+     refined_breakpoints(0.0, 0.9, geo_a=True), ()),
+    # sharp decay toward the center: the early exit skips inner panels
+    (lambda zs: -200.0 * (1.0 - np.abs(zs)), 0j,
+     refined_breakpoints(0.0, 1.0, geo_a=True, rate_b=200.0), ()),
+    # the same, with an inner target that forbids the early exit
+    (lambda zs: -200.0 * (1.0 - np.abs(zs)), 0j,
+     refined_breakpoints(0.0, 1.0, geo_a=True, rate_b=200.0, targets=[0.05]), (0.05,)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_RING_CASES)))
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_ring_assembly_matches_per_node_loop(case, level):
+    L, center, r_edges, inner = _RING_CASES[case]
+    cfg = QuadConfig(order=6)
+    for edges in (r_edges, halve_edges(r_edges)):
+        got = _disk_level(L, center, edges, _ragged_theta, cfg, level, inner)
+        want = _per_node_level(L, center, edges, _ragged_theta, cfg, level, inner)
+        assert math.isfinite(got) and got == want
+
+
+@pytest.mark.parametrize("case", range(len(_RING_CASES)))
+def test_log_disk_integral_matches_per_node_loop(case):
+    L, center, r_edges, inner = _RING_CASES[case]
+    cfg = QuadConfig(rel_tol=1e-9, order=6, max_refine=4)
+    want = _refine(
+        lambda level, edges: _per_node_level(
+            L, center, edges, _ragged_theta, cfg, level, inner
+        ),
+        r_edges,
+        cfg,
+        "disk",
+    )
+    got = log_disk_integral(L, center, r_edges, _ragged_theta, cfg, inner_targets=inner)
+    assert got == want
