@@ -185,27 +185,56 @@ def _refine(
     )
 
 
+def log_difference(lp: float, ln: float) -> tuple[float, float]:
+    """log(P - N) from lp = log P and ln = log N, with the factor
+    (P + N) / (P - N) by which the difference amplifies the relative errors
+    of its terms; raises ConvergenceError unless P > N or N = 0."""
+    if ln == -math.inf:
+        return lp, 1.0
+    if not lp > ln:
+        raise ConvergenceError(
+            f"signed sum is not positive: log P = {lp:.17g}, log N = {ln:.17g}"
+        )
+    x = math.exp(ln - lp)
+    return lp + math.log1p(-x), (1.0 + x) / (1.0 - x)
+
+
 def log_line_integral(
     L_fn: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
     cfg: QuadConfig,
+    *,
+    signed: bool = False,
 ) -> tuple[float, float]:
     """Adaptive log-space integral of exp(L) over a 1-d panel mesh.
 
+    With `signed`, L_fn returns (log|f|, f < 0) and each level sums the
+    positive and the negative node terms apart, as log(P - N); the
+    log-error is then never below the rounding floor 2^-52 (P + N) / (P - N).
     Returns (log of the integral, log-error estimate from the last halving).
     """
+    floor = 0.0
 
     def estimate(level: int, edges: np.ndarray) -> float:
+        nonlocal floor
         if (edges.size - 1) * cfg.order > MAX_NODES:
             raise ConvergenceError(
                 f"line quadrature exceeded {MAX_NODES} nodes without "
                 f"meeting rel_tol {cfg.rel_tol}"
             )
         nodes, logw = panel_nodes(edges, cfg.order)
+        if not signed:
+            with np.errstate(invalid="ignore"):
+                return _lse(L_fn(nodes) + logw)
+        la, neg = L_fn(nodes)
         with np.errstate(invalid="ignore"):
-            return _lse(L_fn(nodes) + logw)
+            vals = la + logw
+        out, amp = log_difference(_lse(vals[~neg]), _lse(vals[neg]))
+        floor = 2.0**-52 * amp if out > -math.inf else 0.0
+        return out
 
-    return _refine(estimate, edges, cfg, "line")
+    out, err = _refine(estimate, edges, cfg, "line")
+    return out, max(err, floor)
 
 
 def _disk_level(

@@ -4,7 +4,8 @@ The Q-valued minimizer u(z) = sum of the Q-th roots of h(z) has closed-form
 energy and mass densities: |Du|^2 = (2/Q)|h|^(2/Q - 2)|h'|^2 and
 |u|^2 = Q|h|^(2/Q).  Both are integrated in log space (via the shared panel
 quadrature) so the frequency ratio I = D/H stays computable even when D and
-H individually underflow near the boundary set.
+H individually underflow near the boundary set.  On the plane D is taken on
+the arc of H, by Green's identity.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral, log_line_integral
-from ._quad import refined_breakpoints
+from ._quad import DROP, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
+from ._quad import log_line_integral, refined_breakpoints
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
@@ -427,16 +428,25 @@ class FrequencySample:
     log_H: float = field(default=math.nan)
 
 
+def _log_flux(
+    spec: MinimizerSpec, zs: np.ndarray, lr: np.ndarray, th: np.ndarray, power: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(log|f|, f < 0) for f = |h|^power phi at zs = center + rho e^(i theta),
+    lr = log rho, where phi = rho Re(h'/h e^(i theta)) is the radial
+    log-derivative of |h| times rho."""
+    la_h, ar_h, la_p, ar_p = spec.h.log_h_hprime(zs)
+    c = np.cos(ar_p - ar_h + th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (power - 1.0) * la_h + la_p + lr + np.log(np.abs(c)), c < 0
+
+
 def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     """rho * Re(h'/h * e^(i theta)): the radial log-derivative of |h| times rho."""
-    dz = complex(z) - complex(center)
-    # math.atan2, not cmath.phase, which raises on a subnormal phase
-    rho, theta = abs(dz), math.atan2(dz.imag, dz.real)
-    la_h, ar_h, la_p, ar_p = spec.h.log_h_hprime(np.array([z], dtype=complex))
-    if la_h[0] == -math.inf:
-        return math.inf
-    ratio = math.exp(la_p[0] - la_h[0])
-    return rho * ratio * math.cos(ar_p[0] - ar_h[0] + theta)
+    zs = np.array([z], dtype=complex)
+    dz = zs - complex(center)
+    lr, th = log_polar(dz.real, dz.imag)
+    la, neg = _log_flux(spec, zs, lr, th, 0.0)
+    return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
 def _theta_limit(center: complex, rho: float, domain: str) -> float:
@@ -554,6 +564,13 @@ def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple
     return [(abs(dz), math.atan2(dz.imag, dz.real)) for dz in offsets]
 
 
+def _arc_mesh(spec: MinimizerSpec, center: complex, r: float) -> np.ndarray:
+    """Angular panel edges of the arc of radius r, refined at its clip and at
+    the zeros of h next to it."""
+    zero_polar = _zero_geometry(spec, center, 1.001 * r)
+    return _arc_edges(*_arc_key(center, r, spec.domain, spec.decay_rate(r), zero_polar))
+
+
 def log_boundary_mass(
     spec: MinimizerSpec,
     center: complex,
@@ -565,13 +582,11 @@ def log_boundary_mass(
     if r <= 0:
         raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
-    zero_polar = _zero_geometry(spec, center, 1.001 * r)
-    edges = _arc_edges(*_arc_key(center, r, spec.domain, spec.decay_rate(r), zero_polar))
 
     def L(thetas: np.ndarray) -> np.ndarray:
         return spec.log_density(center + r * np.exp(1j * thetas))
 
-    return log_line_integral(L, edges, cfg)
+    return log_line_integral(L, _arc_mesh(spec, center, r), cfg)
 
 
 def boundary_mass(
@@ -586,6 +601,19 @@ def boundary_mass(
     return H, H * math.expm1(le) if le < 1.0 else H
 
 
+def _log_arc_energy(
+    spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig
+) -> tuple[float, float]:
+    """log of D on the disk of radius r in the plane by Green's identity:
+    the signed arc integral of |h|^(2/Q) phi d theta, on the nodes of H."""
+    log_r, power = math.log(r), 2.0 / spec.Q
+
+    def L(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _log_flux(spec, center + r * np.exp(1j * thetas), log_r, thetas, power)
+
+    return log_line_integral(L, _arc_mesh(spec, center, r), cfg, signed=True)
+
+
 def log_dirichlet_energy(
     spec: MinimizerSpec,
     center: complex,
@@ -594,11 +622,25 @@ def log_dirichlet_energy(
     *,
     r_inner: float = 0.0,
 ) -> tuple[float, float]:
-    """log of D = integral of the energy density over the (annular) disk."""
+    """log of D = integral of the energy density over the (annular) disk.
+
+    On the plane, Green's identity turns D into the signed arc integral of
+    |h|^(2/Q) phi (the outer arc's less the inner arc's for an annulus),
+    since sum |g_j|^2 = Q|h|^(2/Q) over the branches g_j of h^(1/Q) has
+    Laplacian twice the energy density.  On the half-plane D is the disk
+    integral of the energy density.
+    """
     cfg = config or QuadConfig(rel_tol=1e-6)
     if not (0.0 <= r_inner < r):
         raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
     center = complex(center)
+    if spec.domain == "plane":
+        ld, err = _log_arc_energy(spec, center, r, cfg)
+        if r_inner == 0.0:
+            return ld, err
+        li, err_i = _log_arc_energy(spec, center, r_inner, cfg)
+        ld, amp = log_difference(ld, li)
+        return ld, max(err, err_i) * amp
     r_edges, theta_edges, inner = polar_mesh(
         center,
         r,
@@ -641,7 +683,7 @@ def frequency(
     permits H to underflow a double without raising.
     """
     arc_cfg = config or QuadConfig()
-    disk_cfg = config or QuadConfig(rel_tol=1e-6)
+    energy_cfg = config or QuadConfig(rel_tol=1e-6)
     log_H, err_H = log_boundary_mass(spec, center, r, arc_cfg)
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
@@ -650,7 +692,7 @@ def frequency(
             f"H underflows (log H = {log_H:.4g}); pass log_scale=True to use "
             f"the rescaled ratio"
         )
-    log_D, err_D = log_dirichlet_energy(spec, center, r, disk_cfg)
+    log_D, err_D = log_dirichlet_energy(spec, center, r, energy_cfg)
     I = math.exp(log_D - log_H) if log_D > -math.inf else 0.0
     D = math.exp(log_D) if log_D > -745.0 else 0.0
     H = math.exp(log_H) if log_H > -745.0 else 0.0

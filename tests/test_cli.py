@@ -6,10 +6,13 @@ import pytest
 
 from branchpoint_lab import (
     CantorSet,
+    MinimizerSpec,
+    Monomial,
     SeriesParams,
     __version__,
     branched_product,
     decay_factor,
+    frequency,
 )
 from branchpoint_lab.cli import main, read_json, read_rows
 
@@ -86,6 +89,23 @@ def test_frequency_monomial(tmp_path):
     assert header == ["center_re", "center_im", "r", "D", "H", "I", "err"]
     for r in rows:
         assert float(r[5]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_frequency_off_centre_monomial(tmp_path):
+    # the zero of z^3 lies outside both arcs, so phi takes both signs on them
+    rc, out = _run_to_file(
+        tmp_path,
+        "f.csv",
+        ["frequency", "--h", "monomial", "--P", "3", "--Q", "2",
+         "--center", "0.3,0", "--radii", "0.1,0.2"],
+    )
+    assert rc == 0
+    _, rows = read_rows(str(out))
+    spec = MinimizerSpec(h=Monomial(P=3), Q=2)
+    for row, r in zip(rows, (0.1, 0.2)):
+        fs = frequency(spec, 0.3 + 0j, r)
+        assert [float(x) for x in row[3:]] == [fs.D, fs.H, fs.I, fs.quadrature_error]
+    assert len(rows) == 2
 
 
 def test_vanishing_constant(tmp_path):
