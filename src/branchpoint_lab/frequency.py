@@ -286,7 +286,7 @@ class SeriesProduct(_OverSet):
         # log|h|, arg h for h = G e^-F (exact zeros of G give -inf) and
         # h'/h = G'/G - F' (None without the derivative)
         F, Fp, _ = self._F(zs, with_deriv)
-        la_g, arg_g, zero, dlog_g = log_cosine_product_many(
+        la_g, arg_g, zero, dlog_g, _ = log_cosine_product_many(
             self.params, self.cs, zs, with_deriv=with_deriv
         )
         with np.errstate(invalid="ignore"):

@@ -120,9 +120,12 @@ def log_cos(
     and with `with_deriv` d/dw log cos(b*log w) = -b tan(b*L) / w (else None).
 
     Returns (log|cos|, arg cos, exact-zero mask, derivative); where the
-    floating cosine is 0.0 its log is -inf.  tan(x + iy) = (sin x cos x +
-    i sinh y cosh y) / |cos(x + iy)|^2 takes its parts and denominator from
-    the cosine; the double-angle form (sin 2x + i sinh 2y) / (cos 2x +
+    floating cosine is 0.0 its log is -inf.  |cos(x + iy)|^2 = m2 has
+    m2 - 1 = sinh^2 y - sin^2 x, so log|cos| = 0.5 log1p(sinh^2 y - sin^2 x)
+    keeps full relative precision where m2 is near 1 (a factor of a far
+    shift), and 0.5 log(m2) is kept next to zeros.  tan(x + iy) = (sin x
+    cos x + i sinh y cosh y) / m2 takes its parts and denominator from the
+    cosine; the double-angle form (sin 2x + i sinh 2y) / (cos 2x +
     cosh 2y) cancels next to a zero.
     """
     x = b * lr
@@ -134,7 +137,11 @@ def log_cos(
         cr = c * ch
         ci = -s * sh
         m2 = cr * cr + ci * ci
-        log_abs = 0.5 * np.log(m2)
+        d = sh * sh - s * s
+        log_abs = 0.5 * np.log1p(d)
+        wide = ~(np.abs(d) <= 0.5)
+        if np.any(wide):
+            log_abs = np.where(wide, 0.5 * np.log(m2), log_abs)
     dlog = None
     if with_deriv:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -28,8 +28,9 @@ from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import BranchCutError, ConvergenceError, SingularPointError, ValidationError
 from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 
-# Elements (points x shifts) per block of a pair sum: a few 64 kB arrays
-# that stay in cache, and no more memory for a 64-point call than for one.
+# Elements (points x shifts, or pairs x generations x proxies) per block of
+# a pair sum: a few 64 kB arrays that stay in cache, and no more memory for
+# a 64-point call than for one.
 _PAIR_BLOCK = 8192
 
 # Default opening ratio of the array-valued base functions (SeriesFactor,
@@ -43,6 +44,12 @@ POINT_FAR_TOL = 3e-4
 # subtree's weight, that sets the expansion order p.
 _ORDER_TARGET = 1e-7
 _MAX_ORDER = 40
+# Chebyshev proxies per far subtree of the cosine product, and the reach of
+# their Bernstein ellipse as a share of the distance to the subtree: at the
+# far test's bound, rho = 6 + sqrt(37), the remainder per endpoint is below
+# 1e-13 M (see _proxy_remainder).
+_PROXIES = 13
+_ELLIPSE_REACH = 0.75
 
 # Contour derivatives: first ring, relative agreement of two rings, node cap.
 _CONTOUR_START = 16
@@ -287,6 +294,52 @@ def _horner(c: np.ndarray, q: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _tree_walk(
+    params: SeriesParams, cs: CantorSet, zs: np.ndarray, far_tol: float
+) -> Iterator[tuple]:
+    """The Greengard-Rokhlin walk shared by the series and the cosine product.
+
+    Starting from the root interval, yields per generation j the open
+    (point, subtree) pairs as (j, len_j, idx, wr, wi, lr, th, dist, far):
+    pair n joins point idx[n] to the generation-j interval whose left
+    endpoint y sits at w = z + i*y = wr + i*wi = exp(lr + i*th), at
+    distance dist (None at the leaves) from z counting the boundary rays
+    left of it.  far is the test len_j <= far_tol * dist (every pair at the
+    stored depth, none at the leaves).  The caller collapses the far pairs'
+    subtrees and sums the near pairs' own generation-j terms; it may change
+    `far` in place first, to open a pair or to close one.  Each pair not
+    far is then split into its two generation-(j+1) children.
+    """
+    K = params.max_gen
+    zr = zs.real
+    zi = zs.imag
+    idx = np.arange(zs.size)
+    roots = np.zeros(zs.size)  # the subtrees' left endpoints
+    for j in range(K + 1):
+        len_j = interval_length(j, params.s)
+        wr = zr[idx]
+        wi = zi[idx] + roots
+        lr, th = log_polar(wr, wi)
+        dist = None
+        if j == K:
+            # leaves: every remaining generation-K term is summed exactly
+            far = np.zeros(idx.size, dtype=bool)
+        else:
+            t = -zi[idx]
+            gap = np.maximum(np.maximum(roots - t, t - (roots + len_j)), 0.0)
+            dist = np.where(wr >= 0.0, np.hypot(wr, gap), gap)
+            far = len_j <= far_tol * dist
+            if j == cs.depth:
+                far[:] = True
+        yield j, len_j, idx, wr, wi, lr, th, dist, far
+        near = ~far
+        if j == K or not near.any():
+            return
+        shift = len_j - interval_length(j + 1, params.s)
+        idx = np.concatenate([idx[near], idx[near]])
+        roots = np.concatenate([roots[near], roots[near] + shift])
+
+
 def decay_exponent_many(
     params: SeriesParams,
     cs: CantorSet,
@@ -345,32 +398,12 @@ def decay_exponent_many(
     am = _top_exponent(params)
     p = expansion_order(far_tol, am)
     table = _far_table(params, p)
-    zr = zs.real
-    zi = zs.imag
     hits, vals, dvals, far_hits, errs = [], [], [], [], []
-
-    # open pairs: (z index, subtree root left endpoint), starting at the root
-    idx = np.arange(zs.size)
-    roots = np.zeros(zs.size)
-    for j in range(K + 1):
-        len_j = interval_length(j, params.s)
-        wr = zr[idx]
-        wi = zi[idx] + roots
-        lr, th = log_polar(wr, wi)
+    for j, len_j, idx, wr, wi, lr, th, dist, far in _tree_walk(params, cs, zs, far_tol):
         al = params.exponent(max(j, 1))
         wa = neg_power(lr, th, al)
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / (wr + 1j * wi)
-        if j == K:
-            # leaves: every remaining generation-K term is summed exactly
-            far = np.zeros(idx.size, dtype=bool)
-        else:
-            t = -zi[idx]
-            gap = np.maximum(np.maximum(roots - t, t - (roots + len_j)), 0.0)
-            dist = np.where(wr >= 0.0, np.hypot(wr, gap), gap)
-            far = len_j <= far_tol * dist
-            if j == cs.depth:
-                far[:] = True
         if far.any():
             inv_f = inv[far]
             q = len_j * inv_f
@@ -395,9 +428,7 @@ def decay_exponent_many(
             if with_deriv:
                 dvals.append(vFp * inv_f)
         near = ~far
-        if not near.any():
-            break
-        if j >= 1:
+        if j >= 1 and near.any():
             a_k = params.coeff(j)
             hits.append(idx[near])
             # a point on the set makes its own term infinite or NaN
@@ -405,11 +436,6 @@ def decay_exponent_many(
                 vals.append(a_k * wa[near])
                 if with_deriv:
                     dvals.append(-al * a_k * wa[near] * inv[near])
-        if j == K:
-            break
-        shift = len_j - interval_length(j + 1, params.s)
-        idx = np.concatenate([idx[near], idx[near]])
-        roots = np.concatenate([roots[near], roots[near] + shift])
 
     hit = np.concatenate(hits)
     F = _accumulate(hit, np.concatenate(vals), zs.size)
@@ -429,6 +455,92 @@ def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the cosine product: the same walk, Chebyshev proxies for far subtrees
+# ---------------------------------------------------------------------------
+
+
+def _lagrange(tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L[m, i] = l_i(x[m]), the Lagrange basis of the nodes tau at x."""
+    diff = x[:, None] - tau[None, :]
+    L = np.empty((x.size, tau.size))
+    for i in range(tau.size):
+        others = np.arange(tau.size) != i
+        L[:, i] = diff[:, others].prod(axis=1) / (tau[i] - tau[others]).prod()
+    return L
+
+
+@functools.lru_cache(maxsize=32)
+def _proxy_table(params: SeriesParams, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, W): Chebyshev proxies of every subtree root generation j.
+
+    A generation-j subtree seen from w = z + i*(its left endpoint) has its
+    proxies at w + i*tau[i]*len_j, tau the p Chebyshev points of the second
+    kind on [0, 1].  Its generation-k endpoints sum as
+    sum_i W[j, k, i] phi_k(tau[i] len_j), W[j, k, i] the sum of the
+    Lagrange basis l_i(t / len_j) over their offsets t.
+
+    W follows exactly from the two-child recurrence: a subtree is its two
+    children, the right one shifted by len_j - len_(j+1), and a degree
+    p - 1 polynomial in the parent's offset is one in each child's, so
+    l_i(t / len_j) = sum_m l_i(x_m) l_m(t' / len_(j+1)) with x_m = rho tau[m]
+    (left child) or rho tau[m] + 1 - rho (right child), rho = len_(j+1) /
+    len_j.  A subtree's own endpoint sits at t = 0 = tau[0].
+    """
+    K = params.max_gen
+    tau = 0.5 - 0.5 * np.cos(np.pi * np.arange(p) / (p - 1))  # tau[0] = 0, tau[-1] = 1
+    W = np.zeros((K + 1, K + 1, p))
+    for j in range(K, -1, -1):
+        if j < K:
+            rho = interval_length(j + 1, params.s) / interval_length(j, params.s)
+            L = _lagrange(tau, np.concatenate([rho * tau, rho * tau + 1.0 - rho]))
+            W[j] = (W[j + 1, :, :, None] * (L[:p] + L[p:])).sum(axis=1)
+        if j >= 1:
+            W[j, j, 0] = 1.0
+    for arr in (tau, W):
+        arr.flags.writeable = False
+    return tau, W
+
+
+def _proxy_remainder(
+    p: int, b: np.ndarray, counts: np.ndarray, len_j: float, dist: np.ndarray, w_abs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(usable, bound) for p proxies of far subtrees of length len_j at
+    distance `dist`, with |w| = w_abs at their left endpoints; b and counts
+    hold the coefficient of each summed generation k and the number of its
+    endpoints off t = 0 (where the interpolant is exact).
+
+    The Bernstein ellipse of parameter rho about the subtree's interval lies
+    within len_j (rho - 1/rho) / 4 of it; rho is chosen so that this reach
+    is _ELLIPSE_REACH dist.  On the ellipse |w'| lies in [dist - reach,
+    |w| + len_j + reach] and |arg w'| < pi, so u = b_k log w' has
+    |Re u| <= b_k Lr, Lr = max |log|w'||.  A proxy is usable where b_k Lr < pi/2 for every k: then
+    Re cos u > 0, the ellipse is clear of the shift and of the cosine's
+    zeros, and log cos u is the principal branch.  |log cos u| is at most
+    M_k = log sec(b_k |L|max) where b_k |L|max < pi/2 (log sec has positive
+    Taylor coefficients), else max(log cosh(b_k pi), -log cos(b_k Lr)) +
+    pi/2.  Each endpoint's interpolation error is at most 4 M_k
+    rho^-(p-1) / (rho - 1) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 8.2, degree p - 1).
+    """
+    reach = _ELLIPSE_REACH * dist
+    q = 2.0 * reach / len_j  # rho - 1/rho = 2q
+    rho = q + np.sqrt(q * q + 1.0)
+    Lr = np.maximum(np.abs(np.log(dist - reach)), np.abs(np.log(w_abs + len_j + reach)))
+    usable = b.max() * Lr < 0.5 * math.pi
+    Lr, rho = Lr[usable], rho[usable]
+    x = b[:, None] * Lr
+    u = b[:, None] * np.hypot(Lr, math.pi)
+    with np.errstate(invalid="ignore"):
+        M = np.where(
+            u < 0.5 * math.pi,
+            -np.log(np.cos(u)),
+            np.maximum(np.log(np.cosh(b * math.pi))[:, None], -np.log(np.cos(x))) + 0.5 * math.pi,
+        )
+    bound = 4.0 * rho ** (1 - p) / (rho - 1.0) * (counts[:, None] * M).sum(axis=0)
+    return usable, bound
+
+
 def log_cosine_product_many(
     params: SeriesParams,
     cs: CantorSet,
@@ -436,38 +548,93 @@ def log_cosine_product_many(
     *,
     gens: Sequence[int] | None = None,
     with_deriv: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Accumulated (log-magnitude, argument, exact-zero mask) of the cosine
-    product truncated at `params.max_gen` (or restricted to `gens`), on an
-    array of points or at one AnchoredPoint (a one-element result), and
-    with `with_deriv` its logarithmic derivative G'/G (else None).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """The cosine product G = prod_k prod_y cos(b_k log(z + i*y)) truncated at
+    `params.max_gen` (or restricted to `gens`, each in 1..max_gen), on an
+    array of points or at one AnchoredPoint (a one-element result).
 
-    Both come from one (log|w|, arg w) split of each block of pairs: G'/G is
-    the sum of -b_k tan(b_k log w) / w over all shifts w = z + i*y.
+    Returns (log|G|, unreduced arg G, exact-zero mask, G'/G with
+    `with_deriv` else None, certified remainder).  G'/G is the sum of
+    -b_k tan(b_k log w) / w over the shifts w = z + i*y.  The remainder
+    bounds the proxies' error in log G (both parts), not in G'/G.
+
+    Array input takes the tree walk of `decay_exponent_many` at FAR_TOL.
+    Near pairs add their own generation-j term exactly.  A far subtree
+    becomes p = _PROXIES Chebyshev proxies on its interval
+    (`_proxy_table`): its generation-k endpoints sum as
+    sum_i W[j, k, i] log cos(b_k log(w + i tau_i len_j)), and the same
+    weights give arg G and G'/G, at p splits and p cosines per generation.
+    A subtree is opened instead where its remainder is not certified
+    (`_proxy_remainder`), or where it has fewer endpoints than p times its
+    generation count.  An AnchoredPoint keeps the direct pair sums, as the
+    series does at one.
     """
     _require_depth(params, cs)
-    if not isinstance(zs, AnchoredPoint):
-        zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
-    gens = range(1, params.max_gen + 1) if gens is None else gens
+    K = params.max_gen
+    gens = range(1, K + 1) if gens is None else gens
+    use = np.zeros(K + 1, dtype=bool)
+    for k in gens:
+        if not 1 <= k <= K:
+            raise ValidationError(f"generation {k} outside [1, {K}]")
+        use[k] = True
     n = _size(zs)
     log_abs = np.zeros(n)
     arg = np.zeros(n)
     zero = np.zeros(n, dtype=bool)
     dlog = np.zeros(n, dtype=complex) if with_deriv else None
-    for k in gens:
-        b = params.coeff(k)
-        # sum each generation first: the rounding recorded log G answers have
-        la_k, ar_k = np.zeros(n), np.zeros(n)
-        for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
-            la, ar, zm, dl = log_cos(lr, th, b, with_deriv)
-            zero |= zm.any(axis=1)
-            la_k += la.sum(axis=1)
-            ar_k += ar.sum(axis=1)
-            if with_deriv:
-                dlog += dl.sum(axis=1)
-        log_abs += la_k
-        arg += ar_k
-    return log_abs, arg, zero, dlog
+    rem = np.zeros(n)
+    coeffs = np.array([0.0] + [params.coeff(k) for k in range(1, K + 1)])
+
+    if isinstance(zs, AnchoredPoint):
+        for k in np.flatnonzero(use):
+            for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
+                la, ar, zm, dl = log_cos(lr, th, coeffs[k], with_deriv)
+                zero |= zm.any()
+                log_abs += la.sum()
+                arg += ar.sum()
+                if with_deriv:
+                    dlog += dl.sum()
+        return log_abs, arg, zero, dlog, rem
+
+    def add(rows, la, ar, dl):
+        log_abs[:] += np.bincount(rows, weights=la, minlength=n)
+        arg[:] += np.bincount(rows, weights=ar, minlength=n)
+        if with_deriv:
+            dlog[:] += _accumulate(rows, dl, n)
+
+    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+    p = _PROXIES
+    tau, W = _proxy_table(params, p)
+    for j, len_j, idx, wr, wi, lr, th, dist, far in _tree_walk(params, cs, zs, FAR_TOL):
+        ks = np.flatnonzero(use[max(j, 1):]) + max(j, 1)  # generations left to sum
+        if not ks.size:
+            far[:] = True  # nothing below: the walk ends here
+        elif (2.0 ** (ks - j)).sum() < p * ks.size:
+            far[:] = False  # fewer endpoints than proxies: sum them directly
+        elif far.any():
+            b = coeffs[ks]
+            usable, bound = _proxy_remainder(
+                p, b, 2.0 ** (ks - j) - 1.0, len_j, dist[far], np.hypot(wr[far], wi[far])
+            )
+            far[far] = usable
+            sel = np.flatnonzero(far)
+            rem += np.bincount(idx[sel], weights=bound, minlength=n)
+            Wj = W[j, ks]
+            step = max(1, _PAIR_BLOCK // (p * ks.size))
+            for lo in range(0, sel.size, step):
+                rows = sel[lo : lo + step]
+                # (pair, generation, proxy) blocks, summed over the last two
+                lp, tp = log_polar(wr[rows, None, None], wi[rows, None, None] + tau * len_j)
+                la, ar, _, dl = log_cos(lp, tp, b[:, None], with_deriv)
+                add(idx[rows], (la * Wj).sum(axis=(1, 2)), (ar * Wj).sum(axis=(1, 2)),
+                    (dl * Wj).sum(axis=(1, 2)) if with_deriv else None)
+        near = ~far
+        if j >= 1 and use[j] and near.any():
+            # a point on the set makes its own term NaN
+            la, ar, zm, dl = log_cos(lr[near], th[near], coeffs[j], with_deriv)
+            zero[idx[near][zm]] = True
+            add(idx[near], la, ar, dl)
+    return log_abs, arg, zero, dlog, rem
 
 
 def cosine_product_logderiv_many(
@@ -556,7 +723,8 @@ def cosine_product(
     *,
     gens: Sequence[int] | None = None,
 ) -> TruncatedValue:
-    """Truncated cosine product as a LogComplex, tail bound on its log.
+    """Truncated cosine product as a LogComplex, tail bound on its log (the
+    generation tail plus the proxy remainder of `log_cosine_product_many`).
 
     With a `gens` restriction the reported tail still covers only the
     generations beyond max_gen (the omitted ones are deliberate).  A
@@ -567,10 +735,10 @@ def cosine_product(
     if isinstance(z, ProductZero) and z.idx.gen in gen_list:
         return TruncatedValue(LogComplex.zero(), 0.0)
     zs, d = _one_point(cs, z)
-    la, ar, zero, _ = log_cosine_product_many(params, cs, zs, gens=gens)
+    la, ar, zero, _, rem = log_cosine_product_many(params, cs, zs, gens=gens)
     if zero[0]:
         return TruncatedValue(LogComplex.zero(), 0.0)
-    tail = _cosine_log_tail(params, d)
+    tail = _cosine_log_tail(params, d) + rem[0]
     return TruncatedValue(LogComplex(float(la[0]), float(ar[0])), float(tail))
 
 
@@ -639,7 +807,8 @@ def evaluate_many(
     F is computed once per point, at the scalar opening ratio POINT_FAR_TOL.
     The tails are those of `decay_factor` and `branched_product`: the log
     tail of f is the exponent's bound (infinite past 0.1); that of g adds
-    the cosine product's log tail, and an exact zero of the cosine product
+    the cosine product's log tail and proxy remainder (see
+    `log_cosine_product_many`), and an exact zero of the cosine product
     gives g = 0 with tail 0.  Raises SingularPointError if any point's
     certified distance to the boundary set vanishes.
     """
@@ -653,12 +822,12 @@ def evaluate_many(
     log_f, arg_f, f_tail = _factor(F, _exponent_tail(params, d, ferr))
     if not product:
         return PointValues(d, F, log_f, arg_f, f_tail)
-    la, ar, g_zero, _ = log_cosine_product_many(params, cs, zs)
+    la, ar, g_zero, _, g_rem = log_cosine_product_many(params, cs, zs)
     dead = g_zero | np.isneginf(log_f)
     with np.errstate(invalid="ignore"):
         log_g = np.where(dead, -math.inf, la + log_f)
         arg_g = np.where(dead, 0.0, ar + arg_f)
-    g_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + f_tail)
+    g_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + g_rem + f_tail)
     return PointValues(d, F, log_f, arg_f, f_tail, log_g, arg_g, g_zero, g_tail)
 
 

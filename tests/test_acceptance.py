@@ -188,7 +188,7 @@ def test_cosine_product_uniform_bound():
     cs = CantorSet.build(0.5, 12)
     rng = np.random.default_rng(42)
     zs = rng.uniform(1e-3, 2.0, 1000) + 1j * rng.uniform(-2.0, 2.0, 1000)
-    la, _, zero, _ = log_cosine_product_many(params, cs, zs)
+    la, _, zero, _, _ = log_cosine_product_many(params, cs, zs)
     assert not np.any(zero)
     assert np.all(la <= math.pi**3 / 6.0 + 1e-9)
 

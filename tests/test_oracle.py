@@ -1,8 +1,10 @@
-"""The tree-code series against an independent 50-digit direct sum.
+"""The tree-code series and cosine product against independent mpmath
+direct sums.
 
 The oracle shares no code with the package: it sums coeff(k) (z + i y)^-a_k
-over every stored endpoint y in mpmath, with the coefficients and exponents
-written out from their definitions.  Only the endpoints come from the
+(50 digits) and log cos(coeff(k) log(z + i y)) (30 digits) over every stored
+endpoint y in mpmath, with the coefficients and exponents written out from
+their definitions.  Only the endpoints come from the
 package, because the series is defined over the stored doubles: a probe
 1e-6 from an endpoint would feel a rounding shift of that endpoint at the
 1e-10 level.
@@ -15,8 +17,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from branchpoint_lab import CantorSet, IntervalIndex, SeriesParams, decay_exponent_many
-from branchpoint_lab.frequency import OscillatingPower, oscillation_zeros
+from branchpoint_lab import CantorSet, IntervalIndex, SeriesParams, decay_exponent_many, series
+from branchpoint_lab.frequency import (
+    MinimizerSpec,
+    OscillatingPower,
+    SeriesProduct,
+    oscillation_zeros,
+)
 from branchpoint_lab.logcomplex import log_cos, log_polar
 from branchpoint_lab.series import (
     FAR_TOL,
@@ -87,50 +94,191 @@ def test_series_matches_mpmath_oracle(s, max_gen, far_tol):
 
 # the cosine product G and its log-derivative --------------------------------
 
-# (s, max_gen) for G: every (point, shift) pair takes a 50-digit log, cos and tan
+# (s, max_gen) for G: every (point, shift) pair takes a 30-digit log and exp
 G_CASES = [(0.5, 6), (0.75, 6), (1.0, 6)]
+# the tree-coded G: at max_gen 10 the walk proxies far subtrees of
+# generations 0-4 (below that a subtree has fewer endpoints than 13 proxies
+# per generation)
+TREE_G_CASES = [(0.5, 10), (0.75, 10), (1.0, 10)]
+
+
+def _tree_probes(cs: CantorSet, max_gen: int) -> list[complex]:
+    """Points far from the set, 1e-3 from an endpoint, and 1e-9 relative
+    from two rounded constructed zeros (generations 1 and 2)."""
+    params = SeriesParams(s=cs.s, max_gen=max_gen)
+    y = cs.left_endpoints(max_gen)[5]
+    out = [complex(1.5, -0.4), complex(-0.6, 0.9), complex(0.3, -1.6)]
+    out += [complex(1e-3 * np.cos(a), 1e-3 * np.sin(a) - y) for a in (1.2, -0.7)]
+    for idx, phi in [((1, 2), 1.0), ((2, 3), 2.5)]:
+        z0 = product_zero(params, cs, IntervalIndex(*idx), 1)
+        w = math.exp(z0.log_r) * (1.0 + 1e-9 * np.exp(1j * phi))
+        out.append(complex(w.real, w.imag - z0.y))
+    return out
+
+
+def _cos_scales(cs: CantorSet, max_gen: int, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per point, the sums of the terms' magnitudes for log|G| and G'/G,
+    which set the rounding scale of each double sum, and their
+    sensitivities to the rounding of the input: w = z + i*y and its log L
+    carry about eps ((|z| + y) / |w| + |L|) of error in L, which a term next
+    to a zero of its cosine amplifies by |d(term)/dL|.  (Double precision
+    is enough for a scale.)"""
+    la_scale, d_scale, la_sens, d_sens = (np.zeros(zs.size) for _ in range(4))
+    for k in range(1, max_gen + 1):
+        b = 2.0**-k / k**2
+        y = cs.left_endpoints(k)[None, :]
+        w = zs[:, None] + 1j * y
+        L = np.log(w)
+        c = np.cos(b * L)
+        bt = b * np.tan(b * L)
+        dL = (np.abs(zs[:, None]) + y) / np.abs(w) + np.abs(L)
+        la_scale += np.abs(np.log(np.abs(c))).sum(axis=1)
+        d_scale += np.abs(bt / w).sum(axis=1)
+        la_sens += (np.abs(bt) * dL).sum(axis=1)
+        d_sens += ((np.abs(b * b / (c * c * w)) + np.abs(bt / w)) * dL).sum(axis=1)
+    return la_scale, d_scale, la_sens, d_sens
 
 
 @functools.lru_cache(maxsize=None)
-def _cos_oracle(s: float, max_gen: int):
-    """(probes, log|G|, arg G, G'/G) and the sums of the terms' magnitudes
-    for log|G| and G'/G, which set the rounding scale of each double sum."""
+def _cos_oracle(s: float, max_gen: int, probes=_probes):
+    """(probes, log|G|, arg G, G'/G) to 30 digits, then the `_cos_scales`."""
     cs = CantorSet.build(s, max_gen)
-    zs = np.array(_probes(cs, max_gen))
+    zs = np.array(probes(cs, max_gen))
     rows = []
-    with mpmath.workdps(50):
+    with mpmath.workdps(30):
         for z in zs:
             zz = mpmath.mpc(z.real, z.imag)
-            la = ar = la_scale = d_scale = mpmath.mpf(0)
+            la = ar = mpmath.mpf(0)
             d = mpmath.mpc(0)
             for k in range(1, max_gen + 1):
-                b = mpmath.mpf(2) ** (-k) / k**2
+                ib = mpmath.mpc(0, mpmath.mpf(2) ** (-k) / k**2)
                 for y in cs.left_endpoints(k):
-                    bL = b * mpmath.log(zz + mpmath.mpc(0, y))
-                    c = mpmath.cos(bL)
-                    t = -b * mpmath.tan(bL) / (zz + mpmath.mpc(0, y))
+                    w = zz + mpmath.mpc(0, y)
+                    # cos(bL) and b tan(bL) from e = exp(i b L)
+                    e = mpmath.exp(ib * mpmath.log(w))
+                    c = (e + 1 / e) / 2
                     la += mpmath.log(abs(c))
                     ar += mpmath.arg(c)
-                    la_scale += abs(mpmath.log(abs(c)))
-                    d += t
-                    d_scale += abs(t)
-            rows.append((float(la), float(ar), complex(d), float(la_scale), float(d_scale)))
-    la, ar, d, la_scale, d_scale = (np.array(col) for col in zip(*rows))
-    return zs, la, ar, d, la_scale, d_scale
+                    d += (e - 1 / e) / 2 * ib / (c * w)  # -b tan(bL) / w
+            rows.append((float(la), float(ar), complex(d)))
+    return (zs, *(np.array(col) for col in zip(*rows)), *_cos_scales(cs, max_gen, zs))
 
 
 @pytest.mark.parametrize("s,max_gen", G_CASES)
 def test_cosine_product_matches_mpmath_oracle(s, max_gen):
-    zs, la_mp, ar_mp, dlog_mp, la_scale, d_scale = _cos_oracle(s, max_gen)
+    zs, la_mp, ar_mp, dlog_mp, la_scale, d_scale, _, _ = _cos_oracle(s, max_gen)
     params = SeriesParams(s=s, max_gen=max_gen)
     cs = CantorSet.build(s, max_gen)
-    la, ar, zero, dlog = log_cosine_product_many(params, cs, zs, with_deriv=True)
+    la, ar, zero, dlog, rem = log_cosine_product_many(params, cs, zs, with_deriv=True)
     assert not zero.any()
-    # a factor's log|cos| = 0.5 log(m2) with m2 near 1 is off by about 1e-16
-    # however small it is, hence the + 1
-    assert np.all(np.abs(la - la_mp) <= 1e-13 * (la_scale + 1.0))
-    assert np.all(np.abs(np.remainder(ar - ar_mp + np.pi, 2 * np.pi) - np.pi) <= 1e-13)
+    # log|cos| = 0.5 log1p(sinh^2 y - sin^2 x) keeps each factor's relative
+    # precision however close to 1 it is
+    assert np.all(np.abs(la - la_mp) <= rem + 1e-14 * la_scale)
+    assert np.all(np.abs(np.remainder(ar - ar_mp + np.pi, 2 * np.pi) - np.pi) <= rem + 1e-13)
     assert np.all(np.abs(dlog - dlog_mp) <= 1e-14 * d_scale)
+
+
+@pytest.mark.parametrize("s,max_gen", TREE_G_CASES)
+def test_tree_coded_cosine_product_matches_mpmath_oracle(s, max_gen):
+    """log|G|, arg G and G'/G with far subtrees as Chebyshev proxies: within
+    the certified remainder plus rounding, and next to a rounded zero
+    within what the double input allows (2 ulp of each term's L)."""
+    zs, la_mp, ar_mp, dlog_mp, la_scale, d_scale, la_sens, d_sens = _cos_oracle(
+        s, max_gen, _tree_probes)
+    params = SeriesParams(s=s, max_gen=max_gen)
+    cs = CantorSet.build(s, max_gen)
+    la, ar, zero, dlog, rem = log_cosine_product_many(params, cs, zs, with_deriv=True)
+    assert not zero.any()
+    assert np.all(rem > 0.0)  # every probe has proxied subtrees
+    ulp2 = 2.0**-51
+    assert np.all(np.abs(la - la_mp) <= rem + 1e-14 * la_scale + ulp2 * la_sens)
+    ar_err = np.abs(np.remainder(ar - ar_mp + np.pi, 2 * np.pi) - np.pi)
+    assert np.all(ar_err <= rem + 1e-13 + ulp2 * la_sens)
+    assert np.all(np.abs(dlog - dlog_mp) <= 1e-14 * d_scale + ulp2 * d_sens)
+
+
+def _brute_cos(params: SeriesParams, cs: CantorSet, zs: np.ndarray, gens) -> tuple[np.ndarray, ...]:
+    """log|G|, arg G and G'/G summed over every (point, shift) pair with
+    the package's kernels, and the sum of |log cos| for a rounding scale."""
+    la, ar, scale = (np.zeros(zs.size) for _ in range(3))
+    d = np.zeros(zs.size, dtype=complex)
+    for k in gens:
+        lr, th = log_polar(zs.real[:, None], zs.imag[:, None] + cs.left_endpoints(k)[None, :])
+        a, r, _, dl = log_cos(lr, th, params.coeff(k), with_deriv=True)
+        la += a.sum(axis=1)
+        ar += r.sum(axis=1)
+        d += dl.sum(axis=1)
+        scale += np.abs(a).sum(axis=1) + np.abs(r).sum(axis=1)
+    return la, ar, d, scale
+
+
+def _mixed_probes(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(1e-3, 2.0, n) + 1j * rng.uniform(-1.5, 1.5, n)
+
+
+@pytest.mark.parametrize("p", [4, 8, series._PROXIES])
+def test_proxy_remainder_bounds_the_deviation_from_the_pair_sum(monkeypatch, p):
+    """With p proxies per far subtree, log|G| and arg G differ from the sum
+    over every pair by at most the certified remainder (plus rounding); at
+    p = 4 the proxies' own error stands well above rounding."""
+    monkeypatch.setattr(series, "_PROXIES", p)
+    params = SeriesParams(s=0.5, max_gen=12)
+    cs = CantorSet.build(0.5, 12)
+    zs = _mixed_probes(300, 5)
+    la_b, ar_b, _, scale = _brute_cos(params, cs, zs, range(1, 13))
+    la, ar, _, _, rem = log_cosine_product_many(params, cs, zs)
+    assert np.all(rem > 0.0)
+    assert np.all(np.abs(la - la_b) <= rem + 1e-15 * scale)
+    assert np.all(np.abs(ar - ar_b) <= rem + 1e-15 * scale)
+    if p == 4:
+        assert np.abs(la - la_b).max() > 1e-10
+
+
+def test_tree_coded_gens_splits_multiply_to_the_full_product():
+    """At max_gen 12, G over odd and even generations, and over 1-6 and
+    7-12, multiply to G over all of them: the logs add within the three
+    remainders, and the log-derivatives add."""
+    params = SeriesParams(s=0.5, max_gen=12)
+    cs = CantorSet.build(0.5, 12)
+    zs = _mixed_probes(300, 6)
+    la, ar, zero, dl, rem = log_cosine_product_many(params, cs, zs, with_deriv=True)
+    _, _, _, scale = _brute_cos(params, cs, zs, range(1, 13))
+    for gens_a, gens_b in [(range(1, 13, 2), range(2, 13, 2)), (range(1, 7), range(7, 13))]:
+        la_a, ar_a, zero_a, dl_a, rem_a = log_cosine_product_many(
+            params, cs, zs, gens=gens_a, with_deriv=True)
+        la_b, ar_b, zero_b, dl_b, rem_b = log_cosine_product_many(
+            params, cs, zs, gens=gens_b, with_deriv=True)
+        tol = rem + rem_a + rem_b + 1e-15 * scale
+        assert np.all(np.abs(la_a + la_b - la) <= tol)
+        assert np.all(np.abs(ar_a + ar_b - ar) <= tol)
+        assert np.array_equal(zero_a | zero_b, zero)
+        assert np.all(np.abs(dl_a + dl_b - dl) <= 1e-13 * np.abs(dl))
+
+
+def test_series_product_energy_density_against_the_pair_sum():
+    """MinimizerSpec(SeriesProduct).log_energy_density on 2,000 nodes of the
+    ring |z| = 0.3 at max_gen 10, against (2/Q)|h|^(2/Q)|h'/h|^2 with log|G|
+    and G'/G summed over every (node, shift) pair in complex arithmetic and
+    F, F' from decay_exponent_many at FAR_TOL, as the product takes them."""
+    params = SeriesParams(s=0.5, max_gen=10)
+    cs = CantorSet.build(0.5, 10)
+    zs = 0.3 * np.exp(1j * np.pi * ((np.arange(2000) + 0.5) / 2000 - 0.5))
+    la_G = np.zeros(zs.size)
+    dl_G = np.zeros(zs.size, dtype=complex)
+    for k in range(1, 11):
+        b = 2.0**-k / k**2
+        for rows in np.array_split(np.arange(zs.size), 8):
+            w = zs[rows, None] + 1j * cs.left_endpoints(k)[None, :]
+            bL = b * np.log(w)
+            la_G[rows] += np.log(np.abs(np.cos(bL))).sum(axis=1)
+            dl_G[rows] += (-b * np.tan(bL) / w).sum(axis=1)
+    F, Fp, _ = decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=FAR_TOL)
+    h = SeriesProduct(params=params, cs=cs)
+    for Q in (2, 3):
+        want = math.log(2.0 / Q) + (2.0 / Q) * (la_G - F.real) + 2.0 * np.log(np.abs(dl_G - Fp))
+        got = MinimizerSpec(h=h, Q=Q).log_energy_density(zs)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 # next to zeros: the kernels against the complex-ufunc formulas ---------------

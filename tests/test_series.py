@@ -25,6 +25,7 @@ from branchpoint_lab import (
     function_evaluator,
     product_zero,
 )
+from branchpoint_lab import series
 from branchpoint_lab.logcomplex import decay_block, oscillating_block
 from branchpoint_lab.series import (
     FAR_TOL,
@@ -248,6 +249,12 @@ def test_product_zero_follows_gens(params_half, cs_half):
     assert G.tail_bound == 0.0
 
 
+@pytest.mark.parametrize("gens", [[0], [13], [-1], [2, 14]])
+def test_cosine_product_rejects_generations_outside_the_truncation(params_half, cs_half, gens):
+    with pytest.raises(ValidationError):
+        cosine_product(params_half, cs_half, 0.4 + 0.3j, gens=gens)
+
+
 def test_product_zeros_accumulate_at_anchor(params_half, cs_half):
     idx = IntervalIndex(2, 3)
     offsets = [product_zero(params_half, cs_half, idx, m).log_r for m in (1, 2, 5, 20)]
@@ -313,7 +320,7 @@ def test_boundary_decay_table(params_half, cs_half):
 def test_branched_product_zero_mask_vectorized(params_half, cs_half):
     z0 = product_zero(params_half, cs_half, IntervalIndex(3, 2), 2)
     zs = np.array([0.4 + 0.1j, z0.to_complex()])
-    la, _, zero, _ = log_cosine_product_many(params_half, cs_half, zs)
+    la, _, zero, _, _ = log_cosine_product_many(params_half, cs_half, zs)
     assert not zero[0] and np.isfinite(la[0])
 
 
@@ -381,3 +388,27 @@ def test_pair_sums_keep_to_the_block_budget():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_cosine_product_work_grows_linearly_in_max_gen(monkeypatch):
+    """log_cos evaluations per point, counted through the kernel, grow by the
+    same amount per generation from max_gen 12 to 16 (far subtrees are
+    proxies), not like the 2^(K+1) - 2 shifts of the direct sum."""
+    calls = []
+    kernel = series.log_cos
+
+    def counted(lr, th, b, with_deriv=False):
+        calls.append(np.broadcast(lr, th, b).size)
+        return kernel(lr, th, b, with_deriv)
+
+    monkeypatch.setattr(series, "log_cos", counted)
+    zs = _probes(200)
+    per_point = {}
+    for K in (12, 14, 16):
+        calls.clear()
+        log_cosine_product_many(SeriesParams(s=0.5, max_gen=K), CantorSet.build(0.5, K), zs)
+        per_point[K] = sum(calls) / zs.size
+    step = per_point[14] - per_point[12]
+    assert 0.0 < step < 0.25 * per_point[12]
+    assert abs(per_point[16] - per_point[14] - step) <= 0.05 * step
+    assert per_point[12] < 0.1 * (2**13 - 2)
