@@ -86,7 +86,8 @@ def refined_breakpoints(
     interior targets (integrable singularities get an edge exactly on them).
 
     A target may carry its own smallest cluster width as (position, width);
-    bare floats use min_frac times the span.
+    bare floats use min_frac times the span.  A target on an end of [a, b]
+    is clustered toward from inside; one outside is skipped.
     """
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
@@ -98,7 +99,7 @@ def refined_breakpoints(
         edges.add(b - off)
     for tgt in targets:
         t, w0 = tgt if isinstance(tgt, tuple) else (tgt, min_frac * span)
-        if not (a < t < b):
+        if not (a <= t <= b):
             continue
         edges.add(t)
         w = max(w0, 1e-15 * span)

@@ -474,9 +474,12 @@ def _arc_key(
     # a zero ring only needs deep angular resolution at nearby radii
     targets = []
     for rz, az in zero_polar:
+        w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
         if -thm < az < thm:
-            w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
             targets.append((az, w0))
+        elif thm == math.pi and abs(az) == math.pi:
+            # a zero on the seam of a full arc is at both of its ends
+            targets += [(-math.pi, w0), (math.pi, w0)]
     return thm, rate if thm < math.pi else 0.0, tuple(targets)
 
 

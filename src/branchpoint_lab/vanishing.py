@@ -6,7 +6,10 @@ double-precision integral would flatten to zero.  Infinite-order vanishing
 at a boundary point shows up as the slope of logMass against log R growing
 without bound as the window of radii moves inward; the companion doubling
 ratio log2(mass(2r)/mass(r))/2 grows likewise, while at interior points of
-a nonvanishing function both settle at the area exponent 2.
+a nonvanishing function both settle at the area exponent 2.  A ladder of
+radii is integrated region by region: the innermost disk once, then each
+annulus between consecutive rungs once, and every rung sums the regions
+inside it.
 """
 
 from __future__ import annotations
@@ -95,13 +98,19 @@ class MassCurve:
     def __post_init__(self) -> None:
         if len(self.radii) != len(self.log_mass):
             raise ValidationError("radii and log_mass lengths differ")
-        if len(self.radii) < 2:
-            raise ValidationError("a mass curve needs at least two radii")
-        r = np.asarray(self.radii)
-        if not (np.all(r > 0) and np.all(np.diff(r) < 0)):
-            raise ValidationError("radii must be positive and strictly descending")
+        _check_ladder(self.radii)
         if not np.all(np.isfinite(self.log_mass)):
             raise ValidationError("log_mass must be finite (log-space evaluation)")
+
+
+def _check_ladder(radii: Sequence[float]) -> None:
+    """Raise unless the ladder has two or more positive, strictly descending
+    radii."""
+    if len(radii) < 2:
+        raise ValidationError("a mass curve needs at least two radii")
+    r = np.asarray(radii)
+    if not (np.all(r > 0) and np.all(np.diff(r) < 0)):
+        raise ValidationError("radii must be positive and strictly descending")
 
 
 def default_ladder(rungs: int = 12, largest: float = 0.2) -> list[float]:
@@ -116,14 +125,19 @@ def log_mass(
     center: complex,
     r: float,
     config: QuadConfig | None = None,
+    *,
+    r_inner: float = 0.0,
 ) -> tuple[float, float]:
-    """log of the integral of the squared density over B_r (clipped to the
-    domain), plus a log-error estimate."""
+    """log of the integral of the squared density over the (annular) disk
+    r_inner <= |z - center| <= r, clipped to the domain, plus a log-error
+    estimate."""
     cfg = config or QuadConfig()
-    if r <= 0:
-        raise ValidationError(f"radius must be positive, got {r}")
+    if not (0.0 <= r_inner < r):
+        raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
     center = complex(center)
-    r_edges, theta_edges, _ = polar_mesh(center, r, target.domain, target.decay_rate)
+    r_edges, theta_edges, _ = polar_mesh(
+        center, r, target.domain, target.decay_rate, r_inner=r_inner
+    )
     return log_disk_integral(target.log_density, center, r_edges, theta_edges, cfg)
 
 
@@ -133,15 +147,31 @@ def mass_curve(
     radii: Sequence[float] | None = None,
     config: QuadConfig | None = None,
 ) -> MassCurve:
-    """Evaluate the L2 mass at every rung of a descending radius ladder."""
+    """Evaluate the L2 mass at every rung of a descending radius ladder.
+
+    The ladder is checked before any quadrature.  The innermost disk is
+    integrated once, as `log_mass` does, and so is each annulus between
+    consecutive rungs, outward; a rung's log-mass is the logaddexp of the
+    regions inside it.  Its log-error is log sum_i w_i exp(e_i), where w_i
+    is region i's share of the rung's mass and e_i its log-error, so it
+    never exceeds the largest e_i; the innermost rung keeps its disk's
+    value and error.
+    """
     rs = default_ladder() if radii is None else [float(r) for r in radii]
-    lm = []
-    errs = []
-    for r in rs:
-        v, e = log_mass(target, center, r, config)
-        lm.append(v)
-        errs.append(e)
-    return MassCurve(complex(center), tuple(rs), tuple(lm), tuple(errs))
+    _check_ladder(rs)
+    lm, err = log_mass(target, center, rs[-1], config)
+    # running logs of sum m_i and of sum m_i exp(e_i), and the largest e_i
+    lms, errs = [lm], [err]
+    lme, top = lm + err, err
+    for r_out, r_in in zip(rs[-2::-1], rs[:0:-1]):
+        la, ea = log_mass(target, center, r_out, config, r_inner=r_in)
+        lm = float(np.logaddexp(lm, la))
+        lme = float(np.logaddexp(lme, la + ea))
+        top = max(top, ea)
+        lms.append(lm)
+        # min: rounding in the two running sums must not lift it past top
+        errs.append(min(top, lme - lm))
+    return MassCurve(complex(center), tuple(rs), tuple(lms[::-1]), tuple(errs[::-1]))
 
 
 def vanishing_order_slope(curve: MassCurve, window: Sequence[int]) -> float:

@@ -140,6 +140,17 @@ def test_vanishing_q_minimizer(tmp_path):
     assert slopes[0] == pytest.approx(5.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("ladder", ["0.1,0.2", "0.2,0.2", "0.2,-0.1"])
+def test_vanishing_rejects_a_bad_ladder_before_quadrature(ladder, capsys, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on an invalid ladder")
+
+    monkeypatch.setattr("branchpoint_lab.vanishing.log_disk_integral", no_quadrature)
+    rc = main(["vanishing", "--target", "constant", "--ladder", ladder])
+    assert rc == 2
+    assert "descending" in capsys.readouterr().err
+
+
 def test_determinism(tmp_path):
     args = ["eval", "--s", "0.5", "--max-gen", "6", "--nx", "3", "--ny", "3"]
     _, out1 = _run_to_file(tmp_path, "a.csv", args)

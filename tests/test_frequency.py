@@ -85,6 +85,16 @@ def test_arc_key_drops_the_rate_of_an_unclipped_arc():
     assert _arc_key(0.1 + 0j, 0.3, "half_plane", 50.0) == (thm, 50.0, ())
 
 
+@pytest.mark.parametrize("az", [math.pi, -math.pi])
+def test_arc_key_puts_a_seam_zero_at_both_ends(az):
+    thm, _, targets = _arc_key(0j, 0.3, "plane", 0.0, [(0.2, az)])
+    (lo, w0), (hi, w1) = targets
+    assert (lo, hi) == (-math.pi, math.pi)
+    assert w0 == w1 == pytest.approx(0.1)
+    edges = _arc_edges(thm, 0.0, targets)
+    assert -math.pi + w0 in edges and math.pi - w0 in edges
+
+
 def test_polar_mesh_rebuilds_the_arc_mesh_only_on_a_change():
     _, plane, _ = polar_mesh(0j, 0.5, "plane", lambda rho: 50.0)
     first = plane(0.1)

@@ -79,18 +79,22 @@ def test_arc_energy_matches_disk_on_monomials(P, Q, center, r, signs):
 @pytest.mark.parametrize("ladder", range(len(LADDERS)))
 def test_arc_energy_matches_disk_on_ladders(ladder, Q):
     coeffs, c, (lo, hi) = LADDERS[ladder]
+    # both ladders have a zero at angle pi from the centre, on the seam of
+    # the disk's full arcs
     spec = MinimizerSpec(h=Polynomial(coeffs=coeffs), Q=Q)
-    # the disk reference is taken for h(-z) about -c, the same D: both
-    # ladders have a zero on the ray at angle pi from the centre, where the
-    # angular mesh of the disk sets no cluster, and the disk form then does
-    # not converge for z^3 - z^2/2, Q = 3
-    mirrored = MinimizerSpec(
-        h=Polynomial(coeffs=tuple(a * (-1) ** k for k, a in enumerate(coeffs))), Q=Q
-    )
     for r in np.geomspace(lo, hi, 8):
         got, _ = log_dirichlet_energy(spec, complex(c), r, ARC)
-        want, _ = _disk_energy(mirrored, complex(-c), r)
+        want, _ = _disk_energy(spec, complex(c), r)
         assert abs(math.expm1(got - want)) <= 1e-8, r
+
+
+def test_disk_converges_with_a_zero_on_the_seam():
+    # the double zero of z^3 - z^2/2 lies at angle pi from 0.1; without an
+    # angular cluster at both ends of the arc this disk does not converge
+    spec = MinimizerSpec(h=Polynomial(coeffs=(0.0, 0.0, -0.5, 1.0)), Q=3)
+    got, _ = log_dirichlet_energy(spec, 0.1 + 0j, 0.1265, ARC)
+    want, _ = _disk_energy(spec, 0.1 + 0j, 0.1265, QuadConfig(rel_tol=1e-6))
+    assert abs(math.expm1(got - want)) <= 1e-8
 
 
 @st.composite

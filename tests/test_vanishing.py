@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,6 +28,23 @@ def test_constant_target_area_formula():
     assert got == pytest.approx(math.log(math.pi * 0.49 * 6.25), abs=1e-9)
 
 
+def test_annulus_closed_forms():
+    got, _ = log_mass(ConstantTarget(2.5), 0.3 + 0.4j, 0.7, r_inner=0.2)
+    assert got == pytest.approx(math.log(math.pi * (0.49 - 0.04) * 6.25), abs=1e-9)
+    # |u|^2 = Q|z|^(2P/Q): mass 2 pi Q (R^beta - r^beta) / beta, beta = 2P/Q + 2
+    for P, Q in [(1, 2), (3, 2), (2, 3)]:
+        beta = 2.0 * P / Q + 2.0
+        got, _ = log_mass(MinimizerSpec(h=Monomial(P=P), Q=Q), 0j, 0.3, r_inner=0.1)
+        want = 2.0 * math.pi * Q * (0.3**beta - 0.1**beta) / beta
+        assert got == pytest.approx(math.log(want), abs=1e-9)
+
+
+@pytest.mark.parametrize("r_inner", [-0.1, 0.3, 0.5])
+def test_annulus_rejects_bad_inner_radius(r_inner):
+    with pytest.raises(ValidationError):
+        log_mass(ConstantTarget(1.0), 0j, 0.3, r_inner=r_inner)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_constant_target_rejects_non_finite(value):
     with pytest.raises(ValidationError):
@@ -48,6 +66,54 @@ def test_mass_curve_validation():
         MassCurve(0j, (0.2,), (0.0,), (0.0,))  # too short
     with pytest.raises(ValidationError):
         MassCurve(0j, (0.2, 0.1), (0.0, -math.inf), (0.0, 0.0))  # -inf mass
+
+
+@dataclass
+class _Counting:
+    """A mass target that counts the points its density is asked for."""
+
+    target: object
+    points: int = 0
+
+    @property
+    def domain(self):
+        return self.target.domain
+
+    def log_density(self, zs):
+        self.points += np.asarray(zs).size
+        return self.target.log_density(zs)
+
+    def decay_rate(self, rho):
+        return self.target.decay_rate(rho)
+
+
+@pytest.mark.parametrize("ladder", [(0.1, 0.2), (0.2, 0.2), (0.2, -0.1), (0.2,)])
+def test_mass_curve_checks_the_ladder_before_quadrature(ladder):
+    target = _Counting(ConstantTarget(1.0))
+    with pytest.raises(ValidationError):
+        mass_curve(target, 0j, ladder)
+    assert target.points == 0
+
+
+def test_mass_curve_regions_match_whole_disks():
+    # the disk plus annuli against one log_mass per rung: each rung within
+    # both reported errors, the innermost bit for bit, from under half the points
+    params = SeriesParams(s=0.5, max_gen=12)
+    t = RealPartTarget(params=params, cs=CantorSet.build(0.5, 12))
+    radii, cfg = [0.2, 0.1, 0.05], QuadConfig(rel_tol=1e-3, order=10)
+    counted = _Counting(t)
+    curve = mass_curve(counted, 0j, radii, cfg)
+    whole = _Counting(t)
+    want = [log_mass(whole, 0j, r, cfg) for r in radii]
+    for lm, err, (w, w_err) in zip(curve.log_mass, curve.quadrature_errors, want):
+        assert abs(lm - w) <= err + w_err
+    assert (curve.log_mass[-1], curve.quadrature_errors[-1]) == want[-1]
+    part_errs = [want[-1][1]] + [
+        log_mass(t, 0j, r, cfg, r_inner=r_in)[1] for r, r_in in zip(radii[-2::-1], radii[:0:-1])
+    ]
+    for k, err in enumerate(curve.quadrature_errors):
+        assert err <= max(part_errs[: len(radii) - k])
+    assert counted.points < 0.5 * whole.points
 
 
 def test_synthetic_power_law_slope():
