@@ -76,14 +76,14 @@ def refined_breakpoints(
     b: float,
     *,
     geo_a: bool = False,
-    geo_b: bool = False,
     rate_a: float = 0.0,
     rate_b: float = 0.0,
     targets: Sequence[float | tuple[float, float]] = (),
     min_frac: float = MIN_FRAC,
 ) -> np.ndarray:
-    """Panel edges on [a, b], geometrically clustered toward marked ends and
-    interior targets (integrable singularities get an edge exactly on them).
+    """Panel edges on [a, b], geometrically clustered toward a (with geo_a),
+    toward an end with a decay rate, and toward interior targets
+    (integrable singularities get an edge exactly on them).
 
     A target may carry its own smallest cluster width as (position, width);
     bare floats use min_frac times the span.  A target on an end of [a, b]
@@ -95,7 +95,7 @@ def refined_breakpoints(
     edges = {a, b, 0.5 * (a + b)}
     for off in _end_offsets(span, geo_a, rate_a, min_frac):
         edges.add(a + off)
-    for off in _end_offsets(span, geo_b, rate_b, min_frac):
+    for off in _end_offsets(span, False, rate_b, min_frac):
         edges.add(b - off)
     for tgt in targets:
         t, w0 = tgt if isinstance(tgt, tuple) else (tgt, min_frac * span)

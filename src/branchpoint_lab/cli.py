@@ -3,8 +3,11 @@
 Every output starts with the header comment `# branchpoint-lab v<version>
 <command>`; the readers below skip comment lines, so each file round-trips
 through the package's own parsers.  Config precedence is CLI flags over a
-JSON config file over built-in defaults.  Exit codes: 0 success, 2 invalid
-parameters, 3 runtime failure (non-convergence and the like).
+JSON config file over built-in defaults.  The config keys are the option
+names with underscores (`max_gen`, `re_min`, `log_scale`); a key that names
+no option of the subcommand, a value of the wrong type and a switch set to
+anything but true or false are invalid parameters.  Exit codes: 0 success,
+2 invalid parameters, 3 runtime failure (non-convergence and the like).
 """
 
 from __future__ import annotations
@@ -123,10 +126,11 @@ def _write(path: str | None, command: str, head: str, rows: Sequence[str] = ()) 
         fh.write(text)
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults, for every key in `defaults`."""
+def _merged(args: argparse.Namespace) -> dict:
+    """flags > config file > defaults, for every option of `args.command`."""
+    options = _COMMANDS[args.command][2]
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -136,23 +140,33 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValidationError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError("config file must hold a JSON object")
-    types = getattr(args, "flag_types", {})
+        if unknown := sorted(set(cfg) - {dest for dest, *_ in options}):
+            raise ValidationError(f"config keys {unknown} are not options of {args.command}")
     out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+    for dest, kind, default, _ in options:
+        flag = getattr(args, dest)
         if flag is not None:
-            out[key] = flag
-        elif key in cfg:
-            out[key] = _config_value(key, cfg[key], types.get(key))
+            out[dest] = flag
+        elif dest in cfg:
+            out[dest] = _config_value(dest, cfg[dest], kind, default)
         else:
-            out[key] = default
+            out[dest] = default
     return out
 
 
-def _config_value(key: str, value, kind):
-    """A config-file value converted to its flag's type, as the flag would be."""
-    if kind is None or value is None:
-        return value
+def _config_value(key: str, value, kind, default):
+    """A config-file value converted to its option's type, as the flag would be.
+
+    null stands only for a default of None, and a switch takes only true or
+    false."""
+    if value is None and default is None:
+        return None
+    choices = (False, True) if kind is bool else kind
+    if isinstance(choices, tuple):
+        # the type is compared too, since 1 == True
+        if value in choices and type(value) is type(choices[0]):
+            return value
+        raise ValidationError(f"config value {key} = {value!r} is not one of {choices}")
     try:
         # JSON true, lists and objects are no flag value; 2.5 is no int
         if isinstance(value, (bool, list, dict)):
@@ -177,9 +191,8 @@ def _row(*fields: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_cantor(args: argparse.Namespace) -> int:
-    p = _merged(args, {"s": 0.5, "depth": 10, "output": None})
-    cs = CantorSet.build(float(p["s"]), int(p["depth"]))
+def cmd_cantor(p: dict) -> int:
+    cs = CantorSet.build(p["s"], p["depth"])
     sigma = 1.0 if cs.s == 1.0 else cs.s
     table = [
         {"k": k, "sigma": sigma, "cover_sum": cs.cover_sum(k, sigma)}
@@ -191,35 +204,15 @@ def cmd_cantor(args: argparse.Namespace) -> int:
 
 
 def _series_setup(p: dict) -> tuple[SeriesParams, CantorSet]:
-    params = SeriesParams(
-        s=float(p["s"]),
-        alpha=None if p.get("alpha") is None else float(p["alpha"]),
-        max_gen=int(p["max_gen"]),
-    )
-    depth = int(p["depth"]) if p.get("depth") is not None else params.max_gen
+    params = SeriesParams(s=p["s"], alpha=p["alpha"], max_gen=p["max_gen"])
+    depth = params.max_gen if p["depth"] is None else p["depth"]
     return params, CantorSet.build(params.s, depth)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    p = _merged(
-        args,
-        {
-            "s": 0.5,
-            "alpha": None,
-            "max_gen": 12,
-            "depth": None,
-            "re_min": 0.05,
-            "re_max": 1.0,
-            "im_min": -1.0,
-            "im_max": 1.0,
-            "nx": 8,
-            "ny": 8,
-            "output": None,
-        },
-    )
+def cmd_eval(p: dict) -> int:
     params, cs = _series_setup(p)
-    res = np.linspace(float(p["re_min"]), float(p["re_max"]), int(p["nx"]))
-    ims = np.linspace(float(p["im_min"]), float(p["im_max"]), int(p["ny"]))
+    res = np.linspace(p["re_min"], p["re_max"], p["nx"])
+    ims = np.linspace(p["im_min"], p["im_max"], p["ny"])
     if res.min() < 0.0:
         raise ValidationError("evaluation grid must stay in the closed right half-plane")
     zs = np.empty(ims.size * res.size, dtype=complex)
@@ -238,18 +231,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_zeros(args: argparse.Namespace) -> int:
-    p = _merged(
-        args,
-        {"s": 0.5, "alpha": None, "max_gen": 6, "depth": None, "max_m": 20,
-         "output": None},
-    )
+def cmd_zeros(p: dict) -> int:
     params, cs = _series_setup(p)
     rows = []
     for gen in range(1, params.max_gen + 1):
         for pos in range(1, 2**gen + 1):
             idx = IntervalIndex(gen, pos)
-            for m in range(1, int(p["max_m"]) + 1):
+            for m in range(1, p["max_m"] + 1):
                 z = product_zero(params, cs, idx, m)
                 resid = abs(cosine_factor(params, cs, idx, z))
                 g = branched_product(params, cs, z)
@@ -258,50 +246,26 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     return 0
 
 
-_H_KINDS = ("monomial", "smooth_block", "oscillating_power", "series_factor",
-            "series_product")
-
-
 def _build_h(p: dict):
     kind = p["h"]
+    alpha = 0.5 if p["alpha"] is None else p["alpha"]
     if kind == "monomial":
-        return Monomial(P=int(p["P"]))
+        return Monomial(P=p["P"])
     if kind == "smooth_block":
-        return SmoothBlock(alpha=float(p["alpha"] if p["alpha"] is not None else 0.5))
+        return SmoothBlock(alpha=alpha)
     if kind == "oscillating_power":
-        return OscillatingPower(
-            alpha=float(p["alpha"] if p["alpha"] is not None else 0.5), P=int(p["P"])
-        )
-    if kind in ("series_factor", "series_product"):
-        params, cs = _series_setup(p)
-        cls = SeriesFactor if kind == "series_factor" else SeriesProduct
-        return cls(params=params, cs=cs)
-    raise ValidationError(f"unknown h kind {kind!r}; expected one of {_H_KINDS}")
+        return OscillatingPower(alpha=alpha, P=p["P"])
+    params, cs = _series_setup(p)
+    cls = SeriesFactor if kind == "series_factor" else SeriesProduct
+    return cls(params=params, cs=cs)
 
 
-def cmd_frequency(args: argparse.Namespace) -> int:
-    p = _merged(
-        args,
-        {
-            "h": "monomial",
-            "P": 1,
-            "Q": 2,
-            "alpha": None,
-            "s": 0.5,
-            "max_gen": 12,
-            "depth": None,
-            "center": "0,0",
-            "radii": "0.5",
-            "log_scale": False,
-            "rel_tol": None,
-            "output": None,
-        },
-    )
-    spec = MinimizerSpec(h=_build_h(p), Q=int(p["Q"]))
-    center = _parse_complex(str(p["center"]))
-    radii = sorted(_parse_floats(str(p["radii"])))
-    cfg = None if p["rel_tol"] is None else QuadConfig(rel_tol=float(p["rel_tol"]))
-    samples = frequency_curve(spec, center, radii, cfg, log_scale=bool(p["log_scale"]))
+def cmd_frequency(p: dict) -> int:
+    spec = MinimizerSpec(h=_build_h(p), Q=p["Q"])
+    center = _parse_complex(p["center"])
+    radii = sorted(_parse_floats(p["radii"]))
+    cfg = None if p["rel_tol"] is None else QuadConfig(rel_tol=p["rel_tol"])
+    samples = frequency_curve(spec, center, radii, cfg, log_scale=p["log_scale"])
     rows = [
         _row(center.real, center.imag, fs.radius, fs.D, fs.H, fs.I, fs.quadrature_error)
         for fs in samples
@@ -310,50 +274,19 @@ def cmd_frequency(args: argparse.Namespace) -> int:
     return 0
 
 
-_TARGETS = ("re_f", "q_minimizer", "constant")
-
-
-def cmd_vanishing(args: argparse.Namespace) -> int:
-    p = _merged(
-        args,
-        {
-            "target": "re_f",
-            "s": 0.5,
-            "alpha": None,
-            "max_gen": 12,
-            "depth": None,
-            "h": "monomial",
-            "P": 1,
-            "Q": 2,
-            "value": 1.0,
-            "center": "0,0",
-            "ladder": "default",
-            "window": 3,
-            "rel_tol": None,
-            "output": None,
-        },
-    )
+def cmd_vanishing(p: dict) -> int:
     kind = p["target"]
     if kind == "re_f":
         params, cs = _series_setup(p)
         target = RealPartTarget(params=params, cs=cs)
     elif kind == "q_minimizer":
-        target = MinimizerSpec(h=_build_h(p), Q=int(p["Q"]))
-    elif kind == "constant":
-        target = ConstantTarget(float(p["value"]))
+        target = MinimizerSpec(h=_build_h(p), Q=p["Q"])
     else:
-        raise ValidationError(f"unknown target {kind!r}; expected one of {_TARGETS}")
-    center = _parse_complex(str(p["center"]))
-    ladder = (
-        default_ladder() if p["ladder"] == "default" else _parse_floats(str(p["ladder"]))
-    )
-    cfg = (
-        QuadConfig(rel_tol=1e-3)
-        if p["rel_tol"] is None
-        else QuadConfig(rel_tol=float(p["rel_tol"]))
-    )
-    curve = mass_curve(target, center, ladder, cfg)
-    width = int(p["window"])
+        target = ConstantTarget(p["value"])
+    center = _parse_complex(p["center"])
+    ladder = default_ladder() if p["ladder"] == "default" else _parse_floats(p["ladder"])
+    curve = mass_curve(target, center, ladder, QuadConfig(rel_tol=p["rel_tol"]))
+    width = p["window"]
     slopes = sliding_window_slopes(curve, width)
     rows = [
         _row(center.real, center.imag, r, lm) + f",{min(i, len(slopes) - 1)}"
@@ -368,28 +301,69 @@ def cmd_vanishing(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser assembly
-# ---------------------------------------------------------------------------
+def _series(max_gen: int) -> tuple:  # the options of SeriesParams and its set
+    return (
+        ("s", number, 0.5, "Hausdorff parameter in (0, 1]"),
+        ("alpha", number, None, "power-law exponent"),
+        ("max_gen", int, max_gen, "truncation generation"),
+        ("depth", int, None, "stored boundary-set depth"),
+    )
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file (flags take precedence)")
-    sp.add_argument("--output", help="output path (default: stdout)")
+_H_KINDS = ("monomial", "smooth_block", "oscillating_power", "series_factor", "series_product")
+_H = (("h", _H_KINDS, "monomial", None), ("P", int, 1, None), ("Q", int, 2, None))
+_IO = (
+    ("config", str, None, "JSON config file (flags take precedence)"),
+    ("output", str, None, "output path (default: stdout)"),
+)
 
-
-def _add_series_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--s", type=number, help="Hausdorff parameter in (0, 1]")
-    sp.add_argument("--alpha", type=number, help="power-law exponent")
-    sp.add_argument("--max-gen", dest="max_gen", type=int, help="truncation generation")
-    sp.add_argument("--depth", type=int, help="stored boundary-set depth")
-
-
-def _finish(sp: argparse.ArgumentParser, fn) -> None:
-    """Bind a subcommand's handler and the types its config values take
-    (str for untyped flags; flags that take no value keep the raw value)."""
-    types = {a.dest: a.type or str for a in sp._actions if a.nargs != 0}
-    sp.set_defaults(fn=fn, flag_types=types)
+# subcommand -> (handler, help, options): the one declaration of each option,
+# from which the parser, the config-file merge and its types all come.  An
+# option is (dest, type, default, help); its flag is "--" + dest with "-" for
+# "_".  The type is number, int or str, a tuple of allowed strings (choices),
+# or bool (a switch that takes no value).
+_COMMANDS = {
+    "cantor": (cmd_cantor, "emit a boundary set and its cover sums", (
+        ("s", number, 0.5, None),
+        ("depth", int, 10, None),
+        *_IO,
+    )),
+    "eval": (cmd_eval, "grid evaluation of the decay factor and product", (
+        *_series(12),
+        ("re_min", number, 0.05, None),
+        ("re_max", number, 1.0, None),
+        ("im_min", number, -1.0, None),
+        ("im_max", number, 1.0, None),
+        ("nx", int, 8, None),
+        ("ny", int, 8, None),
+        *_IO,
+    )),
+    "zeros": (cmd_zeros, "constructed zeros of the branched product", (
+        *_series(6),
+        ("max_m", int, 20, None),
+        *_IO,
+    )),
+    "frequency": (cmd_frequency, "Almgren frequency along a radius ladder", (
+        *_H,
+        *_series(12),
+        ("center", str, "0,0", None),
+        ("radii", str, "0.5", None),
+        ("log_scale", bool, False, None),
+        ("rel_tol", number, None, None),
+        *_IO,
+    )),
+    "vanishing": (cmd_vanishing, "L2 mass curves and vanishing-order slopes", (
+        ("target", ("re_f", "q_minimizer", "constant"), "re_f", None),
+        *_series(12),
+        *_H,
+        ("value", number, 1.0, None),
+        ("center", str, "0,0", None),
+        ("ladder", str, "default", None),
+        ("window", int, 3, None),
+        ("rel_tol", number, 1e-3, None),
+        *_IO,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,53 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"branchpoint-lab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("cantor", help="emit a boundary set and its cover sums")
-    sp.add_argument("--s", type=number)
-    sp.add_argument("--depth", type=int)
-    _add_common(sp)
-    _finish(sp, cmd_cantor)
-
-    sp = sub.add_parser("eval", help="grid evaluation of the decay factor and product")
-    _add_series_flags(sp)
-    for flag in ("--re-min", "--re-max", "--im-min", "--im-max"):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=number)
-    sp.add_argument("--nx", type=int)
-    sp.add_argument("--ny", type=int)
-    _add_common(sp)
-    _finish(sp, cmd_eval)
-
-    sp = sub.add_parser("zeros", help="constructed zeros of the branched product")
-    _add_series_flags(sp)
-    sp.add_argument("--max-m", dest="max_m", type=int)
-    _add_common(sp)
-    _finish(sp, cmd_zeros)
-
-    sp = sub.add_parser("frequency", help="Almgren frequency along a radius ladder")
-    sp.add_argument("--h", choices=_H_KINDS)
-    sp.add_argument("--P", type=int)
-    sp.add_argument("--Q", type=int)
-    _add_series_flags(sp)
-    sp.add_argument("--center")
-    sp.add_argument("--radii")
-    sp.add_argument("--log-scale", dest="log_scale", action="store_const", const=True)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=number)
-    _add_common(sp)
-    _finish(sp, cmd_frequency)
-
-    sp = sub.add_parser("vanishing", help="L2 mass curves and vanishing-order slopes")
-    sp.add_argument("--target", choices=_TARGETS)
-    _add_series_flags(sp)
-    sp.add_argument("--h", choices=_H_KINDS)
-    sp.add_argument("--P", type=int)
-    sp.add_argument("--Q", type=int)
-    sp.add_argument("--value", type=number)
-    sp.add_argument("--center")
-    sp.add_argument("--ladder")
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=number)
-    _add_common(sp)
-    _finish(sp, cmd_vanishing)
+    for name, (_, summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for dest, kind, _, text in options:
+            flag = "--" + dest.replace("_", "-")
+            if kind is bool:
+                sp.add_argument(flag, action="store_const", const=True, help=text)
+            elif isinstance(kind, tuple):
+                sp.add_argument(flag, choices=kind, help=text)
+            else:
+                sp.add_argument(flag, type=kind, help=text)
     return ap
 
 
@@ -454,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][0](_merged(args))
     except (ValidationError, BranchCutError, SingularPointError) as exc:
         print(f"branchpoint-lab: invalid parameters: {exc}", file=sys.stderr)
         return _VALIDATION_EXIT

@@ -11,6 +11,7 @@ the arc of H, by Green's identity.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from abc import ABC, abstractmethod
@@ -26,6 +27,7 @@ from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
 from .series import FAR_TOL, SeriesParams, decay_exponent_many, log_cosine_product_many
+from .series import product_zero
 
 _TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
 
@@ -75,7 +77,6 @@ class BaseFunction(ABC):
     """
 
     domain: str = "plane"
-    vanishes_at_boundary = False
 
     @abstractmethod
     def log_h(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +166,6 @@ class SmoothBlock(BaseFunction):
 
     alpha: float
     domain = "half_plane"
-    vanishes_at_boundary = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -202,7 +202,6 @@ class OscillatingPower(BaseFunction):
     alpha: float
     P: int = 1
     domain = "half_plane"
-    vanishes_at_boundary = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -252,7 +251,6 @@ class _OverSet(BaseFunction):
     params: SeriesParams
     cs: CantorSet
     domain = "half_plane"
-    vanishes_at_boundary = True
 
     def _F(self, zs, with_deriv=False):
         return decay_exponent_many(
@@ -306,20 +304,16 @@ class SeriesProduct(_OverSet):
         out = []
         floor = 1e-12 * r
         for k in range(1, self.params.max_gen + 1):
-            b = self.params.coeff(k)
-            m = 1
-            while True:
-                rho = math.exp(-(m * math.pi - math.pi / 2.0) / b)
-                if rho < floor:
+            for m in itertools.count(1):
+                # the zeros of one (k, m) share their real part
+                if self._zero(k, 1, m).real < floor:
                     break
-                for pos in range(1, 2**k + 1):
-                    z = complex(
-                        rho, -self.cs.left_endpoint(IntervalIndex(k, pos))
-                    )
-                    if abs(z - center) < r:
-                        out.append(z)
-                m += 1
+                zs = (self._zero(k, pos, m) for pos in range(1, 2**k + 1))
+                out += [z for z in zs if abs(z - center) < r]
         return out
+
+    def _zero(self, k: int, pos: int, m: int) -> complex:
+        return product_zero(self.params, self.cs, IntervalIndex(k, pos), m).to_complex()
 
     def decay_rate(self, rho):
         am = self.params.max_exponent()
@@ -337,7 +331,6 @@ class Scaled(BaseFunction):
         if self.factor == 0:
             raise ValidationError("scaling factor must be nonzero")
         object.__setattr__(self, "domain", self.base.domain)
-        object.__setattr__(self, "vanishes_at_boundary", self.base.vanishes_at_boundary)
 
     def _log_factor(self) -> tuple[float, float]:
         # math.atan2, not cmath.phase, which raises on a subnormal phase
@@ -391,7 +384,7 @@ class MinimizerSpec:
         """log of the mass density |u|^2 = Q|h|^(2/Q)."""
         la, _ = self.h.log_h(zs)
         out = math.log(self.Q) + (2.0 / self.Q) * la
-        if self.h.vanishes_at_boundary:
+        if self.domain == "half_plane":
             out = np.where(np.isfinite(out), out, -np.inf)
         return out
 
@@ -402,14 +395,15 @@ class MinimizerSpec:
     def log_energy_density(self, zs: np.ndarray) -> np.ndarray:
         """log of the energy density |Du|^2 = (2/Q)|h|^(2/Q-2)|h'|^2.
 
-        For boundary-vanishing h the indeterminate -inf/-inf combinations
-        arise only where the density truly collapses, so they sanitize to
-        -inf; algebraic zeros keep their +inf (integrable) marker.
+        For half-plane h, which vanish at the boundary, the indeterminate
+        -inf/-inf combinations arise only where the density truly collapses,
+        so they sanitize to -inf; algebraic zeros keep their +inf
+        (integrable) marker.
         """
         la_h, _, la_p, _ = self.h.log_h_hprime(zs)
         with np.errstate(invalid="ignore"):
             out = math.log(2.0 / self.Q) + (2.0 / self.Q - 2.0) * la_h + 2.0 * la_p
-        if self.h.vanishes_at_boundary:
+        if self.domain == "half_plane":
             return np.where(np.isfinite(out), out, -np.inf)
         return np.where(np.isnan(out), np.inf, out)
 
@@ -541,10 +535,10 @@ def polar_mesh(
 def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple[float, float]]:
     """(radius, angle) of the interior zeros of h that can matter.
 
-    For boundary-vanishing h the zeros accumulate at the singular corner
-    under an envelope like exp(-c rho^-alpha); zeros whose envelope sits
-    DROP + 60 e-folds below the largest probed magnitude cannot move
-    any digit of the integrals and are dropped.
+    For half-plane h, which vanish at the boundary, the zeros accumulate at
+    the singular corner under an envelope like exp(-c rho^-alpha); zeros
+    whose envelope sits DROP + 60 e-folds below the largest probed magnitude
+    cannot move any digit of the integrals and are dropped.
     """
     center = complex(center)
     zeros = [
@@ -553,7 +547,7 @@ def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple
     if not zeros:
         return []
     keep = zeros
-    if spec.h.vanishes_at_boundary:
+    if spec.domain == "half_plane":
         thm = _theta_limit(center, r, spec.domain)
         ring = center + r * np.exp(1j * np.linspace(-0.98 * thm, 0.98 * thm, 9))
         probes = np.array([z0 * 1.001 + center * (-0.001) for z0 in zeros])
@@ -630,14 +624,15 @@ def log_dirichlet_energy(
     On the plane, Green's identity turns D into the signed arc integral of
     |h|^(2/Q) phi (the outer arc's less the inner arc's for an annulus),
     since sum |g_j|^2 = Q|h|^(2/Q) over the branches g_j of h^(1/Q) has
-    Laplacian twice the energy density.  On the half-plane D is the disk
-    integral of the energy density.
+    Laplacian twice the energy density.  The same holds on a half-plane
+    disk clear of the imaginary axis (r < Re c); a half-plane disk that
+    touches or crosses the axis is the disk integral of the energy density.
     """
     cfg = config or QuadConfig(rel_tol=1e-6)
     if not (0.0 <= r_inner < r):
         raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
     center = complex(center)
-    if spec.domain == "plane":
+    if spec.domain == "plane" or r < center.real:
         ld, err = _log_arc_energy(spec, center, r, cfg)
         if r_inner == 0.0:
             return ld, err

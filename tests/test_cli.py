@@ -284,3 +284,37 @@ def test_config_value_of_wrong_type_is_invalid(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"output": 1, "depth": 2}), encoding="utf-8")
     assert main(["cantor", "--config", str(cfg)]) == 0
     assert read_json(str(tmp_path / "1"))["set"]["depth"] == 2
+
+
+def test_config_key_that_names_no_option_is_invalid(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "c.json"
+    # a misspelt key, and a key that is an option of another subcommand only
+    for values, named in (({"dpeth": 3, "s": 0.5}, "'dpeth'"), ({"nx": 4, "ny": 4}, "'nx', 'ny'")):
+        cfg.write_text(json.dumps(values), encoding="utf-8")
+        assert main(["cantor", "--config", str(cfg), "--output", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_switch_takes_only_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # H of z^120 underflows at r = 0.001 unless log_scale is on
+    argv = ["frequency", "--P", "120", "--radii", "0.001", "--config", str(cfg)]
+    for value in ("no", 1, 0, None, [True]):
+        cfg.write_text(json.dumps({"log_scale": value}), encoding="utf-8")
+        assert main(argv) == 2
+        assert "log_scale" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"log_scale": True}), encoding="utf-8")
+    rc, out = _run_to_file(tmp_path, "on.csv", argv)
+    assert rc == 0
+    assert float(read_rows(str(out))[1][0][5]) == pytest.approx(60.0, rel=1e-9)
+    # false still loads: the switch stays off, as with no config at all
+    cfg.write_text(json.dumps({"log_scale": False}), encoding="utf-8")
+    assert main(argv) == 3
+    assert "underflows" in capsys.readouterr().err
+    small = ["frequency", "--P", "3", "--radii", "0.25,0.5"]
+    rc, off = _run_to_file(tmp_path, "off.csv", small + ["--config", str(cfg)])
+    rc_flagless, plain = _run_to_file(tmp_path, "plain.csv", small)
+    assert rc == rc_flagless == 0
+    assert off.read_bytes() == plain.read_bytes()
