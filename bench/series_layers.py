@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Layer bench of the tree walk: F and G in µs per point, w^-a in ns per element.
+
+    python3 bench/series_layers.py                      # print the JSON entry
+    python3 bench/series_layers.py --label change --out BENCH_series.json
+    python3 bench/series_layers.py --src ../parent/src --label parent --out BENCH_series.json
+    python3 bench/series_layers.py --quick              # a few seconds, for CI
+
+Times `decay_exponent_many` (F) on POINTS points, seeded by SEED, in the
+half-disk of radius R_2 about the boundary point 0 (the E1 ladder's first
+rung, s = 0.5), for max_gen 12, 16 and 20, far_tol POINT_FAR_TOL and
+FAR_TOL, with and without F'; `log_cosine_product_many` (the cosine product
+G, which shares F's walk) on the same points and max_gens, with and without
+G'/G; and `logcomplex.neg_power` on 8,192-element arrays.  Each time is the
+best of REPEATS calls after one warm-up call, in reference seconds as in
+perfbench (perfbench/speed.py: wall time scaled by the host's speed, which a
+fixed probe samples while the call runs).  Beside the times it records
+what does not depend on the machine: the walk's pairs per point, its far and
+near pairs, and the answers (sums of F and F' or of log|G| and G'/G,
+largest bound), so a speed-up that moves an answer shows at once.  --out
+merges the entry into a JSON file under --label, so two checkouts measured
+on one machine sit side by side.  --quick (max_gen 12, 200 points, 2
+repeats) only checks that the script still runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from speed import SpeedSampler  # noqa: E402
+
+POINTS = 2240
+SEED = 0
+REPEATS = 9
+MAX_GENS = (12, 16, 20)
+
+
+def _points(n: int, seed: int) -> np.ndarray:
+    """n seeded points, uniform in the right half-disk of radius R_2 about 0."""
+    from branchpoint_lab.frequency import gap_centered_radii
+
+    rng = np.random.default_rng(seed)
+    r = gap_centered_radii(0.5, 2) * np.sqrt(rng.uniform(0.0, 1.0, n))
+    return r * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
+
+
+def _best(fn, repeats: int, sampler: SpeedSampler) -> float:
+    """Least reference seconds of `repeats` calls, after a warm-up call."""
+    fn()  # tables and caches
+    return min(sampler.timed(fn)[2] for _ in range(repeats))
+
+
+def _walk_counts(series, run) -> dict:
+    """Far and near pairs of the tree walk during run(), summed over generations."""
+    counts = {"far": 0, "near": 0}
+    walk = series._tree_walk
+
+    def counted(*args, **kwargs):
+        for pairs in walk(*args, **kwargs):
+            yield pairs
+            far = pairs[-1]  # after the caller has opened or closed pairs
+            counts["far"] += int(far.sum())
+            counts["near"] += int(far.size - far.sum())
+
+    series._tree_walk = counted
+    try:
+        run()
+    finally:
+        series._tree_walk = walk
+    return counts
+
+
+def _sums(*arrays) -> list:
+    """Each array's sum, [re, im] if complex (None for a missing array)."""
+    return [None if v is None else [float(v.sum().real), float(v.sum().imag)]
+            if np.iscomplexobj(v) else float(v.sum()) for v in arrays]
+
+
+def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dict:
+    from branchpoint_lab import CantorSet, SeriesParams, series
+    from branchpoint_lab.logcomplex import neg_power
+
+    zs = _points(n_points, SEED)
+    rows = []
+
+    def row(run, answers, **key):
+        best = _best(run, repeats, sampler)
+        counts = _walk_counts(series, run)
+        rows.append({
+            **key,
+            "us_per_point": round(1e6 * best / zs.size, 4),
+            "pairs_per_point": round((counts["far"] + counts["near"]) / zs.size, 4),
+            "far_pairs": counts["far"], "near_pairs": counts["near"],
+            **answers(run()),
+        })
+
+    for max_gen in max_gens:
+        params = SeriesParams(s=0.5, max_gen=max_gen)
+        cs = CantorSet.build(0.5, max_gen)
+        for tol_name in ("POINT_FAR_TOL", "FAR_TOL"):
+            far_tol = getattr(series, tol_name)
+            for with_deriv in (False, True):
+                row(lambda: series.decay_exponent_many(
+                        params, cs, zs, with_deriv=with_deriv, far_tol=far_tol),
+                    lambda out: dict(zip(("sum_F", "sum_Fp"), _sums(*out[:2])),
+                                     ferr_max=float(out[2].max())),
+                    function="F", max_gen=max_gen, far_tol=tol_name, with_deriv=with_deriv)
+        for with_deriv in (False, True):
+            row(lambda: series.log_cosine_product_many(params, cs, zs, with_deriv=with_deriv),
+                lambda out: dict(zip(("sum_log_abs", "sum_dlog"), _sums(out[0], out[3])),
+                                 rem_max=float(out[4].max())),
+                function="G", max_gen=max_gen, far_tol="FAR_TOL", with_deriv=with_deriv)
+    rng = np.random.default_rng(SEED)
+    lr = rng.uniform(-20.0, 20.0, 8192)
+    th = rng.uniform(-math.pi, math.pi, 8192)
+    power = {}
+    for alpha in (0.75, 1.0, 1.75):
+        best = _best(lambda: neg_power(lr, th, alpha), 20 * repeats, sampler)
+        power[str(alpha)] = round(1e9 * best / lr.size, 3)
+    return {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "processor": platform.processor()},
+        "points": zs.size, "seed": SEED, "repeats": repeats,
+        "series": rows, "neg_power_ns_per_element": power,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the package source to measure (default: this checkout's src/)")
+    ap.add_argument("--quick", action="store_true",
+                    help="max_gen 12 only, 200 points, 2 repeats")
+    ap.add_argument("--label", default="change")
+    ap.add_argument("--out", type=Path, help="JSON file to merge the entry into")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    with SpeedSampler() as sampler:
+        if args.quick:
+            entry = measure((12,), 200, 2, sampler)
+        else:
+            entry = measure(MAX_GENS, POINTS, REPEATS, sampler)
+    if args.out is None:
+        print(json.dumps({args.label: entry}, indent=1))
+        return 0
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = entry
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -51,9 +51,9 @@ from .vanishing import (
 
 _VALIDATION_EXIT = 2
 _RUNTIME_EXIT = 3
-# eval grid points per evaluate_many call (row-major).  Larger blocks are
-# faster but hold more: on the 24 x 24, max_gen 12 grid (2 cores), 256
-# take 0.027 s at a 4.5 MB peak, 64 take 0.040 s at 1.3 MB.
+# eval grid points per evaluate_many call (row-major).  Larger blocks hold
+# more and are no faster: on the 24 x 24, max_gen 12 grid (2 cores), 256
+# take 0.028 s at a 4.3 MB peak, 64 take 0.028 s at 1.3 MB.
 _EVAL_BLOCK = 64
 
 

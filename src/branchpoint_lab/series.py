@@ -286,10 +286,16 @@ def _far_table(params: SeriesParams, p: int) -> _FarTable:
 
 
 def _horner(c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_m c[m] q^m."""
+    """sum_m c[m] q^m.
+
+    The products are not taken in place: NumPy multiplies a one-element
+    complex array in place without the fused multiply-add of its vector
+    loop, so a lone far pair would round otherwise than the same pair among
+    others, and a point's F would depend on the points sharing its call.
+    """
     acc = np.full(q.shape, c[-1])
     for cm in c[-2::-1]:
-        acc *= q
+        acc = acc * q
         acc += cm
     return acc
 
@@ -300,44 +306,50 @@ def _tree_walk(
     """The Greengard-Rokhlin walk shared by the series and the cosine product.
 
     Starting from the root interval, yields per generation j the open
-    (point, subtree) pairs as (j, len_j, idx, wr, wi, lr, th, dist, far):
+    (point, subtree) pairs as (j, len_j, idx, wr, wi, lr, th, d2, far):
     pair n joins point idx[n] to the generation-j interval whose left
-    endpoint y sits at w = z + i*y = wr + i*wi = exp(lr + i*th), at
-    distance dist (None at the leaves) from z counting the boundary rays
-    left of it.  far is the test len_j <= far_tol * dist (every pair at the
-    stored depth, none at the leaves).  The caller collapses the far pairs'
-    subtrees and sums the near pairs' own generation-j terms; it may change
-    `far` in place first, to open a pair or to close one.  Each pair not
-    far is then split into its two generation-(j+1) children.
+    endpoint y sits at w = z + i*y = wr + i*wi = exp(lr + i*th), at squared
+    distance d2 from z counting the boundary rays left of it.  far is the
+    test len_j <= far_tol * dist (every pair at the stored depth, none at
+    the leaves).  The caller collapses the far pairs' subtrees and sums the
+    near pairs' own generation-j terms; it may change `far` in place first,
+    to open a pair or to close one.  Each pair not far is then split into
+    its two generation-(j+1) children: the next generation lists first the
+    left children, in their parents' order, then the right ones.  A left
+    child keeps its parent's left endpoint, so it inherits lr and th (and a
+    caller may carry its own per-pair values the same way); only the right
+    children compute theirs.
     """
     K = params.max_gen
     zr = zs.real
     zi = zs.imag
     idx = np.arange(zs.size)
     roots = np.zeros(zs.size)  # the subtrees' left endpoints
+    old = [np.zeros(0)] * 2  # the left children's (lr, th)
     for j in range(K + 1):
         len_j = interval_length(j, params.s)
-        wr = zr[idx]
-        wi = zi[idx] + roots
-        lr, th = log_polar(wr, wi)
-        dist = None
+        wr = zr.take(idx)
+        wi = zi.take(idx) + roots
+        k = old[0].size
+        lr, th = (np.concatenate([o, f]) for o, f in zip(old, log_polar(wr[k:], wi[k:])))
+        # the gap between Im z and the interval [-y - len_j, -y]
+        gap = np.maximum(np.maximum(wi, -wi - len_j), 0.0)
+        d2 = np.maximum(wr, 0.0) ** 2 + gap * gap
+        far = d2 >= (len_j / far_tol) ** 2
         if j == K:
-            # leaves: every remaining generation-K term is summed exactly
-            far = np.zeros(idx.size, dtype=bool)
-        else:
-            t = -zi[idx]
-            gap = np.maximum(np.maximum(roots - t, t - (roots + len_j)), 0.0)
-            dist = np.where(wr >= 0.0, np.hypot(wr, gap), gap)
-            far = len_j <= far_tol * dist
-            if j == cs.depth:
-                far[:] = True
-        yield j, len_j, idx, wr, wi, lr, th, dist, far
-        near = ~far
-        if j == K or not near.any():
+            far[:] = False  # leaves: every remaining generation-K term is summed exactly
+        elif j == cs.depth:
+            far[:] = True
+        yield j, len_j, idx, wr, wi, lr, th, d2, far
+        near = (~far).nonzero()[0]
+        if j == K or not near.size:
             return
         shift = len_j - interval_length(j + 1, params.s)
-        idx = np.concatenate([idx[near], idx[near]])
-        roots = np.concatenate([roots[near], roots[near] + shift])
+        old = [lr.take(near), th.take(near)]
+        idx = idx.take(near)
+        idx = np.concatenate([idx, idx])
+        roots = roots.take(near)
+        roots = np.concatenate([roots, roots + shift])
 
 
 def decay_exponent_many(
@@ -363,6 +375,12 @@ def decay_exponent_many(
     (params, p) and evaluated by Horner's rule in q.  (The earlier
     two-term expansion is p = 2.)
 
+    Each left endpoint's log-polar form (`_tree_walk`), 1/w and w^-a are
+    computed once: a left child inherits its parent's, w^-a while the
+    exponent is unchanged.  The terms are added per generation, so a
+    point's sums run in generation order whatever other points share the
+    call.
+
     Order: p is the smallest p >= 2 with |C(-a, p)| far_tol^p <= 1e-7, a
     the largest exponent in use.  At far_tol = 3e-4 that is p = 2 for every
     a <= 1; at the base functions' default far_tol = 0.25 (FAR_TOL) and
@@ -373,7 +391,8 @@ def decay_exponent_many(
     Remainder: each collapsed subtree adds C0[j] |C(-a, p)| len_j^p
     max(1, 1/d)^(a+p) to the point's bound, d the distance to the
     subtree's interval (the Taylor remainder of (w + i t)^-a for offsets
-    0 <= t <= len_j).  At p = 2 this is the two-term bound.
+    0 <= t <= len_j), formed as one exp of its log.  At p = 2 this is the
+    two-term bound.
 
     The scalar path (`decay_exponent`, `evaluate_many` and the wrappers
     over it) keeps far_tol = 3e-4 (POINT_FAR_TOL): contour derivatives
@@ -386,65 +405,69 @@ def decay_exponent_many(
     """
     zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     K = params.max_gen
-    if zs.size == 0:
+    n = zs.size
+    if n == 0:
         Fp = np.zeros(0, dtype=complex) if with_deriv else None
         return np.zeros(0, dtype=complex), Fp, np.zeros(0)
 
     if far_tol is None:
         _require_depth(params, cs)
         Fd, Fpd = _direct_sum(params, cs, zs, K, with_deriv)
-        return Fd, Fpd, np.zeros(zs.size)
+        return Fd, Fpd, np.zeros(n)
 
     am = _top_exponent(params)
     p = expansion_order(far_tol, am)
     table = _far_table(params, p)
-    hits, vals, dvals, far_hits, errs = [], [], [], [], []
-    for j, len_j, idx, wr, wi, lr, th, dist, far in _tree_walk(params, cs, zs, far_tol):
+    F = np.zeros(n, dtype=complex)
+    Fp = np.zeros(n, dtype=complex) if with_deriv else None
+    ferr = np.zeros(n)
+    # the near pairs' 1/w and w^-a, which their left children inherit (w^-a
+    # while the exponent is unchanged)
+    inv_old = wa_old = np.zeros(0, dtype=complex)
+    a_old = None
+    for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, far_tol):
         al = params.exponent(max(j, 1))
-        wa = neg_power(lr, th, al)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (wr + 1j * wi)
-        if far.any():
-            inv_f = inv[far]
-            q = len_j * inv_f
-            vF = np.zeros(q.size, dtype=complex)
-            vFp = np.zeros(q.size, dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
+        fi = far.nonzero()[0]
+        vF = np.zeros(fi.size, dtype=complex)
+        vFp = np.zeros(fi.size, dtype=complex)
+        k = inv_old.size
+        ka = k if al == a_old else 0
+        # a point on the set makes its own term infinite or NaN
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv = np.concatenate([inv_old, 1.0 / (wr[k:] + 1j * wi[k:])])
+            wa = np.concatenate([wa_old[:ka], neg_power(lr[ka:], th[ka:], al)])
+            if fi.size:
+                inv_f = inv.take(fi)
+                q = len_j * inv_f
                 for g in table.groups[j]:
                     a_g = table.alphas[g]
-                    wg = wa[far] if a_g == al else neg_power(lr[far], th[far], a_g)
+                    wg = wa.take(fi) if a_g == al else neg_power(lr.take(fi), th.take(fi), a_g)
                     vF += wg * _horner(table.coef[g, j], q)
                     if with_deriv:
                         vFp += wg * _horner(table.dcoef[g, j], q)
-                # Taylor remainder of (w + i t)^-a over offsets 0 <= t <= len_j
-                d = np.maximum(dist[far], 1e-300)
-                errs.append(
-                    table.rem[j] * (len_j / np.minimum(d, 1.0)) ** p
-                    * np.maximum(1.0, 1.0 / d) ** am
-                )
-            far_hits.append(idx[far])
-            hits.append(far_hits[-1])
-            vals.append(vF)
-            if with_deriv:
-                dvals.append(vFp * inv_f)
-        near = ~far
-        if j >= 1 and near.any():
-            a_k = params.coeff(j)
-            hits.append(idx[near])
-            # a point on the set makes its own term infinite or NaN
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals.append(a_k * wa[near])
+                vFp = vFp * inv_f  # not in place, as in _horner
+                # Taylor remainder of (w + i t)^-a over offsets 0 <= t <= len_j:
+                # rem[j] len_j^p min(1, d)^-(a+p), formed in logs
+                log_d = np.minimum(0.5 * np.log(d2.take(fi)), 0.0)
+                err = table.rem[j] * np.exp(p * math.log(len_j) - (p + am) * log_d)
+                np.add.at(ferr, idx.take(fi), err)
+            if j == 0:
+                # the root has no term of its own
+                rows, v, dv = idx.take(fi), vF, vFp
+            else:
+                # a near pair adds its own generation-j term, a far one its subtree
+                a_k = params.coeff(j)
+                rows, v = idx, a_k * wa
+                v[fi] = vF
                 if with_deriv:
-                    dvals.append(-al * a_k * wa[near] * inv[near])
-
-    hit = np.concatenate(hits)
-    F = _accumulate(hit, np.concatenate(vals), zs.size)
-    Fp = _accumulate(hit, np.concatenate(dvals), zs.size) if with_deriv else None
-    ferr = np.zeros(zs.size)
-    if errs:
-        ferr = np.bincount(
-            np.concatenate(far_hits), weights=np.concatenate(errs), minlength=zs.size
-        )
+                    dv = -al * a_k * wa * inv
+                    dv[fi] = vFp
+            np.add.at(F, rows, v)
+            if with_deriv:
+                np.add.at(Fp, rows, dv)
+        if j < K:
+            near = (~far).nonzero()[0]
+            inv_old, wa_old, a_old = inv.take(near), wa.take(near), al
     return F, Fp, ferr
 
 
@@ -605,7 +628,7 @@ def log_cosine_product_many(
     zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     p = _PROXIES
     tau, W = _proxy_table(params, p)
-    for j, len_j, idx, wr, wi, lr, th, dist, far in _tree_walk(params, cs, zs, FAR_TOL):
+    for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
         ks = np.flatnonzero(use[max(j, 1):]) + max(j, 1)  # generations left to sum
         if not ks.size:
             far[:] = True  # nothing below: the walk ends here
@@ -614,7 +637,7 @@ def log_cosine_product_many(
         elif far.any():
             b = coeffs[ks]
             usable, bound = _proxy_remainder(
-                p, b, 2.0 ** (ks - j) - 1.0, len_j, dist[far], np.hypot(wr[far], wi[far])
+                p, b, 2.0 ** (ks - j) - 1.0, len_j, np.sqrt(d2[far]), np.exp(lr[far])
             )
             far[far] = usable
             sel = np.flatnonzero(far)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from branchpoint_lab import (
     oscillating_block,
     principal_log,
 )
-from branchpoint_lab.logcomplex import LOG_TINY, log_polar
+from branchpoint_lab.logcomplex import LOG_TINY, log_polar, neg_power
 
 finite = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -148,3 +149,49 @@ def test_log_polar_outside_the_squared_range(w):
     lr, _ = log_polar(np.array([0.3, w.real, 2.0]), np.array([0.4, w.imag, -1.0]))
     assert lr[0] == 0.5 * np.log(0.25) and lr[2] == 0.5 * np.log(5.0)
     assert lr[1] == pytest.approx(math.log(abs(w)), rel=1e-15)
+
+
+_ALPHAS = (0.25, 0.75, 1.0, 1.75, 2.0)
+
+
+def _cos_sin_power(lr, th, alpha):
+    # the cosine-and-sine form of w^-alpha, for its non-finite pattern
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.exp(-alpha * lr)
+        return mag * np.cos(alpha * th), -mag * np.sin(alpha * th)
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_neg_power_matches_mpmath(alpha):
+    """|w| from 1e-150 to 1e150 and arg w over [-pi, pi] (both ends and 0
+    included): within 4 ulp of |w^-alpha| of the exact value at the given
+    log-polar form, beyond the rounding of the product alpha log|w| that
+    every float form of the magnitude shares."""
+    rng = np.random.default_rng(7)
+    lr = np.concatenate([np.linspace(-345.4, 345.4, 40), rng.uniform(-345.4, 345.4, 160)])
+    th = np.concatenate([[-math.pi, math.pi, 0.0, -0.0, 0.5 * math.pi],
+                         np.linspace(-math.pi, math.pi, 41), rng.uniform(-math.pi, math.pi, 154)])
+    got = neg_power(lr, th, alpha)
+    with mpmath.workprec(120):
+        a = mpmath.mpf(alpha)
+        for x, t, g in zip(lr, th, got):
+            ref = mpmath.exp(-a * mpmath.mpf(x) - 1j * a * mpmath.mpf(t))
+            rounding = abs(mpmath.mpf(alpha * x) - a * mpmath.mpf(x))
+            err = abs(mpmath.mpc(g.real, g.imag) - ref) / abs(ref)
+            assert err <= 4 * 2.0**-52 + rounding, (x, t)
+
+
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_neg_power_non_finite_pattern(alpha):
+    """At log|w| = -inf (w = 0), +inf and NaN each part is inf, NaN or 0
+    where the cosine-and-sine form's is, with the same sign."""
+    th = np.concatenate([[-math.pi, math.pi, 0.0, -0.0, 0.5 * math.pi, -0.5 * math.pi],
+                         np.linspace(-math.pi, math.pi, 97)])
+    for special in (-math.inf, math.inf, math.nan):
+        lr = np.full(th.size, special)
+        got, want = neg_power(lr, th, alpha), _cos_sin_power(lr, th, alpha)
+        for g, w in zip((got.real, got.imag), want):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            assert np.array_equal(np.isposinf(g), np.isposinf(w))
+            assert np.array_equal(np.isneginf(g), np.isneginf(w))
+            assert np.array_equal(g == 0.0, w == 0.0)

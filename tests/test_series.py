@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     AnchoredPoint,
@@ -388,6 +389,99 @@ def test_pair_sums_keep_to_the_block_budget():
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def test_tree_walk_keeps_to_the_ladder_budget():
+    """The walk's own arrays on a 4,000-point disk ring of the E1 ladder (10
+    radial Gauss nodes in [1.9e-4, 2.9e-4] by 400 angles over the right
+    half-disk, max_gen 20, with F', FAR_TOL): each generation's terms are
+    added as it is walked, and only its near pairs' values pass on to the
+    next.  A walk that held every generation's terms to the end peaked at
+    8.4 MB on this ring; this one peaks at 4.4 MB, and the bound lies
+    between the two."""
+    params = SeriesParams(s=0.5, max_gen=20)
+    cs = CantorSet.build(0.5, 20)
+    x, _ = np.polynomial.legendre.leggauss(10)
+    rho = 2.4e-4 + 0.5e-4 * x
+    theta = np.pi * ((np.arange(400) + 0.5) / 400 - 0.5)
+    zs = (rho[:, None] * np.exp(1j * theta[None, :])).ravel()
+    decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=FAR_TOL)  # tables cached
+    tracemalloc.start()
+    try:
+        decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=FAR_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20
+
+
+_SPLIT_POINTS = st.lists(
+    st.one_of(
+        # anywhere around the set, left of the axis included
+        st.tuples(st.floats(-1.0, 2.0), st.floats(-1.5, 0.5)),
+        # within 1e-6 of a left endpoint of generation 1-8
+        st.tuples(st.integers(1, 8), st.integers(0, 255), st.floats(-1e-6, 1e-6),
+                  st.floats(-1e-6, 1e-6)),
+    ),
+    min_size=2,
+    max_size=40,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@example(  # a far pair alone in its generation's call: rounded as among others
+    points=[(0.0, 0.0)] * 8 + [(0.0, 0.5), (0.25, 0.2696110836534924)],
+    s=0.5, far_tol=FAR_TOL, chunks=[0] * 9 + [1] * 31,
+)
+@given(
+    points=_SPLIT_POINTS,
+    s=st.sampled_from([0.5, 1.0]),
+    far_tol=st.sampled_from([FAR_TOL, POINT_FAR_TOL]),
+    chunks=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+)
+def test_batching_does_not_change_results(points, s, far_tol, chunks):
+    """One call on an array gives the same F, F' and bound, bit for bit, as
+    calls on a split of it: each point's terms are summed in generation
+    order, whichever other points share its call (constant exponent at
+    s = 0.5, varying at s = 1)."""
+    params = SeriesParams(s=s, max_gen=10)
+    cs = CantorSet.build(s, 10)
+    zs = []
+    for pt in points:
+        if len(pt) == 2:
+            zs.append(complex(*pt))
+        else:
+            k, m, dx, dy = pt
+            y = cs.left_endpoints(k)[m % 2**k]
+            zs.append(complex(dx, dy - y))
+    zs = np.array(zs)
+    whole = decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=far_tol)
+    part = np.array(chunks[: zs.size])
+    for c in range(3):
+        sel = part == c
+        if not sel.any():
+            continue
+        got = decay_exponent_many(params, cs, zs[sel], with_deriv=True, far_tol=far_tol)
+        for a, b in zip(whole, got):
+            assert np.array_equal(a[sel], b, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "s,max_gen,center,r",
+    [(0.5, 12, 0.0432139, 0.01294), (0.5, 12, 0.6 + 0.2j, 0.3),
+     (0.75, 12, 0.05 - 0.3j, 0.02), (1.0, 10, 0.3 + 0.4j, 0.1)],
+)
+def test_loop_integral_of_the_derivative_vanishes(s, max_gen, center, r):
+    """(1/2 pi i) of the loop integral of F' dz is 0 for the exact F' on a
+    circle clear of the set: a check of F' that needs no reference value.
+    Trapezoid rule on 512 nodes; the far field leaves at most 2.2e-10, the
+    direct sum rounding only."""
+    params = SeriesParams(s=s, max_gen=max_gen)
+    cs = CantorSet.build(s, max_gen)
+    e = np.exp(2j * np.pi * np.arange(512) / 512)
+    for far_tol, tol in ((FAR_TOL, 1e-9), (POINT_FAR_TOL, 1e-9), (None, 1e-14)):
+        _, Fp, _ = decay_exponent_many(params, cs, center + r * e, with_deriv=True, far_tol=far_tol)
+        assert abs(r * (Fp * e).mean()) <= tol
 
 
 def test_cosine_product_work_grows_linearly_in_max_gen(monkeypatch):
