@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Layer bench of the tree walk: F and G in µs per point, w^-a in ns per element.
+"""Layer bench of the series: F and G in µs per point, w^-a in ns per element,
+contour derivatives in µs per derivative.
 
     python3 bench/series_layers.py                      # print the JSON entry
     python3 bench/series_layers.py --label change --out BENCH_series.json
@@ -11,16 +12,20 @@ half-disk of radius R_2 about the boundary point 0 (the E1 ladder's first
 rung, s = 0.5), for max_gen 12, 16 and 20, far_tol POINT_FAR_TOL and
 FAR_TOL, with and without F'; `log_cosine_product_many` (the cosine product
 G, which shares F's walk) on the same points and max_gens, with and without
-G'/G; and `logcomplex.neg_power` on 8,192-element arrays.  Each time is the
+G'/G; `logcomplex.neg_power` on 8,192-element arrays; and `derivative` of
+`decay_factor` and `branched_product` (s = 0.5, max_gen 8, as in perfbench's
+`pointwise`) at CONTOUR_PROBES, orders 1-3 asked for one at a time at each
+probe, with the evaluator calls and nodes they take.  Each time is the
 best of REPEATS calls after one warm-up call, in reference seconds as in
 perfbench (perfbench/speed.py: wall time scaled by the host's speed, which a
 fixed probe samples while the call runs).  Beside the times it records
 what does not depend on the machine: the walk's pairs per point, its far and
 near pairs, and the answers (sums of F and F' or of log|G| and G'/G,
-largest bound), so a speed-up that moves an answer shows at once.  --out
-merges the entry into a JSON file under --label, so two checkouts measured
-on one machine sit side by side.  --quick (max_gen 12, 200 points, 2
-repeats) only checks that the script still runs.
+largest bound, derivatives and their error figures), so a speed-up that
+moves an answer shows at once.  --out merges the entry into a JSON file
+under --label, so two checkouts measured on one machine sit side by side.
+--quick (max_gen 12, 200 points, 2 repeats; the contour layer whole) only
+checks that the script still runs.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ POINTS = 2240
 SEED = 0
 REPEATS = 9
 MAX_GENS = (12, 16, 20)
+# contour centres in perfbench pointwise's probe box (Re 0.6-1.2, |Im| <= 0.4)
+CONTOUR_PROBES = (0.9 + 0.1j, 0.7 - 0.3j, 1.1 + 0.35j)
+CONTOUR_GEN = 8
 
 
 def _points(n: int, seed: int) -> np.ndarray:
@@ -88,6 +96,47 @@ def _sums(*arrays) -> list:
     """Each array's sum, [re, im] if complex (None for a missing array)."""
     return [None if v is None else [float(v.sum().real), float(v.sum().imag)]
             if np.iscomplexobj(v) else float(v.sum()) for v in arrays]
+
+
+def measure_contour(repeats: int, sampler: SpeedSampler) -> list:
+    """`derivative` for orders 1-3 at each probe, one name at a time: µs per
+    derivative, the evaluator calls and nodes of one run, and the answers."""
+    from branchpoint_lab import CantorSet, SeriesParams, series
+
+    params = SeriesParams(s=0.5, max_gen=CONTOUR_GEN)
+    cs = CantorSet.build(0.5, CONTOUR_GEN)
+    cases = [(z, m) for z in CONTOUR_PROBES for m in (1, 2, 3)]
+    rows = []
+    for name in ("decay_factor", "branched_product"):
+        def run():
+            return [series.derivative(params, cs, name, z, m) for z, m in cases]
+
+        best = _best(run, repeats, sampler)
+        calls = []
+        make = series.function_evaluator
+
+        def counted(*args, **kwargs):
+            fn = make(*args, **kwargs)
+
+            def node(zs):
+                calls.append(np.size(zs))
+                return fn(zs)
+
+            return node
+
+        series.function_evaluator = counted
+        try:
+            out = run()
+        finally:
+            series.function_evaluator = make
+        rows.append({
+            "function": name, "max_gen": CONTOUR_GEN, "derivatives": len(cases),
+            "us_per_derivative": round(1e6 * best / len(cases), 2),
+            "evaluator_calls": len(calls), "nodes": int(sum(calls)),
+            "answers": [{"z": [z.real, z.imag], "m": m, "re": v.real, "im": v.imag, "err": e}
+                        for (z, m), (v, e) in zip(cases, out)],
+        })
+    return rows
 
 
 def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dict:
@@ -136,6 +185,7 @@ def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dic
                     "numpy": np.__version__, "processor": platform.processor()},
         "points": zs.size, "seed": SEED, "repeats": repeats,
         "series": rows, "neg_power_ns_per_element": power,
+        "contour": measure_contour(repeats, sampler),
     }
 
 

@@ -32,6 +32,10 @@ from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 # a pair sum: a few 64 kB arrays that stay in cache, and no more memory for
 # a 64-point call than for one.
 _PAIR_BLOCK = 8192
+# Points per tree walk of decay_exponent_many: a walk holds every pair of a
+# generation at once, so a larger call walks its points in blocks of this
+# many and its peak memory stays that of one block.
+_POINT_BLOCK = 8192
 
 # Default opening ratio of the array-valued base functions (SeriesFactor,
 # SeriesProduct, RealPartTarget); the far-field order rises to match it.
@@ -100,7 +104,13 @@ class SeriesParams:
 
     def coeff_tail(self, k: int) -> float:
         """sum_{j > k} 2^j coeff(j) = sum_{j > k} 1/j^2, via the trigamma function."""
-        return float(polygamma(1, k + 1))
+        return _trigamma(k + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def _trigamma(x: int) -> float:
+    # one scipy call costs about 28 us; every point evaluation asks for the tail
+    return float(polygamma(1, x))
 
 
 @dataclass(frozen=True)
@@ -402,9 +412,12 @@ def decay_exponent_many(
     The stored depth only limits how deep the walk can descend: beyond it
     subtrees are aggregated regardless, with the (then larger) error bound
     reported.
+
+    A call on more than 8,192 points (_POINT_BLOCK) walks them in blocks of
+    that many, so its peak memory is that of one block.  A point's sums do
+    not depend on the points sharing its walk, so the blocks move no bit.
     """
     zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
-    K = params.max_gen
     n = zs.size
     if n == 0:
         Fp = np.zeros(0, dtype=complex) if with_deriv else None
@@ -412,9 +425,21 @@ def decay_exponent_many(
 
     if far_tol is None:
         _require_depth(params, cs)
-        Fd, Fpd = _direct_sum(params, cs, zs, K, with_deriv)
+        Fd, Fpd = _direct_sum(params, cs, zs, params.max_gen, with_deriv)
         return Fd, Fpd, np.zeros(n)
 
+    parts = [_tree_sum(params, cs, zs[lo : lo + _POINT_BLOCK], with_deriv, far_tol)
+             for lo in range(0, n, _POINT_BLOCK)]
+    F, Fp, ferr = (None if a[0] is None else np.concatenate(a) for a in zip(*parts))
+    return F, Fp, ferr
+
+
+def _tree_sum(
+    params: SeriesParams, cs: CantorSet, zs: np.ndarray, with_deriv: bool, far_tol: float
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The tree walk of `decay_exponent_many` on one block of points."""
+    K = params.max_gen
+    n = zs.size
     am = _top_exponent(params)
     p = expansion_order(far_tol, am)
     table = _far_table(params, p)
@@ -917,6 +942,50 @@ def cosine_factor(
 # ---------------------------------------------------------------------------
 
 
+class _Ring:
+    """Samples of fn on the nested rings |w - z| = radius.
+
+    The angles 2 pi k / n of an n-node ring are the even-indexed angles of
+    the 2n-node ring, bit for bit, so only the largest ring's samples are
+    kept: `values(n)` takes every (N/n)-th of the N held and evaluates only
+    the new odd-indexed half of each doubling past N.  The held samples
+    change only after fn has returned, so an fn that raises leaves them as
+    they were.
+    """
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], z: complex, radius: float):
+        self.fn = fn
+        self.z = z
+        self.radius = radius
+        self.vals = np.zeros(0, dtype=complex)
+
+    def _sample(self, k: np.ndarray, n: int) -> np.ndarray:
+        theta = 2.0 * math.pi * k / n
+        return np.asarray(self.fn(self.z + self.radius * np.exp(1j * theta)), dtype=complex)
+
+    def values(self, n: int) -> np.ndarray:
+        """fn at the nodes z + radius exp(2 pi i k / n), k = 0..n-1; n is a
+        power of two times the held count, or divides it."""
+        vals = self.vals if self.vals.size else self._sample(np.arange(n), n)
+        while vals.size < n:
+            ring = np.empty(2 * vals.size, dtype=complex)
+            ring[0::2] = vals
+            ring[1::2] = self._sample(np.arange(1, ring.size, 2), ring.size)
+            vals = ring
+        self.vals = vals
+        return np.ascontiguousarray(vals[:: vals.size // n])
+
+
+def _check_contour(z: complex, radius: float | None, orders: Sequence[int]) -> None:
+    if not cmath.isfinite(z):
+        raise ValidationError(f"contour centre must be finite, got {z}")
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise ValidationError(f"contour radius must be positive and finite, got {radius}")
+    for m in orders:
+        if not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValidationError(f"derivative order must be an integer >= 0, got {m!r}")
+
+
 def cauchy_derivatives(
     fn: Callable[[np.ndarray], np.ndarray],
     z: complex,
@@ -925,23 +994,30 @@ def cauchy_derivatives(
 ) -> dict[int, tuple[complex, float]]:
     """Derivatives of a holomorphic function by trapezoidal contour sums.
 
-    `fn` maps an array of contour nodes to the array of its values; it is
-    called once per ring.  All requested orders share each ring of samples.
-    The node count doubles from 16 until every order's two latest estimates
-    agree to 1e-9 relative (or 1e-300 absolute), at most up to 2^14 nodes;
-    the final inter-refinement difference is the error estimate.  The rings
-    are nested: the angles 2 pi k / n of one ring are the even-indexed
-    angles of the next, bit for bit, so each doubling evaluates only the
-    new odd-indexed half.
+    `fn` maps an array of contour nodes to the array of its values.  All
+    requested orders share each ring of samples.  The node count doubles
+    from 16 until every order's two latest estimates agree to 1e-9 relative
+    (or 1e-300 absolute), at most up to 2^14 nodes; the final
+    inter-refinement difference is the error estimate.  The rings are
+    nested (`_Ring`): the first evaluator call takes the 32 nodes of the
+    first two rings, the 16-node estimate uses their even half, and each
+    later doubling evaluates only the new odd-indexed half.  `fn` may also
+    be a `_Ring` about the same z and radius, whose samples are then reused
+    (`derivative` passes its last one).
+
+    A non-finite z, a radius that is not positive and finite, or an order
+    that is not an integer >= 0 raises ValidationError before any
+    evaluation.
     """
-    if radius <= 0.0:
-        raise ValidationError(f"contour radius must be positive, got {radius}")
     orders = list(orders)
+    _check_contour(z, radius, orders)
+    ring = fn if isinstance(fn, _Ring) else _Ring(fn, z, radius)
+    ring.values(2 * _CONTOUR_START)  # the first two rings in one call
     prev: dict[int, complex] = {}
     n = _CONTOUR_START
-    theta = 2.0 * math.pi * np.arange(n) / n
-    vals = np.asarray(fn(z + radius * np.exp(1j * theta)), dtype=complex)
     while True:
+        theta = 2.0 * math.pi * np.arange(n) / n
+        vals = ring.values(n)
         est = {
             m: math.factorial(m)
             / (n * radius**m)
@@ -961,11 +1037,6 @@ def cauchy_derivatives(
                 f"contour derivative did not converge within {_CONTOUR_MAX_NODES} "
                 f"nodes at z = {z}"
             )
-        theta = 2.0 * math.pi * np.arange(n) / n
-        ring = np.empty(n, dtype=complex)
-        ring[0::2] = vals
-        ring[1::2] = fn(z + radius * np.exp(1j * theta[1::2]))
-        vals = ring
 
 
 _EVALUATORS = ("decay_factor", "branched_product", "decay_exponent",
@@ -1016,6 +1087,10 @@ def function_evaluator(
     return evaluate
 
 
+# derivative's last ring, as (cs, the rest of its key, ring)
+_last_ring: tuple[CantorSet, tuple, _Ring] | None = None
+
+
 def derivative(
     params: SeriesParams,
     cs: CantorSet,
@@ -1025,8 +1100,18 @@ def derivative(
     radius: float | None = None,
     alpha: float | None = None,
 ) -> tuple[complex, float]:
-    """m-th derivative of a named function at z via a certified-radius contour."""
+    """m-th derivative of a named function at z via a certified-radius contour.
+
+    The ring of samples is kept from one call to the next (one ring, for the
+    last params, cs, name, alpha, z and radius; cs compared by identity), so
+    orders 1, 2, 3 asked for one at a time at one point evaluate each node
+    once, as one `cauchy_derivatives` call for all three would: every
+    answer and error figure is that of a fresh single-order call, bit for
+    bit.  An evaluator that raises leaves the kept ring as it was.
+    """
+    global _last_ring
     z = complex(z)
+    _check_contour(z, radius, [m])
     if name in ("decay_block", "oscillating_block"):
         d = abs(z) if z.real >= 0.0 else abs(z.imag)
     else:
@@ -1039,8 +1124,13 @@ def derivative(
             radius = min(radius, z.real / 2.0)
     elif radius >= d:
         raise ValidationError(f"radius {radius} reaches the singular set (dist >= {d})")
-    fn = function_evaluator(params, cs, name, alpha=alpha)
-    out = cauchy_derivatives(fn, z, radius, [m])
+    key = (params, name, alpha, z, radius)
+    if _last_ring is not None and _last_ring[0] is cs and _last_ring[1] == key:
+        ring = _last_ring[2]
+    else:
+        ring = _Ring(function_evaluator(params, cs, name, alpha=alpha), z, radius)
+    out = cauchy_derivatives(ring, z, radius, [m])
+    _last_ring = (cs, key, ring)
     return out[m]
 
 

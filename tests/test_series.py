@@ -357,8 +357,9 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
 
 
 def test_cauchy_derivatives_reuse_ring_nodes():
-    """Each doubling evaluates only the new odd nodes: 16 + 16 + 32 when the
-    estimates agree at 64 nodes."""
+    """The first call takes the 32 nodes of the first two rings, and each
+    doubling evaluates only the new odd nodes: 32 + 32 when the estimates
+    agree at 64 nodes."""
     calls = []
 
     def fn(zs):
@@ -366,9 +367,133 @@ def test_cauchy_derivatives_reuse_ring_nodes():
         return 1.0 / (2.0 - zs)  # pole at distance 2; the ring ratio is 0.4
 
     out = cauchy_derivatives(fn, 0j, 0.8, [1, 2, 3])
-    assert calls == [16, 16, 32]
+    assert calls == [32, 32]
     for m in (1, 2, 3):
         assert out[m][0] == pytest.approx(math.factorial(m) / 2.0 ** (m + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "z, radius, orders",
+    [(0j, math.nan, [1]), (0j, math.inf, [1]), (0j, 0.0, [1]), (0j, -0.5, [1]),
+     (complex(math.nan, 0.0), 0.5, [1]), (complex(0.0, math.inf), 0.5, [1]),
+     (0j, 0.5, [-1]), (0j, 0.5, [1.5]), (0j, 0.5, [1, 2.0])],
+)
+def test_cauchy_derivatives_reject_bad_input(z, radius, orders):
+    """A non-finite centre or radius, a radius <= 0 and an order that is
+    negative or not an integer raise before any evaluation (a NaN radius
+    used to evaluate every doubling up to 2^14 nodes)."""
+    calls = []
+
+    def fn(zs):
+        calls.append(zs.size)
+        return zs
+
+    with pytest.raises(ValidationError):
+        cauchy_derivatives(fn, z, radius, orders)
+    assert calls == []
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Sizes of the evaluator calls made through `function_evaluator`, with
+    the ring `derivative` keeps cleared."""
+    calls = []
+    make = series.function_evaluator
+
+    def counted(*args, **kwargs):
+        fn = make(*args, **kwargs)
+
+        def node(zs):
+            calls.append(np.size(zs))
+            return fn(zs)
+
+        return node
+
+    monkeypatch.setattr(series, "function_evaluator", counted)
+    monkeypatch.setattr(series, "_last_ring", None)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "z, m, radius",
+    [(0.9 + 0.1j, -1, None), (0.9 + 0.1j, 1.5, None), (complex(math.nan, 0.1), 1, None),
+     (complex(math.inf, 0.0), 1, None), (0.9 + 0.1j, 1, math.nan)],
+)
+def test_derivative_rejects_bad_input(params_half, cs_half, evaluator_calls, z, m, radius):
+    with pytest.raises(ValidationError):
+        derivative(params_half, cs_half, "decay_factor", z, m, radius=radius)
+    assert evaluator_calls == []
+
+
+def test_derivative_orders_share_one_ring(params_half, cs_half, evaluator_calls):
+    """Orders 1-3 asked for one at a time at one point take 2 evaluator calls
+    (32 nodes, then the odd half of 64), not 3 each, and each answer and
+    error figure is a fresh single-order call's, bit for bit."""
+    z, r = 0.9 + 0.1j, 0.45
+    for name in ("decay_factor", "branched_product"):
+        del evaluator_calls[:]
+        got = {m: derivative(params_half, cs_half, name, z, m, radius=r) for m in (1, 2, 3)}
+        assert evaluator_calls == [32, 32]
+        for m in (1, 2, 3):
+            fn = series.function_evaluator(params_half, cs_half, name)
+            assert cauchy_derivatives(fn, z, r, [m])[m] == got[m]
+
+
+def test_derivative_starts_a_new_ring_for_a_new_key(params_half, cs_half, evaluator_calls):
+    """A repeat call reuses the kept ring; changing params, cs (an equal but
+    distinct object), name, alpha, z or radius starts a new one."""
+    base = dict(params=params_half, cs=cs_half, name="decay_block", z=0.8 + 0.3j,
+                m=1, radius=0.2, alpha=0.5)
+    changes = [dict(params=SeriesParams(s=0.5, max_gen=11)), dict(cs=CantorSet.build(0.5, 12)),
+               dict(name="oscillating_block"), dict(alpha=0.6), dict(z=0.8 + 0.31j),
+               dict(radius=0.21)]
+    for change in changes:
+        derivative(**base)
+        n = len(evaluator_calls)
+        derivative(**base)
+        assert len(evaluator_calls) == n
+        derivative(**{**base, **change})
+        assert evaluator_calls[n:] == [32]
+
+
+def test_derivative_ring_survives_a_raising_evaluator(params_half, cs_half, monkeypatch):
+    """An evaluator that raises, on a new ring or while extending the kept
+    one, leaves the kept ring as it was, and later calls still give the
+    fresh calls' answers."""
+    armed = []
+    make = series.function_evaluator
+
+    def flaky(*args, **kwargs):
+        fn = make(*args, **kwargs)
+
+        def node(zs):
+            if armed:
+                raise RuntimeError("evaluator failed")
+            return fn(zs)
+
+        return node
+
+    monkeypatch.setattr(series, "function_evaluator", flaky)
+    monkeypatch.setattr(series, "_last_ring", None)
+    # order 1 converges on the first 32 nodes here, order 3 needs 64
+    z, r = 0.8 + 0.3j, 0.2
+    armed.append(True)
+    with pytest.raises(RuntimeError):
+        derivative(params_half, cs_half, "decay_factor", z, 1, radius=r)
+    assert series._last_ring is None
+    armed.clear()
+    first = derivative(params_half, cs_half, "decay_factor", z, 1, radius=r)
+    kept = series._last_ring
+    held = kept[2].vals.copy()
+    armed.append(True)
+    with pytest.raises(RuntimeError):
+        derivative(params_half, cs_half, "decay_factor", z, 3, radius=r)
+    assert series._last_ring is kept and np.array_equal(kept[2].vals, held)
+    armed.clear()
+    fn = make(params_half, cs_half, "decay_factor")
+    assert derivative(params_half, cs_half, "decay_factor", z, 3, radius=r) == (
+        cauchy_derivatives(fn, z, r, [3])[3])
+    assert first == cauchy_derivatives(fn, z, r, [1])[1]
 
 
 def test_pair_sums_keep_to_the_block_budget():
@@ -413,6 +538,50 @@ def test_tree_walk_keeps_to_the_ladder_budget():
     finally:
         tracemalloc.stop()
     assert peak < 6.5 * 2**20
+
+
+def test_large_calls_walk_their_points_in_blocks():
+    """A call on 2.5 point blocks (_POINT_BLOCK) gives the answers of calls
+    on a split that does not follow the blocks, bit for bit, and peaks at
+    about one block's memory: 20,480 points in one walk held about 2.5
+    times as much."""
+    params = SeriesParams(s=0.5, max_gen=8)
+    cs = CantorSet.build(0.5, 8)
+    zs = _probes(5 * series._POINT_BLOCK // 2, seed=1)
+    one = zs[: series._POINT_BLOCK]
+    peaks = []
+    for pts in (one, zs):
+        decay_exponent_many(params, cs, pts[:8], with_deriv=True, far_tol=FAR_TOL)
+        tracemalloc.start()
+        try:
+            whole = decay_exponent_many(params, cs, pts, with_deriv=True, far_tol=FAR_TOL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the outputs (F, F', bound) of the extra 1.5 blocks add about 0.5 MB
+    assert peaks[1] < 1.25 * peaks[0]
+    parts = [decay_exponent_many(params, cs, zs[lo : lo + 5000], with_deriv=True,
+                                 far_tol=FAR_TOL) for lo in range(0, zs.size, 5000)]
+    for a, b in zip(whole, zip(*parts)):
+        assert np.array_equal(a, np.concatenate(b))
+
+
+def test_trigamma_tail_is_computed_once(params_half, cs_half, probe_grid, monkeypatch):
+    """The generation tail is one polygamma call per max_gen, not one per
+    point evaluation."""
+    calls = []
+    polygamma = series.polygamma
+
+    def counted(n, x):
+        calls.append(x)
+        return polygamma(n, x)
+
+    monkeypatch.setattr(series, "polygamma", counted)
+    series._trigamma.cache_clear()
+    for _ in range(3):
+        series.evaluate_many(params_half, cs_half, probe_grid)
+    decay_factor(params_half, cs_half, 0.4 + 0.1j)
+    assert calls == [params_half.max_gen + 1]
 
 
 _SPLIT_POINTS = st.lists(
