@@ -10,12 +10,12 @@ estimates agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ConvergenceError, ValidationError
 
@@ -45,13 +45,9 @@ class QuadConfig:
             raise ValidationError("invalid quadrature configuration")
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = roots_legendre(order)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _end_offsets(span: float, geo: bool, rate: float, min_frac: float) -> list[float]:

@@ -9,6 +9,7 @@ stored endpoint stays in the set at all deeper generations.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -59,42 +60,42 @@ class IntervalIndex:
 
 
 class CantorSet:
-    """All construction intervals up to a finite depth.
+    """All construction intervals up to a finite depth, fixed by (s, depth).
 
-    Left endpoints are stored per generation as sorted arrays.  The left
-    child copies its parent's left endpoint bit-for-bit; the right child is
-    placed so that it shares the parent's right endpoint.
+    The left child copies its parent's left endpoint bit-for-bit; the right
+    child is placed so that it shares the parent's right endpoint.  So the
+    generation-k left endpoints are every 2^(depth-k)-th of the deepest
+    generation's, which alone is stored, built on first read.
     """
 
-    def __init__(self, s: float, depth: int, endpoints: list[np.ndarray]):
-        self.s = s
-        self.depth = depth
-        self._endpoints = endpoints
-
-    @classmethod
-    def build(cls, s: float, depth: int) -> "CantorSet":
+    def __init__(self, s: float, depth: int):
         _check_s(s)
         if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
         if depth > MAX_DEPTH:
             raise ValidationError(f"depth {depth} exceeds maximum {MAX_DEPTH}")
-        endpoints = [np.zeros(1)]
-        for k in range(1, depth + 1):
-            parent = endpoints[k - 1]
-            shift = interval_length(k - 1, s) - interval_length(k, s)
-            gen = np.empty(2 * parent.size)
-            gen[0::2] = parent
-            gen[1::2] = parent + shift
-            endpoints.append(gen)
-        return cls(s, depth, endpoints)
+        self.s = s
+        self.depth = depth
+
+    @classmethod
+    def build(cls, s: float, depth: int) -> "CantorSet":
+        return cls(s, depth)
+
+    @functools.cached_property
+    def _lefts(self) -> np.ndarray:
+        """Sorted left endpoints of the deepest generation (read-only)."""
+        lefts = np.zeros(1)
+        for k in range(1, self.depth + 1):
+            shift = interval_length(k - 1, self.s) - interval_length(k, self.s)
+            lefts = np.stack([lefts, lefts + shift], axis=1).ravel()
+        lefts.flags.writeable = False
+        return lefts
 
     def left_endpoints(self, k: int) -> np.ndarray:
         """Sorted left endpoints of generation k (read-only view)."""
         if not (0 <= k <= self.depth):
             raise ValidationError(f"generation {k} not stored (depth {self.depth})")
-        v = self._endpoints[k]
-        v.flags.writeable = False
-        return v
+        return self._lefts[:: 2 ** (self.depth - k)]
 
     def left_endpoint(self, idx: IntervalIndex) -> float:
         return float(self.left_endpoints(idx.gen)[idx.pos - 1])
@@ -126,7 +127,7 @@ class CantorSet:
 
     def dist_to_set_many(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized lower distance bound for an array of reals."""
-        lefts = self._endpoints[self.depth]
+        lefts = self._lefts
         length = interval_length(self.depth, self.s)
         ys = np.asarray(ys, dtype=float)
         i = np.searchsorted(lefts, ys)
@@ -163,7 +164,7 @@ class CantorSet:
         intervals = []
         for k in range(self.depth + 1):
             length = interval_length(k, self.s)
-            for pos, left in enumerate(self._endpoints[k], start=1):
+            for pos, left in enumerate(self.left_endpoints(k), start=1):
                 intervals.append(
                     {"k": k, "l": pos, "left": float(left), "length": length}
                 )
@@ -177,8 +178,8 @@ class CantorSet:
         """Inverse of :meth:`to_json_dict`.
 
         Every interval (k, l), 0 <= k <= depth, 1 <= l <= 2^k, must appear
-        exactly once with a finite left endpoint; anything else raises
-        ValidationError.
+        exactly once with the construction's left endpoint, bit for bit;
+        anything else raises ValidationError.
         """
         try:
             s = float(data["s"])
@@ -186,21 +187,20 @@ class CantorSet:
             records = [(int(r["k"]), int(r["l"]), float(r["left"])) for r in data["intervals"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed set data: {exc!r}") from None
-        _check_s(s)
-        if not (1 <= depth <= MAX_DEPTH):
-            raise ValidationError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
-        # checked before allocating: the arrays then cost no more than the input
+        cs = cls(s, depth)
+        # checked before the endpoints are built: they then cost no more than the input
         if len(records) != 2 ** (depth + 1) - 1:
             raise ValidationError(
                 f"a depth-{depth} set has {2 ** (depth + 1) - 1} intervals, got {len(records)}"
             )
-        endpoints = [np.full(2 ** k, np.nan) for k in range(depth + 1)]
+        seen = np.zeros(2 ** (depth + 1), dtype=bool)  # by heap index 2^k + l - 1
         for k, l, left in records:
             if not (0 <= k <= depth and 1 <= l <= 2 ** k):
                 raise ValidationError(f"interval ({k}, {l}) outside a depth-{depth} set")
-            if not math.isnan(endpoints[k][l - 1]):
+            if seen[2**k + l - 1]:
                 raise ValidationError(f"interval ({k}, {l}) listed twice")
-            if not math.isfinite(left):
-                raise ValidationError(f"interval ({k}, {l}) has left endpoint {left!r}")
-            endpoints[k][l - 1] = left
-        return cls(s, depth, endpoints)
+            seen[2**k + l - 1] = True
+            if left != cs._lefts[(l - 1) << (depth - k)]:
+                raise ValidationError(f"interval ({k}, {l}) has left endpoint {left!r}, "
+                                      "not the construction's")
+        return cs

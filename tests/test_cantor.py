@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ def test_left_child_is_bitwise_parent():
         assert np.array_equal(child[0::2], parent)
         shift = interval_length(k, 0.5) - interval_length(k + 1, 0.5)
         np.testing.assert_allclose(child[1::2], parent + shift, rtol=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+def test_views_match_the_doubling_recurrence(s):
+    """Each generation's strided view of the deepest endpoints is, bit for
+    bit, what doubling every generation from its parent gives."""
+    cs = CantorSet.build(s, 12)
+    gen = np.zeros(1)
+    for k in range(13):
+        if k:
+            shift = interval_length(k - 1, s) - interval_length(k, s)
+            gen = np.stack([gen, gen + shift], axis=1).ravel()
+        assert np.array_equal(cs.left_endpoints(k), gen)
+        assert not cs.left_endpoints(k).flags.writeable
+
+
+def test_endpoints_are_built_on_first_read():
+    tracemalloc.start()
+    try:
+        cs = CantorSet.build(0.5, 20)
+        assert tracemalloc.get_traced_memory()[0] < 1024
+        assert cs.left_endpoints(1).size == 2
+        assert tracemalloc.get_traced_memory()[0] >= 8 * 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # every s in (0, 1], the borderline s = 1 included
@@ -172,6 +198,11 @@ def test_json_rejects_incomplete_or_invalid_sets():
     for case in bad:
         with pytest.raises(ValidationError):
             CantorSet.from_json_dict(case)
+    # an endpoint off the construction: the walk and the direct sums disagree on it
+    moved = {**data, "intervals": [{**r, "left": 0.123456} if (r["k"], r["l"]) == (3, 4)
+                                   else r for r in intervals]}
+    with pytest.raises(ValidationError):
+        CantorSet.from_json_dict(moved)
     # the same records in another order load the same set
     back = CantorSet.from_json_dict({**data, "intervals": intervals[::-1]})
     for k in range(4):

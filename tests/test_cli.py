@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,19 @@ from branchpoint_lab import (
     frequency,
 )
 from branchpoint_lab.cli import main, read_json, read_rows
+
+
+def test_imports_load_no_scipy():
+    """The package runs on numpy alone; scipy is only a test reference."""
+    import branchpoint_lab
+
+    src = os.path.dirname(os.path.dirname(branchpoint_lab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for mod in ("branchpoint_lab", "branchpoint_lab.cli"):
+        code = f"import sys, {mod}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]", (mod, out.stdout)
 
 
 def _run_to_file(tmp_path, name, args):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError
 from branchpoint_lab._quad import (
     DROP,
     _disk_level,
+    _gl,
     _lse,
     _refine,
     halve_edges,
@@ -31,6 +33,23 @@ def test_config_validation():
 def test_config_rejects_non_finite_rel_tol(rel_tol):
     with pytest.raises(ValidationError):
         QuadConfig(rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 12, 16])
+def test_gauss_legendre_rule_matches_mpmath(n):
+    """Nodes and weights to 2e-14 relative against Newton-polished roots of
+    P_n at 50 digits."""
+    x, w = _gl(n)
+    with mpmath.workdps(50):
+        for xi, wi in zip(x, w):
+            r = mpmath.mpf(xi)
+            for _ in range(5):
+                p = mpmath.legendre(n, r)
+                dp = n * (r * p - mpmath.legendre(n - 1, r)) / (r * r - 1)
+                r -= p / dp
+            weight = 2 / ((1 - r * r) * dp * dp)
+            assert abs((xi - r) / r) <= 2e-14
+            assert abs((wi - weight) / weight) <= 2e-14
 
 
 def test_breakpoints_contain_ends_and_targets():

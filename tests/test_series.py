@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -566,22 +567,36 @@ def test_large_calls_walk_their_points_in_blocks():
         assert np.array_equal(a, np.concatenate(b))
 
 
-def test_trigamma_tail_is_computed_once(params_half, cs_half, probe_grid, monkeypatch):
-    """The generation tail is one polygamma call per max_gen, not one per
-    point evaluation."""
-    calls = []
-    polygamma = series.polygamma
-
-    def counted(n, x):
-        calls.append(x)
-        return polygamma(n, x)
-
-    monkeypatch.setattr(series, "polygamma", counted)
+def test_trigamma_tail_is_computed_once(params_half, cs_half, probe_grid):
+    """The generation tail is computed once per max_gen, not once per point
+    evaluation."""
     series._trigamma.cache_clear()
     for _ in range(3):
         series.evaluate_many(params_half, cs_half, probe_grid)
     decay_factor(params_half, cs_half, 0.4 + 0.1j)
-    assert calls == [params_half.max_gen + 1]
+    assert series._trigamma.cache_info().misses == 1
+
+
+def test_trigamma_tail_is_a_certified_bound():
+    """sum_{j > k} 1/j^2 within 4 ulp of the Hurwitz zeta value, and never
+    below it by more than 1 ulp."""
+    with mpmath.workdps(50):
+        for k in range(41):
+            exact = mpmath.zeta(2, k + 1)
+            ulps = float((mpmath.mpf(series._trigamma(k + 1)) - exact) / math.ulp(float(exact)))
+            assert -1.0 <= ulps <= 4.0, (k, ulps)
+
+
+def test_series_rejects_a_set_of_another_s():
+    params = SeriesParams(s=0.5, max_gen=8)
+    cs = CantorSet.build(0.75, 8)
+    z = 0.3 + 0.2j
+    with pytest.raises(ValidationError):
+        decay_exponent(params, cs, z)  # the tree walk
+    with pytest.raises(ValidationError):
+        decay_exponent(params, cs, z, far_tol=None)  # the direct sums
+    with pytest.raises(ValidationError):
+        cosine_product(params, cs, z)
 
 
 _SPLIT_POINTS = st.lists(
