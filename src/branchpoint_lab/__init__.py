@@ -40,7 +40,6 @@ from .frequency import (
     Monomial,
     OscillatingPower,
     Polynomial,
-    Scaled,
     SeriesFactor,
     SeriesProduct,
     SmoothBlock,
@@ -49,8 +48,6 @@ from .frequency import (
     frequency,
     frequency_curve,
     gap_centered_radii,
-    oscillating_power_frequency_bound,
-    q_roots,
     smooth_block_frequency_bound,
 )
 from .vanishing import (

@@ -210,6 +210,8 @@ def _series_setup(p: dict) -> tuple[SeriesParams, CantorSet]:
 
 
 def cmd_eval(p: dict) -> int:
+    if min(p["nx"], p["ny"]) < 1:
+        raise ValidationError(f"nx and ny must be >= 1, got {p['nx']} and {p['ny']}")
     params, cs = _series_setup(p)
     res = np.linspace(p["re_min"], p["re_max"], p["nx"])
     ims = np.linspace(p["im_min"], p["im_max"], p["ny"])
@@ -232,6 +234,8 @@ def cmd_eval(p: dict) -> int:
 
 
 def cmd_zeros(p: dict) -> int:
+    if p["max_m"] < 1:
+        raise ValidationError(f"max_m must be >= 1, got {p['max_m']}")
     params, cs = _series_setup(p)
     rows = []
     for gen in range(1, params.max_gen + 1):

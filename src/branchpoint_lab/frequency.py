@@ -10,7 +10,6 @@ the arc of H, by Green's identity.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import warnings
@@ -28,37 +27,6 @@ from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
 from .series import FAR_TOL, SeriesParams, decay_exponent_many, log_cosine_product_many
 from .series import product_zero
-
-_TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
-
-
-# ---------------------------------------------------------------------------
-# Q-valued roots
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QValue:
-    """Unordered multiset of the Q values of a multivalued point evaluation."""
-
-    values: tuple[complex, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.values)
-
-
-def q_roots(w: complex, Q: int) -> QValue:
-    """All Q-th roots of w: the principal root times the Q-th roots of unity."""
-    if Q < 2:
-        raise ValidationError(f"Q must be >= 2, got {Q}")
-    w = complex(w)
-    if w == 0:
-        return QValue((0j,) * Q)
-    # math.atan2, not cmath.phase, which raises on a subnormal phase
-    v0 = cmath.rect(abs(w) ** (1.0 / Q), math.atan2(w.imag, w.real) / Q)
-    xi = cmath.exp(2j * math.pi / Q)
-    return QValue(tuple(v0 * xi**l for l in range(Q)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +83,13 @@ class Monomial(BaseFunction):
             raise ValidationError(f"monomial power must be >= 1, got {self.P}")
 
     def log_h(self, zs):
-        lz, az = _log_split(np.asarray(zs, dtype=complex))
+        zs = np.asarray(zs, dtype=complex)
+        lz, az = log_polar(zs.real, zs.imag)
         return self.P * lz, self.P * az
 
     def log_h_hprime(self, zs):
-        lz, az = _log_split(np.asarray(zs, dtype=complex))
+        zs = np.asarray(zs, dtype=complex)
+        lz, az = log_polar(zs.real, zs.imag)
         if self.P == 1:
             return lz, az, np.zeros(lz.shape), np.zeros(lz.shape)
         lp = math.log(self.P) + (self.P - 1) * lz
@@ -320,40 +290,6 @@ class SeriesProduct(_OverSet):
         return (math.pi**2 / 6.0) * (am * rho ** (-am) + 2.0)
 
 
-@dataclass(frozen=True)
-class Scaled(BaseFunction):
-    """c * h for a nonzero constant c (covariance checks)."""
-
-    base: BaseFunction
-    factor: complex
-
-    def __post_init__(self) -> None:
-        if self.factor == 0:
-            raise ValidationError("scaling factor must be nonzero")
-        object.__setattr__(self, "domain", self.base.domain)
-
-    def _log_factor(self) -> tuple[float, float]:
-        # math.atan2, not cmath.phase, which raises on a subnormal phase
-        c = complex(self.factor)
-        return math.log(abs(c)), math.atan2(c.imag, c.real)
-
-    def log_h(self, zs):
-        la, ar = self.base.log_h(zs)
-        lc, ac = self._log_factor()
-        return la + lc, ar + ac
-
-    def log_h_hprime(self, zs):
-        la, ar, lp, ap = self.base.log_h_hprime(zs)
-        lc, ac = self._log_factor()
-        return la + lc, ar + ac, lp + lc, ap + ac
-
-    def zeros_in_disk(self, center, r):
-        return self.base.zeros_in_disk(center, r)
-
-    def decay_rate(self, rho):
-        return self.base.decay_rate(rho)
-
-
 # ---------------------------------------------------------------------------
 # minimizer spec and quadrature assembly
 # ---------------------------------------------------------------------------
@@ -432,15 +368,6 @@ def _log_flux(
     c = np.cos(ar_p - ar_h + th)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (power - 1.0) * la_h + la_p + lr + np.log(np.abs(c)), c < 0
-
-
-def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
-    """rho * Re(h'/h * e^(i theta)): the radial log-derivative of |h| times rho."""
-    zs = np.array([z], dtype=complex)
-    dz = zs - complex(center)
-    lr, th = log_polar(dz.real, dz.imag)
-    la, neg = _log_flux(spec, zs, lr, th, 0.0)
-    return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
 def _theta_limit(center: complex, rho: float, domain: str) -> float:
@@ -708,8 +635,8 @@ def frequency_curve(
 ) -> list[FrequencySample]:
     """I(r) over an ascending radius ladder."""
     radii = list(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValidationError("radii must be strictly ascending")
+    if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValidationError(f"radii must be non-empty and strictly ascending, got {radii}")
     return [frequency(spec, center, r, config, log_scale=log_scale) for r in radii]
 
 
@@ -721,13 +648,6 @@ def frequency_curve(
 def smooth_block_frequency_bound(alpha: float, Q: int, R: float) -> float:
     """Lower bound (alpha/Q) R^(-alpha) cos(alpha pi/2) for h = exp(-z^-alpha)."""
     return (alpha / Q) * R ** (-alpha) * math.cos(alpha * math.pi / 2.0)
-
-
-def oscillating_power_frequency_bound(alpha: float, P: int, Q: int, R: float) -> float:
-    """Lower bound (P/Q)(alpha R^(-alpha) cos(alpha pi/2) - 1/tanh(pi/4))."""
-    return (P / Q) * (
-        alpha * R ** (-alpha) * math.cos(alpha * math.pi / 2.0) - 1.0 / _TANH_QUARTER_PI
-    )
 
 
 def gap_centered_radii(s: float, n: int) -> float:

@@ -372,12 +372,13 @@ def _tree_walk(
 def decay_exponent_many(
     params: SeriesParams,
     cs: CantorSet,
-    zs: np.ndarray,
+    zs: np.ndarray | AnchoredPoint,
     *,
     with_deriv: bool = False,
     far_tol: float | None = POINT_FAR_TOL,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Truncated shifted power sum (and optionally its z-derivative) on an array.
+    """Truncated shifted power sum (and optionally its z-derivative) on an
+    array, or at one AnchoredPoint (a one-element result).
 
     Returns (values, derivs or None, per-point aggregation error bounds).
 
@@ -423,14 +424,19 @@ def decay_exponent_many(
     A call on more than 8,192 points (_POINT_BLOCK) walks them in blocks of
     that many, so its peak memory is that of one block.  A point's sums do
     not depend on the points sharing its walk, so the blocks move no bit.
+
+    An AnchoredPoint is summed directly, with no far field, as with
+    far_tol None.
     """
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
-    n = zs.size
+    anchored = isinstance(zs, AnchoredPoint)
+    if not anchored:
+        zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+    n = _size(zs)
     if n == 0:
         Fp = np.zeros(0, dtype=complex) if with_deriv else None
         return np.zeros(0, dtype=complex), Fp, np.zeros(0)
 
-    if far_tol is None:
+    if far_tol is None or anchored:
         _require_depth(params, cs)
         Fd, Fpd = _direct_sum(params, cs, zs, with_deriv)
         return Fd, Fpd, np.zeros(n)
@@ -602,12 +608,11 @@ def log_cosine_product_many(
     cs: CantorSet,
     zs: np.ndarray | AnchoredPoint,
     *,
-    gens: Sequence[int] | None = None,
     with_deriv: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """The cosine product G = prod_k prod_y cos(b_k log(z + i*y)) truncated at
-    `params.max_gen` (or restricted to `gens`, each in 1..max_gen), on an
-    array of points or at one AnchoredPoint (a one-element result).
+    """The cosine product G = prod_k prod_y cos(b_k log(z + i*y)) over every
+    generation k = 1..`params.max_gen`, on an array of points or at one
+    AnchoredPoint (a one-element result).
 
     Returns (log|G|, unreduced arg G, exact-zero mask, G'/G with
     `with_deriv` else None, certified remainder).  G'/G is the sum of
@@ -627,12 +632,6 @@ def log_cosine_product_many(
     """
     _require_depth(params, cs)
     K = params.max_gen
-    gens = range(1, K + 1) if gens is None else gens
-    use = np.zeros(K + 1, dtype=bool)
-    for k in gens:
-        if not 1 <= k <= K:
-            raise ValidationError(f"generation {k} outside [1, {K}]")
-        use[k] = True
     n = _size(zs)
     log_abs = np.zeros(n)
     arg = np.zeros(n)
@@ -642,7 +641,7 @@ def log_cosine_product_many(
     coeffs = np.array([0.0] + [params.coeff(k) for k in range(1, K + 1)])
 
     if isinstance(zs, AnchoredPoint):
-        for k in np.flatnonzero(use):
+        for k in range(1, K + 1):
             for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
                 la, ar, zm, dl = log_cos(lr, th, coeffs[k], with_deriv)
                 zero |= zm.any()
@@ -662,10 +661,8 @@ def log_cosine_product_many(
     p = _PROXIES
     tau, W = _proxy_table(params, p)
     for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
-        ks = np.flatnonzero(use[max(j, 1):]) + max(j, 1)  # generations left to sum
-        if not ks.size:
-            far[:] = True  # nothing below: the walk ends here
-        elif (2.0 ** (ks - j)).sum() < p * ks.size:
+        ks = np.arange(max(j, 1), K + 1)  # generations left to sum
+        if (2.0 ** (ks - j)).sum() < p * ks.size:
             far[:] = False  # fewer endpoints than proxies: sum them directly
         elif far.any():
             b = coeffs[ks]
@@ -685,7 +682,7 @@ def log_cosine_product_many(
                 add(idx[rows], (la * Wj).sum(axis=(1, 2)), (ar * Wj).sum(axis=(1, 2)),
                     (dl * Wj).sum(axis=(1, 2)) if with_deriv else None)
         near = ~far
-        if j >= 1 and use[j] and near.any():
+        if j >= 1 and near.any():
             # a point on the set makes its own term NaN
             la, ar, zm, dl = log_cos(lr[near], th[near], coeffs[j], with_deriv)
             zero[idx[near][zm]] = True
@@ -763,12 +760,7 @@ def decay_exponent(
     or inactive).  An anchored point is summed directly, with no far field.
     """
     zs, d = _one_point(cs, z)
-    if isinstance(zs, AnchoredPoint):
-        _require_depth(params, cs)
-        F, _ = _direct_sum(params, cs, zs, False)
-        far_err = np.zeros(1)
-    else:
-        F, _, far_err = decay_exponent_many(params, cs, zs, far_tol=far_tol)
+    F, _, far_err = decay_exponent_many(params, cs, zs, far_tol=far_tol)
     return TruncatedValue(complex(F[0]), float(_exponent_tail(params, d, far_err[0])))
 
 
@@ -776,22 +768,17 @@ def cosine_product(
     params: SeriesParams,
     cs: CantorSet,
     z: complex | AnchoredPoint,
-    *,
-    gens: Sequence[int] | None = None,
 ) -> TruncatedValue:
     """Truncated cosine product as a LogComplex, tail bound on its log (the
     generation tail plus the proxy remainder of `log_cosine_product_many`).
 
-    With a `gens` restriction the reported tail still covers only the
-    generations beyond max_gen (the omitted ones are deliberate).  A
-    ProductZero whose generation is among them is an exact zero.
+    A ProductZero of generation 1..max_gen is an exact zero.
     """
     _require_depth(params, cs)
-    gen_list = range(1, params.max_gen + 1) if gens is None else gens
-    if isinstance(z, ProductZero) and z.idx.gen in gen_list:
+    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
         return TruncatedValue(LogComplex.zero(), 0.0)
     zs, d = _one_point(cs, z)
-    la, ar, zero, _, rem = log_cosine_product_many(params, cs, zs, gens=gens)
+    la, ar, zero, _, rem = log_cosine_product_many(params, cs, zs)
     if zero[0]:
         return TruncatedValue(LogComplex.zero(), 0.0)
     tail = _cosine_log_tail(params, d) + rem[0]

@@ -36,7 +36,6 @@ from branchpoint_lab import (
     function_evaluator,
     gap_centered_radii,
     mass_curve,
-    oscillating_power_frequency_bound,
     product_zero,
     sliding_window_slopes,
     smooth_block_frequency_bound,
@@ -123,6 +122,16 @@ def test_oscillating_power_interior():
     spec = MinimizerSpec(h=OscillatingPower(alpha=0.5, P=1), Q=2)
     fs = frequency(spec, cmath.exp(-math.pi / 2.0), 1e-3)
     assert fs.I == pytest.approx(0.5, abs=5e-3)
+
+
+_TANH_QUARTER_PI = math.tanh(math.pi / 4.0)
+
+
+def oscillating_power_frequency_bound(alpha: float, P: int, Q: int, R: float) -> float:
+    """Lower bound (P/Q)(alpha R^(-alpha) cos(alpha pi/2) - 1/tanh(pi/4))."""
+    return (P / Q) * (
+        alpha * R ** (-alpha) * math.cos(alpha * math.pi / 2.0) - 1.0 / _TANH_QUARTER_PI
+    )
 
 
 def test_oscillating_power_boundary():

@@ -167,6 +167,31 @@ def test_vanishing_rejects_a_bad_ladder_before_quadrature(ladder, capsys, monkey
     assert "descending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eval", "--nx", "0"], "nx"),
+        (["eval", "--nx", "-2"], "nx"),
+        (["eval", "--ny", "0"], "ny"),
+        (["frequency", "--h", "monomial", "--radii", ","], "radii"),
+        (["zeros", "--max-m", "0"], "max_m"),
+    ],
+    ids=["nx_zero", "nx_negative", "ny_zero", "radii_empty", "max_m_zero"],
+)
+def test_empty_sizes_are_invalid_before_any_computation(tmp_path, capsys, monkeypatch, argv, named):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computed on an invalid size")
+
+    for name in ("evaluate_many", "product_zero"):
+        monkeypatch.setattr(f"branchpoint_lab.cli.{name}", no_computation)
+    # the package's `frequency` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["branchpoint_lab.frequency"], "frequency", no_computation)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_determinism(tmp_path):
     args = ["eval", "--s", "0.5", "--max-gen", "6", "--nx", "3", "--ny", "3"]
     _, out1 = _run_to_file(tmp_path, "a.csv", args)

@@ -1,10 +1,10 @@
 import cmath
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     CantorSet,
@@ -13,7 +13,6 @@ from branchpoint_lab import (
     Monomial,
     Polynomial,
     QuadConfig,
-    Scaled,
     SmoothBlock,
     SeriesFactor,
     SeriesParams,
@@ -23,41 +22,61 @@ from branchpoint_lab import (
     dirichlet_energy,
     frequency,
     frequency_curve,
-    q_roots,
 )
 from branchpoint_lab._quad import refined_breakpoints
 from branchpoint_lab.frequency import (
+    BaseFunction,
     OscillatingPower,
     _arc_edges,
     _arc_key,
-    phi_indicator,
+    _log_flux,
     polar_mesh,
 )
-from branchpoint_lab.logcomplex import decay_block, oscillating_block
+from branchpoint_lab.logcomplex import decay_block, log_polar, oscillating_block
 from branchpoint_lab.series import FAR_TOL, cosine_product_logderiv_many, decay_exponent_many
 
 
-complexes = st.complex_numbers(
-    min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False
-)
+@dataclass(frozen=True)
+class Scaled(BaseFunction):
+    """c * h for a nonzero constant c (covariance checks)."""
+
+    base: BaseFunction
+    factor: complex
+
+    def __post_init__(self) -> None:
+        if self.factor == 0:
+            raise ValidationError("scaling factor must be nonzero")
+        object.__setattr__(self, "domain", self.base.domain)
+
+    def _log_factor(self) -> tuple[float, float]:
+        # math.atan2, not cmath.phase, which raises on a subnormal phase
+        c = complex(self.factor)
+        return math.log(abs(c)), math.atan2(c.imag, c.real)
+
+    def log_h(self, zs):
+        la, ar = self.base.log_h(zs)
+        lc, ac = self._log_factor()
+        return la + lc, ar + ac
+
+    def log_h_hprime(self, zs):
+        la, ar, lp, ap = self.base.log_h_hprime(zs)
+        lc, ac = self._log_factor()
+        return la + lc, ar + ac, lp + lc, ap + ac
+
+    def zeros_in_disk(self, center, r):
+        return self.base.zeros_in_disk(center, r)
+
+    def decay_rate(self, rho):
+        return self.base.decay_rate(rho)
 
 
-@given(w=complexes, Q=st.integers(min_value=2, max_value=5))
-@example(w=2 + 5e-324j, Q=2)  # subnormal phase: 1j * phase / Q overflowed
-@settings(max_examples=40, deadline=None)
-def test_q_roots_identity(w, Q):
-    roots = q_roots(w, Q).values
-    assert len(roots) == Q
-    for v in roots:
-        assert v**Q == pytest.approx(w, rel=1e-9)
-    # all roots distinct
-    assert len({round(v.real, 9) + 1j * round(v.imag, 9) for v in roots}) == Q
-
-
-def test_q_roots_zero_and_validation():
-    assert q_roots(0j, 3).values == (0j, 0j, 0j)
-    with pytest.raises(ValidationError):
-        q_roots(1.0, 1)
+def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
+    """rho * Re(h'/h * e^(i theta)): the radial log-derivative of |h| times rho."""
+    zs = np.array([z], dtype=complex)
+    dz = zs - complex(center)
+    lr, th = log_polar(dz.real, dz.imag)
+    la, neg = _log_flux(spec, zs, lr, th, 0.0)
+    return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from branchpoint_lab import (
     BranchCutError,
     CantorSet,
     IntervalIndex,
+    ProductZero,
     SeriesParams,
     SingularPointError,
     ValidationError,
@@ -201,16 +202,6 @@ def test_decay_factor_tail_discipline(params_half, cs_half):
     assert math.isinf(shaky.tail_bound)
 
 
-def test_cosine_product_order_invariance(params_half, cs_half):
-    z = 0.4 + 0.3j
-    full = cosine_product(params_half, cs_half, z)
-    a = cosine_product(params_half, cs_half, z, gens=[1, 3, 5, 7, 9, 11])
-    b = cosine_product(params_half, cs_half, z, gens=[12, 10, 8, 6, 4, 2])
-    combined = a.value.mul(b.value)
-    assert combined.log_mag == pytest.approx(full.value.log_mag, rel=1e-12)
-    assert combined.arg == pytest.approx(full.value.arg, rel=1e-12)
-
-
 def test_cosine_product_matches_brute_force():
     params = SeriesParams(s=0.5, max_gen=5)
     cs = CantorSet.build(0.5, 5)
@@ -240,21 +231,18 @@ def test_product_zero_is_exact(params_half, cs_half):
     assert g.tail_bound == 0.0
 
 
-def test_product_zero_follows_gens(params_half, cs_half):
-    z = product_zero(params_half, cs_half, IntervalIndex(3, 2), m=2)
-    others = [k for k in range(1, 13) if k != 3]
-    G = cosine_product(params_half, cs_half, z, gens=others)
+def test_product_zero_beyond_the_truncation_is_no_exact_zero(params_half):
+    # a zero of the generation-13 factor, which G truncated at max_gen 12
+    # leaves out: G there is that of the same anchored point, not zero
+    cs = CantorSet.build(0.5, 13)
+    idx = IntervalIndex(params_half.max_gen + 1, 6)
+    y = cs.left_endpoint(idx)
+    log_r = -(2 * math.pi - math.pi / 2.0) / params_half.coeff(idx.gen)
+    G = cosine_product(params_half, cs, ProductZero(y=y, log_r=log_r, theta=0.0, idx=idx, m=2))
     assert not G.value.is_zero
     assert math.isfinite(G.value.log_mag) and math.isfinite(G.value.arg)
-    G = cosine_product(params_half, cs_half, z, gens=others + [3])
-    assert G.value.is_zero
-    assert G.tail_bound == 0.0
-
-
-@pytest.mark.parametrize("gens", [[0], [13], [-1], [2, 14]])
-def test_cosine_product_rejects_generations_outside_the_truncation(params_half, cs_half, gens):
-    with pytest.raises(ValidationError):
-        cosine_product(params_half, cs_half, 0.4 + 0.3j, gens=gens)
+    plain = cosine_product(params_half, cs, AnchoredPoint(y=y, log_r=log_r, theta=0.0))
+    assert (G.value.log_mag, G.value.arg) == (plain.value.log_mag, plain.value.arg)
 
 
 def test_product_zeros_accumulate_at_anchor(params_half, cs_half):
