@@ -50,21 +50,13 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _end_offsets(span: float, geo: bool, rate: float, min_frac: float) -> list[float]:
-    """Geometric edge offsets from one refined end, largest below span/2."""
-    offs: set[float] = set()
-    if geo:
-        w = min_frac * span
-        while w < 0.5 * span:
-            offs.add(w)
-            w *= 2.0
-    if rate > 0.0:
-        # boundary layer exp(rate * x): keep the per-panel log variation ~8
-        w = 8.0 / rate
-        while w < 0.5 * span:
-            offs.add(w)
-            w *= 2.0
-    return sorted(offs)
+def _doublings(w: float, span: float) -> list[float]:
+    """The offsets w, 2w, 4w, ... below span/2."""
+    out = []
+    while w < 0.5 * span:
+        out.append(w)
+        w *= 2.0
+    return out
 
 
 def refined_breakpoints(
@@ -75,36 +67,36 @@ def refined_breakpoints(
     rate_a: float = 0.0,
     rate_b: float = 0.0,
     targets: Sequence[float | tuple[float, float]] = (),
-    min_frac: float = MIN_FRAC,
 ) -> np.ndarray:
-    """Panel edges on [a, b], geometrically clustered toward a (with geo_a),
-    toward an end with a decay rate, and toward interior targets
-    (integrable singularities get an edge exactly on them).
+    """Panel edges on [a, b], geometrically clustered toward a (with geo_a,
+    from MIN_FRAC of the span), toward an end with a decay rate, and toward
+    interior targets (integrable singularities get an edge exactly on them).
 
     A target may carry its own smallest cluster width as (position, width);
-    bare floats use min_frac times the span.  A target on an end of [a, b]
+    bare floats use MIN_FRAC times the span.  A target on an end of [a, b]
     is clustered toward from inside; one outside is skipped.
     """
     if not b > a:
         raise ValidationError(f"empty interval [{a}, {b}]")
     span = b - a
     edges = {a, b, 0.5 * (a + b)}
-    for off in _end_offsets(span, geo_a, rate_a, min_frac):
-        edges.add(a + off)
-    for off in _end_offsets(span, False, rate_b, min_frac):
-        edges.add(b - off)
+    for w in _doublings(MIN_FRAC * span, span) if geo_a else []:
+        edges.add(a + w)
+    # a boundary layer exp(rate * x): keep the per-panel log variation ~8
+    for w in _doublings(8.0 / rate_a, span) if rate_a > 0.0 else []:
+        edges.add(a + w)
+    for w in _doublings(8.0 / rate_b, span) if rate_b > 0.0 else []:
+        edges.add(b - w)
     for tgt in targets:
-        t, w0 = tgt if isinstance(tgt, tuple) else (tgt, min_frac * span)
+        t, w0 = tgt if isinstance(tgt, tuple) else (tgt, MIN_FRAC * span)
         if not (a <= t <= b):
             continue
         edges.add(t)
-        w = max(w0, 1e-15 * span)
-        while w < 0.5 * span:
+        for w in _doublings(max(w0, 1e-15 * span), span):
             if t - w > a:
                 edges.add(t - w)
             if t + w < b:
                 edges.add(t + w)
-            w *= 2.0
     out = np.array(sorted(edges))
     # merge edges indistinguishable at double precision
     keep = np.concatenate(([True], np.diff(out) > 1e-15 * span))

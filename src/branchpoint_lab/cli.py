@@ -44,6 +44,7 @@ from .series import (
 from .vanishing import (
     ConstantTarget,
     RealPartTarget,
+    _check_ladder,
     default_ladder,
     mass_curve,
     sliding_window_slopes,
@@ -289,8 +290,11 @@ def cmd_vanishing(p: dict) -> int:
         target = ConstantTarget(p["value"])
     center = _parse_complex(p["center"])
     ladder = default_ladder() if p["ladder"] == "default" else _parse_floats(p["ladder"])
-    curve = mass_curve(target, center, ladder, QuadConfig(rel_tol=p["rel_tol"]))
+    _check_ladder(ladder)  # before the window, and before any quadrature
     width = p["window"]
+    if not 2 <= width <= len(ladder):
+        raise ValidationError(f"window must lie in [2, {len(ladder)}] (the rungs), got {width}")
+    curve = mass_curve(target, center, ladder, QuadConfig(rel_tol=p["rel_tol"]))
     slopes = sliding_window_slopes(curve, width)
     rows = [
         _row(center.real, center.imag, r, lm) + f",{min(i, len(slopes) - 1)}"

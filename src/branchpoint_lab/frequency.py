@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import DROP, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
+from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral
 from ._quad import log_line_integral, refined_breakpoints
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
@@ -543,35 +543,27 @@ def log_dirichlet_energy(
     center: complex,
     r: float,
     config: QuadConfig | None = None,
-    *,
-    r_inner: float = 0.0,
 ) -> tuple[float, float]:
-    """log of D = integral of the energy density over the (annular) disk.
+    """log of D = integral of the energy density over the disk.
 
     On the plane, Green's identity turns D into the signed arc integral of
-    |h|^(2/Q) phi (the outer arc's less the inner arc's for an annulus),
-    since sum |g_j|^2 = Q|h|^(2/Q) over the branches g_j of h^(1/Q) has
-    Laplacian twice the energy density.  The same holds on a half-plane
-    disk clear of the imaginary axis (r < Re c); a half-plane disk that
-    touches or crosses the axis is the disk integral of the energy density.
+    |h|^(2/Q) phi, since sum |g_j|^2 = Q|h|^(2/Q) over the branches g_j of
+    h^(1/Q) has Laplacian twice the energy density.  The same holds on a
+    half-plane disk clear of the imaginary axis (r < Re c); a half-plane
+    disk that touches or crosses the axis is the disk integral of the
+    energy density.
     """
     cfg = config or QuadConfig(rel_tol=1e-6)
-    if not (0.0 <= r_inner < r):
-        raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
+    if not r > 0.0:
+        raise ValidationError(f"radius must be positive, got {r}")
     center = complex(center)
     if spec.domain == "plane" or r < center.real:
-        ld, err = _log_arc_energy(spec, center, r, cfg)
-        if r_inner == 0.0:
-            return ld, err
-        li, err_i = _log_arc_energy(spec, center, r_inner, cfg)
-        ld, amp = log_difference(ld, li)
-        return ld, max(err, err_i) * amp
+        return _log_arc_energy(spec, center, r, cfg)
     r_edges, theta_edges, inner = polar_mesh(
         center,
         r,
         spec.domain,
         lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
-        r_inner=r_inner,
         zero_polar=_zero_geometry(spec, center, r),
     )
     return log_disk_integral(
@@ -584,11 +576,9 @@ def dirichlet_energy(
     center: complex,
     r: float,
     config: QuadConfig | None = None,
-    *,
-    r_inner: float = 0.0,
 ) -> tuple[float, float]:
     """D with an absolute error estimate (underflows to 0 when tiny)."""
-    ld, le = log_dirichlet_energy(spec, center, r, config, r_inner=r_inner)
+    ld, le = log_dirichlet_energy(spec, center, r, config)
     D = math.exp(ld) if ld > -745.0 else 0.0
     return D, D * math.expm1(le) if le < 1.0 else D
 

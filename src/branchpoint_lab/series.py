@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .cantor import CantorSet, IntervalIndex, interval_length
-from .errors import BranchCutError, ConvergenceError, SingularPointError, ValidationError
+from .errors import ConvergenceError, SingularPointError, ValidationError
 from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 
 # Elements (points x shifts, or pairs x generations x proxies) per block of
@@ -431,21 +431,19 @@ def decay_exponent_many(
     anchored = isinstance(zs, AnchoredPoint)
     if not anchored:
         zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
-    n = _size(zs)
-    if n == 0:
-        Fp = np.zeros(0, dtype=complex) if with_deriv else None
-        return np.zeros(0, dtype=complex), Fp, np.zeros(0)
-
     if far_tol is None or anchored:
         _require_depth(params, cs)
         Fd, Fpd = _direct_sum(params, cs, zs, with_deriv)
-        return Fd, Fpd, np.zeros(n)
+        return Fd, Fpd, np.zeros(_size(zs))
     _require_s(params, cs)
+    return _in_point_blocks(lambda b: _tree_sum(params, cs, b, with_deriv, far_tol), zs)
 
-    parts = [_tree_sum(params, cs, zs[lo : lo + _POINT_BLOCK], with_deriv, far_tol)
-             for lo in range(0, n, _POINT_BLOCK)]
-    F, Fp, ferr = (None if a[0] is None else np.concatenate(a) for a in zip(*parts))
-    return F, Fp, ferr
+
+def _in_point_blocks(walk: Callable[[np.ndarray], tuple], zs: np.ndarray) -> tuple:
+    """walk on each block of at most _POINT_BLOCK points of zs (one empty
+    block for no points), its output arrays concatenated; None stays None."""
+    parts = [walk(zs[lo : lo + _POINT_BLOCK]) for lo in range(0, max(zs.size, 1), _POINT_BLOCK)]
+    return tuple(None if a[0] is None else np.concatenate(a) for a in zip(*parts))
 
 
 def _tree_sum(
@@ -508,13 +506,6 @@ def _tree_sum(
             near = (~far).nonzero()[0]
             inv_old, wa_old, a_old = inv.take(near), wa.take(near), al
     return F, Fp, ferr
-
-
-def _accumulate(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(idx, weights=vals.real, minlength=n)
-    out.imag = np.bincount(idx, weights=vals.imag, minlength=n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +590,8 @@ def _proxy_remainder(
             -np.log(np.cos(u)),
             np.maximum(np.log(np.cosh(b * math.pi))[:, None], -np.log(np.cos(x))) + 0.5 * math.pi,
         )
-    bound = 4.0 * rho ** (1 - p) / (rho - 1.0) * (counts[:, None] * M).sum(axis=0)
+    # summed generation by generation, for one far pair as for many
+    bound = 4.0 * rho ** (1 - p) / (rho - 1.0) * functools.reduce(np.add, counts[:, None] * M)
     return usable, bound
 
 
@@ -619,9 +611,9 @@ def log_cosine_product_many(
     -b_k tan(b_k log w) / w over the shifts w = z + i*y.  The remainder
     bounds the proxies' error in log G (both parts), not in G'/G.
 
-    Array input takes the tree walk of `decay_exponent_many` at FAR_TOL.
-    Near pairs add their own generation-j term exactly.  A far subtree
-    becomes p = _PROXIES Chebyshev proxies on its interval
+    Array input takes the tree walk of `decay_exponent_many` at FAR_TOL, in
+    its point blocks.  Near pairs add their own generation-j term exactly.
+    A far subtree becomes p = _PROXIES Chebyshev proxies on its interval
     (`_proxy_table`): its generation-k endpoints sum as
     sum_i W[j, k, i] log cos(b_k log(w + i tau_i len_j)), and the same
     weights give arg G and G'/G, at p splits and p cosines per generation.
@@ -631,6 +623,22 @@ def log_cosine_product_many(
     series does at one.
     """
     _require_depth(params, cs)
+    if isinstance(zs, AnchoredPoint):
+        return _cosine_sum(params, cs, zs, with_deriv)
+    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+    return _in_point_blocks(lambda b: _cosine_sum(params, cs, b, with_deriv), zs)
+
+
+def _cosine_sum(
+    params: SeriesParams, cs: CantorSet, zs: np.ndarray | AnchoredPoint, with_deriv: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """The direct pair sums of `log_cosine_product_many` at an AnchoredPoint,
+    or its tree walk on one block of points.
+
+    The walk writes each generation's near and far terms into per-pair
+    arrays, summed per point in pair order and added once per generation:
+    as with F, a point's sums do not depend on the points sharing its
+    walk."""
     K = params.max_gen
     n = _size(zs)
     log_abs = np.zeros(n)
@@ -639,7 +647,6 @@ def log_cosine_product_many(
     dlog = np.zeros(n, dtype=complex) if with_deriv else None
     rem = np.zeros(n)
     coeffs = np.array([0.0] + [params.coeff(k) for k in range(1, K + 1)])
-
     if isinstance(zs, AnchoredPoint):
         for k in range(1, K + 1):
             for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
@@ -650,14 +657,6 @@ def log_cosine_product_many(
                 if with_deriv:
                     dlog += dl.sum()
         return log_abs, arg, zero, dlog, rem
-
-    def add(rows, la, ar, dl):
-        log_abs[:] += np.bincount(rows, weights=la, minlength=n)
-        arg[:] += np.bincount(rows, weights=ar, minlength=n)
-        if with_deriv:
-            dlog[:] += _accumulate(rows, dl, n)
-
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     p = _PROXIES
     tau, W = _proxy_table(params, p)
     for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
@@ -670,23 +669,35 @@ def log_cosine_product_many(
                 p, b, 2.0 ** (ks - j) - 1.0, len_j, np.sqrt(d2[far]), np.exp(lr[far])
             )
             far[far] = usable
-            sel = np.flatnonzero(far)
-            rem += np.bincount(idx[sel], weights=bound, minlength=n)
-            Wj = W[j, ks]
-            step = max(1, _PAIR_BLOCK // (p * ks.size))
-            for lo in range(0, sel.size, step):
-                rows = sel[lo : lo + step]
-                # (pair, generation, proxy) blocks, summed over the last two
-                lp, tp = log_polar(wr[rows, None, None], wi[rows, None, None] + tau * len_j)
-                la, ar, _, dl = log_cos(lp, tp, b[:, None], with_deriv)
-                add(idx[rows], (la * Wj).sum(axis=(1, 2)), (ar * Wj).sum(axis=(1, 2)),
-                    (dl * Wj).sum(axis=(1, 2)) if with_deriv else None)
+            rem += np.bincount(idx[far], weights=bound, minlength=n)
+        v_la = np.zeros(idx.size)
+        v_ar = np.zeros(idx.size)
+        v_dl = np.zeros(idx.size, dtype=complex) if with_deriv else None
         near = ~far
         if j >= 1 and near.any():
             # a point on the set makes its own term NaN
             la, ar, zm, dl = log_cos(lr[near], th[near], coeffs[j], with_deriv)
             zero[idx[near][zm]] = True
-            add(idx[near], la, ar, dl)
+            v_la[near], v_ar[near] = la, ar
+            if with_deriv:
+                v_dl[near] = dl
+        sel = np.flatnonzero(far)
+        Wj = W[j, ks]
+        step = max(1, _PAIR_BLOCK // (p * ks.size))
+        for lo in range(0, sel.size, step):
+            rows = sel[lo : lo + step]
+            # (pair, generation, proxy) blocks, summed over the last two
+            lp, tp = log_polar(wr[rows, None, None], wi[rows, None, None] + tau * len_j)
+            la, ar, _, dl = log_cos(lp, tp, coeffs[ks, None], with_deriv)
+            v_la[rows] = (la * Wj).sum(axis=(1, 2))
+            v_ar[rows] = (ar * Wj).sum(axis=(1, 2))
+            if with_deriv:
+                v_dl[rows] = (dl * Wj).sum(axis=(1, 2))
+        log_abs += np.bincount(idx, weights=v_la, minlength=n)
+        arg += np.bincount(idx, weights=v_ar, minlength=n)
+        if with_deriv:
+            dlog.real += np.bincount(idx, weights=v_dl.real, minlength=n)
+            dlog.imag += np.bincount(idx, weights=v_dl.imag, minlength=n)
     return log_abs, arg, zero, dlog, rem
 
 
@@ -747,20 +758,16 @@ def _one_point(
 
 
 def decay_exponent(
-    params: SeriesParams,
-    cs: CantorSet,
-    z: complex | AnchoredPoint,
-    *,
-    far_tol: float | None = POINT_FAR_TOL,
+    params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
     """Truncated shifted power sum at one point, with a certified tail bound.
 
     The bound combines the generation tail max(1, 1/d) * sum_{k>K} 2^k coeff
-    with the far-field aggregation remainder (zero when aggregation is off
-    or inactive).  An anchored point is summed directly, with no far field.
+    with the far-field aggregation remainder of `decay_exponent_many` at
+    POINT_FAR_TOL.  An anchored point is summed directly, with no far field.
     """
     zs, d = _one_point(cs, z)
-    F, _, far_err = decay_exponent_many(params, cs, zs, far_tol=far_tol)
+    F, _, far_err = decay_exponent_many(params, cs, zs)
     return TruncatedValue(complex(F[0]), float(_exponent_tail(params, d, far_err[0])))
 
 
@@ -1034,43 +1041,24 @@ def cauchy_derivatives(
             )
 
 
-_EVALUATORS = ("decay_factor", "branched_product", "decay_exponent",
-               "decay_block", "oscillating_block")
+_EVALUATORS = ("decay_factor", "branched_product", "decay_exponent")
 
 
 def function_evaluator(
-    params: SeriesParams, cs: CantorSet, name: str, *, alpha: float | None = None
+    params: SeriesParams, cs: CantorSet, name: str
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Plain-complex evaluator for one of the named holomorphic functions.
+    """Plain-complex evaluator for one of the three named series functions.
 
     The evaluator maps an array of complex points to the array of values
-    (a scalar to a complex) in one array call: `evaluate_many` for the three
-    series functions, so F is computed once per point, and the `log_h` of
-    SmoothBlock or OscillatingPower for the two single-shift blocks, which
-    raise BranchCutError on the cut (-inf, 0].
-
-    `alpha` applies to the two single-shift blocks only and defaults to the
-    series exponent (which is invalid for the blocks when s = 1; pass it
-    explicitly there).
+    (a scalar to a complex) in one `evaluate_many` call, so F is computed
+    once per point.
     """
-    # frequency imports this module, so its block classes load here
-    from .frequency import OscillatingPower, SmoothBlock
-
-    if alpha is None:
-        alpha = params.max_exponent()
     if name == "decay_exponent":
         values = lambda zs: evaluate_many(params, cs, zs, product=False).F
     elif name == "decay_factor":
         values = lambda zs: evaluate_many(params, cs, zs, product=False).f()
     elif name == "branched_product":
         values = lambda zs: evaluate_many(params, cs, zs).g()
-    elif name in ("decay_block", "oscillating_block"):
-        h = SmoothBlock(alpha) if name == "decay_block" else OscillatingPower(alpha)
-
-        def values(zs):
-            if ((zs.imag == 0.0) & (zs.real <= 0.0)).any():
-                raise BranchCutError(f"{name} undefined on the cut (-inf, 0]")
-            return _to_complex(*h.log_h(zs))
     else:
         raise ValidationError(f"unknown evaluator {name!r}; expected one of {_EVALUATORS}")
 
@@ -1093,12 +1081,11 @@ def derivative(
     z: complex,
     m: int,
     radius: float | None = None,
-    alpha: float | None = None,
 ) -> tuple[complex, float]:
-    """m-th derivative of a named function at z via a certified-radius contour.
+    """m-th derivative of a named series function at z via a certified-radius contour.
 
     The ring of samples is kept from one call to the next (one ring, for the
-    last params, cs, name, alpha, z and radius; cs compared by identity), so
+    last params, cs, name, z and radius; cs compared by identity), so
     orders 1, 2, 3 asked for one at a time at one point evaluate each node
     once, as one `cauchy_derivatives` call for all three would: every
     answer and error figure is that of a fresh single-order call, bit for
@@ -1107,10 +1094,7 @@ def derivative(
     global _last_ring
     z = complex(z)
     _check_contour(z, radius, [m])
-    if name in ("decay_block", "oscillating_block"):
-        d = abs(z) if z.real >= 0.0 else abs(z.imag)
-    else:
-        d = _dist_lower(cs, z)
+    d = _dist_lower(cs, z)
     if d == 0.0:
         raise SingularPointError(f"no admissible contour radius at z = {z}")
     if radius is None:
@@ -1119,11 +1103,11 @@ def derivative(
             radius = min(radius, z.real / 2.0)
     elif radius >= d:
         raise ValidationError(f"radius {radius} reaches the singular set (dist >= {d})")
-    key = (params, name, alpha, z, radius)
+    key = (params, name, z, radius)
     if _last_ring is not None and _last_ring[0] is cs and _last_ring[1] == key:
         ring = _last_ring[2]
     else:
-        ring = _Ring(function_evaluator(params, cs, name, alpha=alpha), z, radius)
+        ring = _Ring(function_evaluator(params, cs, name), z, radius)
     out = cauchy_derivatives(ring, z, radius, [m])
     _last_ring = (cs, key, ring)
     return out[m]

@@ -25,22 +25,21 @@ from branchpoint_lab import (
     SmoothBlock,
     boundary_mass,
     branched_product,
+    cauchy_derivatives,
     cosine_factor,
     cosine_product,
-    decay_exponent,
     decay_exponent_many,
     derivative,
     dirichlet_energy,
     frequency,
     frequency_curve,
-    function_evaluator,
     gap_centered_radii,
     mass_curve,
     product_zero,
     sliding_window_slopes,
     smooth_block_frequency_bound,
 )
-from branchpoint_lab.series import log_cosine_product_many
+from branchpoint_lab.series import _exponent_tail, log_cosine_product_many
 
 
 # 1. cover-sum identity ------------------------------------------------------
@@ -230,22 +229,24 @@ def test_derivative_oracle():
 
     The difference side uses exact direct sums (far_tol=None): the tree
     aggregation is only piecewise smooth at the ~far_tol^2 level, which a
-    third-difference stencil would amplify.
+    third-difference stencil would amplify.  The block's derivatives are
+    taken on a contour of radius Re z / 2, clear of its cut (-inf, 0].
     """
     params = SeriesParams(s=0.5, max_gen=8)
     cs = CantorSet.build(0.5, 8)
 
     def f_exact(z):
-        return cmath.exp(-decay_exponent(params, cs, z, far_tol=None).value)
+        F, _, _ = decay_exponent_many(params, cs, np.array([complex(z)]), far_tol=None)
+        return cmath.exp(-F[0])
 
     def g_exact(z):
         return cosine_product(params, cs, z).value.to_complex() * f_exact(z)
 
-    fns = {
-        "decay_block": function_evaluator(params, cs, "decay_block"),
-        "decay_factor": f_exact,
-        "branched_product": g_exact,
-    }
+    def block(zs):
+        la, ar = SmoothBlock(params.max_exponent()).log_h(np.asarray(zs, dtype=complex))
+        return np.exp(la + 1j * ar)
+
+    fns = {"decay_block": block, "decay_factor": f_exact, "branched_product": g_exact}
     rng = np.random.default_rng(7)
     probes = rng.uniform(0.4, 1.2, 20) + 1j * rng.uniform(-0.8, 0.8, 20)
     steps = {1: 2e-3, 2: 6e-3, 3: 2e-2}
@@ -253,7 +254,10 @@ def test_derivative_oracle():
         for z in probes:
             z = complex(z)
             for m in (1, 2, 3):
-                got, _ = derivative(params, cs, name, z, m)
+                if name == "decay_block":
+                    got, _ = cauchy_derivatives(block, z, z.real / 2.0, [m])[m]
+                else:
+                    got, _ = derivative(params, cs, name, z, m)
                 want = _central_fd(fn, z, m, steps[m])
                 assert abs(got - want) <= max(1e-6 * abs(got), 1e-12)
 
@@ -301,9 +305,10 @@ def test_tail_bound_soundness():
     # deeper truncation via certified far-field aggregation past the stored set
     F25, _, agg_err = decay_exponent_many(params25, cs16, zs, far_tol=3e-4)
     diffs = []
-    for z, f25, ae in zip(zs, F25, agg_err):
-        tv = decay_exponent(params15, cs15, complex(z), far_tol=None)
-        diff = abs(tv.value - complex(f25))
-        assert diff <= tv.tail_bound + ae
+    F15, _, _ = decay_exponent_many(params15, cs15, zs, far_tol=None)  # the direct sums
+    tail15 = _exponent_tail(params15, cs15.dist_to_boundary_rays_many(zs))
+    for f15, tail, f25, ae in zip(F15, tail15, F25, agg_err):
+        diff = abs(f15 - f25)
+        assert diff <= tail + ae
         diffs.append(diff)
     assert max(diffs) > 0.0  # the truncations genuinely differ

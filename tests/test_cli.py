@@ -175,14 +175,17 @@ def test_vanishing_rejects_a_bad_ladder_before_quadrature(ladder, capsys, monkey
         (["eval", "--ny", "0"], "ny"),
         (["frequency", "--h", "monomial", "--radii", ","], "radii"),
         (["zeros", "--max-m", "0"], "max_m"),
+        (["vanishing", "--window", "0"], "window"),
+        (["vanishing", "--window", "13"], "window"),  # the default ladder has 12 rungs
     ],
-    ids=["nx_zero", "nx_negative", "ny_zero", "radii_empty", "max_m_zero"],
+    ids=["nx_zero", "nx_negative", "ny_zero", "radii_empty", "max_m_zero", "window_zero",
+         "window_past_ladder"],
 )
 def test_empty_sizes_are_invalid_before_any_computation(tmp_path, capsys, monkeypatch, argv, named):
     def no_computation(*args, **kwargs):
         raise AssertionError("computed on an invalid size")
 
-    for name in ("evaluate_many", "product_zero"):
+    for name in ("evaluate_many", "product_zero", "mass_curve"):
         monkeypatch.setattr(f"branchpoint_lab.cli.{name}", no_computation)
     # the package's `frequency` attribute is the function, not the module
     monkeypatch.setattr(sys.modules["branchpoint_lab.frequency"], "frequency", no_computation)

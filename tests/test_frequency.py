@@ -155,14 +155,6 @@ def test_scaling_covariance():
     assert f1.I == pytest.approx(f0.I, rel=1e-8)
 
 
-def test_energy_additivity_disk_annulus():
-    spec = MinimizerSpec(h=Polynomial(coeffs=(0.1, 1.0)), Q=2)
-    whole = dirichlet_energy(spec, 0.05j, 0.6)[0]
-    inner = dirichlet_energy(spec, 0.05j, 0.25)[0]
-    annulus = dirichlet_energy(spec, 0.05j, 0.6, r_inner=0.25)[0]
-    assert inner + annulus == pytest.approx(whole, rel=1e-7)
-
-
 def test_radial_log_derivative_identity():
     # d/dr log|h| along the ray equals Re(h'/h e^{i theta}); phi = r * that
     spec = MinimizerSpec(h=Polynomial(coeffs=(0.2, 0.0, 1.0)), Q=2)

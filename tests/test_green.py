@@ -42,12 +42,12 @@ DISK = QuadConfig(rel_tol=1e-7)
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
 
 
-def _disk_energy(spec, center, r, cfg=DISK, r_inner=0.0):
+def _disk_energy(spec, center, r, cfg=DISK):
     """log D as the disk integral of the energy density, meshed as
     `log_dirichlet_energy` meshes a half-plane disk that reaches the axis."""
     r_edges, theta_edges, inner = polar_mesh(
         center, r, spec.domain, lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
-        r_inner=r_inner, zero_polar=_zero_geometry(spec, center, r),
+        zero_polar=_zero_geometry(spec, center, r),
     )
     return log_disk_integral(
         spec.log_energy_density, center, r_edges, theta_edges, cfg, inner_targets=inner
@@ -109,23 +109,21 @@ _FACTOR_10 = SeriesFactor(params=SeriesParams(s=0.5, max_gen=10), cs=CantorSet.b
 
 
 @pytest.mark.parametrize(
-    "h,Q,center,r,r_inner",
+    "h,Q,center,r",
     [
-        (SmoothBlock(alpha=0.5), 2, 0.5 + 0j, 0.2, 0.0),
-        (SmoothBlock(alpha=0.5), 3, 0.3 + 0.1j, 0.25, 0.0),
-        (SmoothBlock(alpha=0.5), 3, 0.3 + 0.1j, 0.25, 0.1),
-        (_FACTOR_10, 3, 0.3 + 0j, 0.1, 0.0),
+        (SmoothBlock(alpha=0.5), 2, 0.5 + 0j, 0.2),
+        (SmoothBlock(alpha=0.5), 3, 0.3 + 0.1j, 0.25),
+        (_FACTOR_10, 3, 0.3 + 0j, 0.1),
     ],
-    ids=["block_q2", "block_q3", "block_q3_annulus", "factor_q3"],
+    ids=["block_q2", "block_q3", "factor_q3"],
 )
-def test_arc_energy_matches_disk_on_interior_half_plane_disks(h, Q, center, r, r_inner):
+def test_arc_energy_matches_disk_on_interior_half_plane_disks(h, Q, center, r):
     # the disk stays clear of the imaginary axis, so D is the arc form; the
     # series factor's arc and disk differ by 1.8e-9 (F' is not certified)
     spec = MinimizerSpec(h=h, Q=Q)
-    got = log_dirichlet_energy(spec, center, r, ARC, r_inner=r_inner)
-    if r_inner == 0.0:
-        assert got == _log_arc_energy(spec, center, r, ARC)
-    want, _ = _disk_energy(spec, center, r, r_inner=r_inner)
+    got = log_dirichlet_energy(spec, center, r, ARC)
+    assert got == _log_arc_energy(spec, center, r, ARC)
+    want, _ = _disk_energy(spec, center, r)
     assert abs(math.expm1(got[0] - want)) <= 1e-8
 
 
@@ -221,15 +219,7 @@ def test_constant_h_has_zero_energy_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert log_dirichlet_energy(spec, 0.2j, 0.5) == (-math.inf, 0.0)
-        assert dirichlet_energy(spec, 0.2j, 0.5, r_inner=0.1) == (0.0, 0.0)
-
-
-def test_plane_annulus_matches_disk_annulus():
-    spec = MinimizerSpec(h=Polynomial(coeffs=(0.1, 1.0)), Q=2)
-    got, err = log_dirichlet_energy(spec, 0.05j, 0.6, ARC, r_inner=0.25)
-    want, _ = _disk_energy(spec, 0.05j, 0.6, r_inner=0.25)
-    assert abs(math.expm1(got - want)) <= 1e-8
-    assert err >= 2.0**-52
+        assert dirichlet_energy(spec, 0.2j, 0.5) == (0.0, 0.0)
 
 
 def test_signed_level_without_positive_part_raises():

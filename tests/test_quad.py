@@ -57,7 +57,7 @@ def test_breakpoints_contain_ends_and_targets():
     assert edges[0] == 0.0 and edges[-1] == 2.0
     assert np.any(edges == 0.7)
     assert np.all(np.diff(edges) > 0)
-    # geometric clustering reaches min_frac of the span
+    # geometric clustering reaches MIN_FRAC of the span
     assert edges[1] <= 1e-8 * 2.0 * 1.0001
 
 
@@ -104,7 +104,7 @@ def test_log_line_integral_huge_scale():
 def test_log_line_integral_singular_endpoint():
     # integral of x^(-1/2) over (0, 1] = 2, with the singularity at 0
     cfg = QuadConfig(rel_tol=1e-6)
-    edges = refined_breakpoints(0.0, 1.0, geo_a=True, min_frac=1e-12)
+    edges = refined_breakpoints(0.0, 1.0, targets=[(0.0, 1e-12)])
     got, _ = log_line_integral(lambda x: -0.5 * np.log(x), edges, cfg)
     assert got == pytest.approx(math.log(2.0), abs=1e-5)
 

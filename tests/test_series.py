@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     AnchoredPoint,
-    BranchCutError,
     CantorSet,
     IntervalIndex,
     ProductZero,
     SeriesParams,
     SingularPointError,
+    SmoothBlock,
     ValidationError,
     boundary_decay_check,
     branched_product,
@@ -29,7 +29,6 @@ from branchpoint_lab import (
     product_zero,
 )
 from branchpoint_lab import series
-from branchpoint_lab.logcomplex import decay_block, oscillating_block
 from branchpoint_lab.series import (
     FAR_TOL,
     POINT_FAR_TOL,
@@ -283,10 +282,16 @@ def test_cauchy_derivatives_polynomial():
     assert out[3][0] == pytest.approx(60 * z**2, rel=1e-10)
 
 
-def test_derivative_block_closed_form(params_half, cs_half):
+def test_derivative_block_closed_form():
+    # a contour of radius Re z / 2, clear of the cut (-inf, 0]
     z = 0.8 + 0.3j
     alpha = 0.5
-    got, err = derivative(params_half, cs_half, "decay_block", z, 1, alpha=alpha)
+
+    def block(zs):
+        la, ar = SmoothBlock(alpha).log_h(zs)
+        return np.exp(la + 1j * ar)
+
+    got, err = cauchy_derivatives(block, z, z.real / 2.0, [1])[1]
     want = alpha * z ** (-alpha - 1.0) * cmath.exp(-(z**-alpha))
     assert got == pytest.approx(want, rel=1e-8)
     assert err < 1e-6
@@ -320,14 +325,11 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
     # the rounded complex point: G ~ e^-37 there, not an exact zero
     near_zero = product_zero(params_half, cs_half, IntervalIndex(1, 2), 1).to_complex()
     zs = np.append(probe_grid, near_zero)
-    alpha = params_half.max_exponent()
     scalar = {
         "decay_exponent": lambda z: decay_exponent(params_half, cs_half, z).value,
         "decay_factor": lambda z: decay_factor(params_half, cs_half, z).value.to_complex(),
         "branched_product": lambda z: branched_product(
             params_half, cs_half, z).value.to_complex(),
-        "decay_block": lambda z: decay_block(z, alpha).to_complex(),
-        "oscillating_block": lambda z: oscillating_block(z, alpha).to_complex(),
     }
     got = {}
     for name, one in scalar.items():
@@ -337,9 +339,6 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
         assert np.all(np.abs(got[name] - want) <= 1e-14 * np.abs(want))
     g = got["branched_product"]
     assert 0.0 < abs(g[-1]) < 1e-12 * np.median(np.abs(g[:-1]))
-    for name in ("decay_block", "oscillating_block"):
-        with pytest.raises(BranchCutError):
-            function_evaluator(params_half, cs_half, name)(np.array([1.0, -1.0]))
     # a scalar in, a complex out
     one_point = function_evaluator(params_half, cs_half, "decay_factor")(1.0 + 0.5j)
     assert isinstance(one_point, complex)
@@ -430,12 +429,11 @@ def test_derivative_orders_share_one_ring(params_half, cs_half, evaluator_calls)
 
 def test_derivative_starts_a_new_ring_for_a_new_key(params_half, cs_half, evaluator_calls):
     """A repeat call reuses the kept ring; changing params, cs (an equal but
-    distinct object), name, alpha, z or radius starts a new one."""
-    base = dict(params=params_half, cs=cs_half, name="decay_block", z=0.8 + 0.3j,
-                m=1, radius=0.2, alpha=0.5)
+    distinct object), name, z or radius starts a new one."""
+    base = dict(params=params_half, cs=cs_half, name="decay_factor", z=0.8 + 0.3j,
+                m=1, radius=0.2)
     changes = [dict(params=SeriesParams(s=0.5, max_gen=11)), dict(cs=CantorSet.build(0.5, 12)),
-               dict(name="oscillating_block"), dict(alpha=0.6), dict(z=0.8 + 0.31j),
-               dict(radius=0.21)]
+               dict(name="branched_product"), dict(z=0.8 + 0.31j), dict(radius=0.21)]
     for change in changes:
         derivative(**base)
         n = len(evaluator_calls)
@@ -530,29 +528,33 @@ def test_tree_walk_keeps_to_the_ladder_budget():
 
 
 def test_large_calls_walk_their_points_in_blocks():
-    """A call on 2.5 point blocks (_POINT_BLOCK) gives the answers of calls
-    on a split that does not follow the blocks, bit for bit, and peaks at
+    """F and G on 2.5 point blocks (_POINT_BLOCK) give the answers of calls
+    on a split that does not follow the blocks, bit for bit, and peak at
     about one block's memory: 20,480 points in one walk held about 2.5
     times as much."""
     params = SeriesParams(s=0.5, max_gen=8)
     cs = CantorSet.build(0.5, 8)
     zs = _probes(5 * series._POINT_BLOCK // 2, seed=1)
     one = zs[: series._POINT_BLOCK]
-    peaks = []
-    for pts in (one, zs):
-        decay_exponent_many(params, cs, pts[:8], with_deriv=True, far_tol=FAR_TOL)
-        tracemalloc.start()
-        try:
-            whole = decay_exponent_many(params, cs, pts, with_deriv=True, far_tol=FAR_TOL)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # the outputs (F, F', bound) of the extra 1.5 blocks add about 0.5 MB
-    assert peaks[1] < 1.25 * peaks[0]
-    parts = [decay_exponent_many(params, cs, zs[lo : lo + 5000], with_deriv=True,
-                                 far_tol=FAR_TOL) for lo in range(0, zs.size, 5000)]
-    for a, b in zip(whole, zip(*parts)):
-        assert np.array_equal(a, np.concatenate(b))
+    for many in (
+        lambda pts: decay_exponent_many(params, cs, pts, with_deriv=True, far_tol=FAR_TOL),
+        lambda pts: log_cosine_product_many(params, cs, pts, with_deriv=True),
+    ):
+        peaks = []
+        for pts in (one, zs):
+            many(pts[:8])
+            tracemalloc.start()
+            try:
+                whole = many(pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the outputs of the extra 1.5 blocks add 0.3 MB to F's 4.2 MB peak
+        # and 1.9 MB to G's 11.2 MB
+        assert peaks[1] < 1.25 * peaks[0]
+        parts = [many(zs[lo : lo + 5000]) for lo in range(0, zs.size, 5000)]
+        for a, b in zip(whole, zip(*parts)):
+            assert np.array_equal(a, np.concatenate(b))
 
 
 def test_trigamma_tail_is_computed_once(params_half, cs_half, probe_grid):
@@ -582,7 +584,7 @@ def test_series_rejects_a_set_of_another_s():
     with pytest.raises(ValidationError):
         decay_exponent(params, cs, z)  # the tree walk
     with pytest.raises(ValidationError):
-        decay_exponent(params, cs, z, far_tol=None)  # the direct sums
+        decay_exponent_many(params, cs, np.array([z]), far_tol=None)  # the direct sums
     with pytest.raises(ValidationError):
         cosine_product(params, cs, z)
 
@@ -612,10 +614,11 @@ _SPLIT_POINTS = st.lists(
     chunks=st.lists(st.integers(0, 2), min_size=40, max_size=40),
 )
 def test_batching_does_not_change_results(points, s, far_tol, chunks):
-    """One call on an array gives the same F, F' and bound, bit for bit, as
-    calls on a split of it: each point's terms are summed in generation
-    order, whichever other points share its call (constant exponent at
-    s = 0.5, varying at s = 1)."""
+    """One call on an array gives the same F, F' and bound, and the same
+    log|G|, arg G, zero mask, G'/G and remainder, bit for bit, as calls on a
+    split of it: each point's terms are summed in generation order,
+    whichever other points share its call (constant exponent at s = 0.5,
+    varying at s = 1)."""
     params = SeriesParams(s=s, max_gen=10)
     cs = CantorSet.build(s, 10)
     zs = []
@@ -627,15 +630,18 @@ def test_batching_does_not_change_results(points, s, far_tol, chunks):
             y = cs.left_endpoints(k)[m % 2**k]
             zs.append(complex(dx, dy - y))
     zs = np.array(zs)
-    whole = decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=far_tol)
     part = np.array(chunks[: zs.size])
-    for c in range(3):
-        sel = part == c
-        if not sel.any():
-            continue
-        got = decay_exponent_many(params, cs, zs[sel], with_deriv=True, far_tol=far_tol)
-        for a, b in zip(whole, got):
-            assert np.array_equal(a[sel], b, equal_nan=True)
+    for many in (
+        lambda pts: decay_exponent_many(params, cs, pts, with_deriv=True, far_tol=far_tol),
+        lambda pts: log_cosine_product_many(params, cs, pts, with_deriv=True),
+    ):
+        whole = many(zs)
+        for c in range(3):
+            sel = part == c
+            if not sel.any():
+                continue
+            for a, b in zip(whole, many(zs[sel])):
+                assert np.array_equal(a[sel], b, equal_nan=True)
 
 
 @pytest.mark.parametrize(
