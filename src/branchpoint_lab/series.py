@@ -27,9 +27,9 @@ from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import ConvergenceError, SingularPointError, ValidationError
 from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
 
-# Elements (points x shifts, or pairs x generations x proxies) per block of
-# a pair sum: a few 64 kB arrays that stay in cache, and no more memory for
-# a 64-point call than for one.
+# Elements (points x shifts, or far pairs x proxies) per block of a pair
+# sum: a few 64 kB arrays that stay in cache, and no more memory for a
+# 64-point call than for one.
 _PAIR_BLOCK = 8192
 # Points per tree walk of decay_exponent_many: a walk holds every pair of a
 # generation at once, so a larger call walks its points in blocks of this
@@ -53,6 +53,10 @@ _MAX_ORDER = 40
 # 1e-13 M (see _proxy_remainder).
 _PROXIES = 13
 _ELLIPSE_REACH = 0.75
+# A proxy sums the generations with b_k |log w| <= _POLY_CAP in one polynomial
+# of _POLY_TERMS terms in (log w)^2, truncated by at most 1.5e-20 at the cap.
+_POLY_TERMS = 18
+_POLY_CAP = 0.45
 
 # Contour derivatives: first ring, relative agreement of two rings, node cap.
 _CONTOUR_START = 16
@@ -183,15 +187,15 @@ def _pair_blocks(
     zs: np.ndarray | AnchoredPoint, ys: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(log|w|, arg w) for w = z + i*y: one row per point of zs (a complex
-    array, or one AnchoredPoint) and one column per shift of ys, in blocks
-    of at most _PAIR_BLOCK pairs (one shift at a time past that many points).
+    array of at most 8, or one AnchoredPoint) and one column per shift of
+    ys, in blocks of _PAIR_BLOCK / 8 shifts: the same blocks at any size.
 
     At an anchored point the shift equal to its own anchor takes the stored
     log-polar offset exactly; the rest go through the saturated complex
     offset, whose underflow error is negligible against the endpoint
     separation.
     """
-    step = max(1, _PAIR_BLOCK // max(_size(zs), 1))
+    step = _PAIR_BLOCK // 8
     for j in range(0, ys.size, step):
         yb = ys[None, j : j + step]
         if not isinstance(zs, AnchoredPoint):
@@ -210,7 +214,7 @@ def _direct_sum(
     cs: CantorSet,
     zs: np.ndarray | AnchoredPoint,
     with_deriv: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     n = _size(zs)
     F = np.zeros(n, dtype=complex)
     Fp = np.zeros(n, dtype=complex) if with_deriv else None
@@ -223,7 +227,7 @@ def _direct_sum(
                 F += a_k * neg_power(lr, th, al).sum(axis=1)
                 if with_deriv:
                     Fp += -al * a_k * neg_power(lr, th, al + 1.0).sum(axis=1)
-    return F, Fp
+    return F, Fp, np.zeros(n)
 
 
 def _top_exponent(params: SeriesParams) -> float:
@@ -433,16 +437,17 @@ def decay_exponent_many(
         zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     if far_tol is None or anchored:
         _require_depth(params, cs)
-        Fd, Fpd = _direct_sum(params, cs, zs, with_deriv)
-        return Fd, Fpd, np.zeros(_size(zs))
+        if anchored:
+            return _direct_sum(params, cs, zs, with_deriv)
+        return _in_point_blocks(lambda b: _direct_sum(params, cs, b, with_deriv), zs, 8)
     _require_s(params, cs)
     return _in_point_blocks(lambda b: _tree_sum(params, cs, b, with_deriv, far_tol), zs)
 
 
-def _in_point_blocks(walk: Callable[[np.ndarray], tuple], zs: np.ndarray) -> tuple:
-    """walk on each block of at most _POINT_BLOCK points of zs (one empty
-    block for no points), its output arrays concatenated; None stays None."""
-    parts = [walk(zs[lo : lo + _POINT_BLOCK]) for lo in range(0, max(zs.size, 1), _POINT_BLOCK)]
+def _in_point_blocks(walk: Callable, zs: np.ndarray, size: int = _POINT_BLOCK) -> tuple:
+    """walk on each block of at most `size` points of zs (one empty block
+    for no points), its output arrays concatenated; None stays None."""
+    parts = [walk(zs[lo : lo + size]) for lo in range(0, max(zs.size, 1), size)]
     return tuple(None if a[0] is None else np.concatenate(a) for a in zip(*parts))
 
 
@@ -555,6 +560,49 @@ def _proxy_table(params: SeriesParams, p: int) -> tuple[np.ndarray, np.ndarray]:
     return tau, W
 
 
+@functools.lru_cache(maxsize=4)
+def _log_cos_coeffs(M: int) -> np.ndarray:
+    """c[0..M], log cos u = sum_m c[m] u^(2m) for |u| < pi/2 (A&S 4.3.71),
+    each rounded once from its exact rational: c[m] = (-1)^m 2^(2m-1)
+    (2^(2m) - 1) B_2m / (m (2m)!) < 0, B_n from sum_{i<=n} C(n+1, i) B_i = 0."""
+    from fractions import Fraction  # not at import: it loads the decimal module
+    B = [Fraction(1)]
+    for n in range(1, 2 * M + 1):
+        B.append(-sum(math.comb(n + 1, i) * B[i] for i in range(n)) / (n + 1))
+    return np.array([0.0] + [float((-1) ** m * 2 ** (2 * m - 1) * (4**m - 1) * B[2 * m]
+                                   / (m * math.factorial(2 * m))) for m in range(1, M + 1)])
+
+
+def _log_cos_tail(M: int, r, rho: float = 1.56):
+    """Bound on |log cos u - sum_{m<=M} c[m] u^(2m)| for |u| <= r < rho: the
+    c[m] share one sign, so max |log cos| on |u| = rho is -log cos(rho) >= |c[m]| rho^2m."""
+    q = (r / rho) ** 2
+    return -math.log(math.cos(rho)) * q ** (M + 1) / (1.0 - q)
+
+
+@functools.lru_cache(maxsize=32)
+def _poly_table(params: SeriesParams, p: int, M: int) -> tuple[np.ndarray, ...]:
+    """(T, dT, A): proxy i of a generation-j subtree sums its generations
+    k >= k0 as P(u^2) = sum_m T[j, m, k0, i] u^(2m), u = b_k0 log w_i, with
+    T[j, m, k0, i] = c[m] sum_{k>=k0} W[j, k, i] (b_k / b_k0)^(2m), and d/dw
+    as 2 u b_k0 / w_i P'(u^2), dT[:, m] = (m + 1) T[:, m + 1]; k0 = K + 1 is 0.
+    At b_k0 max_i |log w_i| = r its truncation error is at most
+    _log_cos_tail(M, r) A[j, k0], A = sum_{k>=k0, i} |W[j, k, i]| (b_k / b_k0)^(2M+2)."""
+    K = params.max_gen
+    _, W = _proxy_table(params, p)
+    b = np.array([params.coeff(k) for k in range(1, K + 1)])
+    # pw[k0 - 1, k - 1, m] = (b_k / b_k0)^(2m) for k >= k0, else 0 (1 at m = 0, c[0] = 0)
+    pw = np.triu(b / b[:, None])[..., None] ** (2 * np.arange(M + 2))
+    T = np.zeros((K + 1, M + 1, K + 2, p))
+    T[:, :, 1:-1] = np.einsum("m,jki,akm->jmai", _log_cos_coeffs(M), W[:, 1:], pw[..., :-1])
+    A = np.zeros((K + 1, K + 2))
+    A[:, 1:-1] = np.einsum("jki,ak->ja", np.abs(W[:, 1:]), pw[..., -1])
+    dT = T[:, 1:] * np.arange(1, M + 1)[:, None, None]
+    for arr in (T, dT, A):
+        arr.flags.writeable = False
+    return T, dT, A
+
+
 def _proxy_remainder(
     p: int, b: np.ndarray, counts: np.ndarray, len_j: float, dist: np.ndarray, w_abs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -613,14 +661,16 @@ def log_cosine_product_many(
 
     Array input takes the tree walk of `decay_exponent_many` at FAR_TOL, in
     its point blocks.  Near pairs add their own generation-j term exactly.
-    A far subtree becomes p = _PROXIES Chebyshev proxies on its interval
+    A far subtree becomes p = _PROXIES Chebyshev proxies w_i on its interval
     (`_proxy_table`): its generation-k endpoints sum as
-    sum_i W[j, k, i] log cos(b_k log(w + i tau_i len_j)), and the same
-    weights give arg G and G'/G, at p splits and p cosines per generation.
-    A subtree is opened instead where its remainder is not certified
-    (`_proxy_remainder`), or where it has fewer endpoints than p times its
-    generation count.  An AnchoredPoint keeps the direct pair sums, as the
-    series does at one.
+    sum_i W[j, k, i] log cos(b_k log w_i), and the same weights give arg G
+    and G'/G.  The generations with b_k max_i |log w_i| <= _POLY_CAP (all
+    but the first one or two) sum at each proxy as one polynomial in
+    (log w_i)^2 (`_poly_table`), whose truncation bound joins the remainder,
+    the others as a log cos each.  A subtree is opened instead where its
+    remainder is not certified (`_proxy_remainder`), or where it has fewer
+    endpoints than p times its generation count.  An AnchoredPoint keeps
+    the direct pair sums, as the series does at one.
     """
     _require_depth(params, cs)
     if isinstance(zs, AnchoredPoint):
@@ -646,7 +696,7 @@ def _cosine_sum(
     zero = np.zeros(n, dtype=bool)
     dlog = np.zeros(n, dtype=complex) if with_deriv else None
     rem = np.zeros(n)
-    coeffs = np.array([0.0] + [params.coeff(k) for k in range(1, K + 1)])
+    coeffs = np.array([0.0] + [params.coeff(k) for k in range(1, K + 1)] + [0.0])
     if isinstance(zs, AnchoredPoint):
         for k in range(1, K + 1):
             for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
@@ -659,8 +709,12 @@ def _cosine_sum(
         return log_abs, arg, zero, dlog, rem
     p = _PROXIES
     tau, W = _proxy_table(params, p)
+    T, dT, A = _poly_table(params, p, _POLY_TERMS)
     for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
         ks = np.arange(max(j, 1), K + 1)  # generations left to sum
+        v_log = np.zeros(idx.size, dtype=complex)  # log cos, summed per pair
+        v_dl = np.zeros(idx.size, dtype=complex) if with_deriv else None
+        v_rem = np.zeros(idx.size)
         if (2.0 ** (ks - j)).sum() < p * ks.size:
             far[:] = False  # fewer endpoints than proxies: sum them directly
         elif far.any():
@@ -669,32 +723,38 @@ def _cosine_sum(
                 p, b, 2.0 ** (ks - j) - 1.0, len_j, np.sqrt(d2[far]), np.exp(lr[far])
             )
             far[far] = usable
-            rem += np.bincount(idx[far], weights=bound, minlength=n)
-        v_la = np.zeros(idx.size)
-        v_ar = np.zeros(idx.size)
-        v_dl = np.zeros(idx.size, dtype=complex) if with_deriv else None
+            v_rem[far] = bound
         near = ~far
         if j >= 1 and near.any():
             # a point on the set makes its own term NaN
             la, ar, zm, dl = log_cos(lr[near], th[near], coeffs[j], with_deriv)
             zero[idx[near][zm]] = True
-            v_la[near], v_ar[near] = la, ar
+            v_log.real[near], v_log.imag[near] = la, ar
             if with_deriv:
                 v_dl[near] = dl
         sel = np.flatnonzero(far)
-        Wj = W[j, ks]
-        step = max(1, _PAIR_BLOCK // (p * ks.size))
-        for lo in range(0, sel.size, step):
-            rows = sel[lo : lo + step]
-            # (pair, generation, proxy) blocks, summed over the last two
-            lp, tp = log_polar(wr[rows, None, None], wi[rows, None, None] + tau * len_j)
-            la, ar, _, dl = log_cos(lp, tp, coeffs[ks, None], with_deriv)
-            v_la[rows] = (la * Wj).sum(axis=(1, 2))
-            v_ar[rows] = (ar * Wj).sum(axis=(1, 2))
-            if with_deriv:
-                v_dl[rows] = (dl * Wj).sum(axis=(1, 2))
-        log_abs += np.bincount(idx, weights=v_la, minlength=n)
-        arg += np.bincount(idx, weights=v_ar, minlength=n)
+        for lo in range(0, sel.size, _PAIR_BLOCK // p):
+            rows = sel[lo : lo + _PAIR_BLOCK // p]
+            lp, tp = log_polar(wr[rows, None], wi[rows, None] + tau * len_j)  # (pair, proxy)
+            # a pair's generations k < k0 stay explicit: b_k max|log w| is past the cap
+            L_max = np.sqrt((lp * lp + tp * tp).max(axis=1))
+            k0 = ks[0] + (coeffs[ks] * L_max[:, None] > _POLY_CAP).sum(axis=1)
+            for k in range(ks[0], k0.max()):
+                at = k0 > k
+                la, ar, _, dl = log_cos(lp[at], tp[at], coeffs[k], with_deriv)
+                v_log[rows[at]] += ((la + 1j * ar) * W[j, k]).sum(axis=1)
+                if with_deriv:
+                    v_dl[rows[at]] += (dl * W[j, k]).sum(axis=1)
+            # the rest in one polynomial, zero where k0 = K + 1 (b_k0 = 0, T = 0)
+            u = coeffs[k0, None] * (lp + 1j * tp)
+            v_log[rows] += _horner(T[j][:, k0], u * u).sum(axis=1)
+            v_rem[rows] += _log_cos_tail(_POLY_TERMS, coeffs[k0] * L_max) * A[j, k0]
+            if with_deriv:  # 2 u b_k0 P'(u^2) / w
+                dp = _horner(dT[j][:, k0], u * u) * (2.0 * coeffs[k0, None] * u)
+                v_dl[rows] += (dp * neg_power(lp, tp, 1.0)).sum(axis=1)
+        log_abs += np.bincount(idx, weights=v_log.real, minlength=n)
+        arg += np.bincount(idx, weights=v_log.imag, minlength=n)
+        rem += np.bincount(idx, weights=v_rem, minlength=n)
         if with_deriv:
             dlog.real += np.bincount(idx, weights=v_dl.real, minlength=n)
             dlog.imag += np.bincount(idx, weights=v_dl.imag, minlength=n)

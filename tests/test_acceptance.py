@@ -1,8 +1,9 @@
 """Acceptance gate: every quantitative guarantee of the package, end to end.
 
 Each test states the claim it checks in its docstring; tolerances are part
-of the contract.  The two Cantor-set frequency/vanishing runs dominate the
-runtime (a few minutes together).
+of the contract.  The module runs in about 6 s on 2 cores, the Cantor-set
+frequency and vanishing runs in about 2 s of it; the whole tier-1 suite
+takes about 45 s.
 """
 
 import cmath

@@ -217,22 +217,104 @@ def _mixed_probes(n: int, seed: int) -> np.ndarray:
     return rng.uniform(1e-3, 2.0, n) + 1j * rng.uniform(-1.5, 1.5, n)
 
 
-@pytest.mark.parametrize("p", [4, 8, series._PROXIES])
-def test_proxy_remainder_bounds_the_deviation_from_the_pair_sum(monkeypatch, p):
-    """With p proxies per far subtree, log|G| and arg G differ from the sum
-    over every pair by at most the certified remainder (plus rounding); at
-    p = 4 the proxies' own error stands well above rounding."""
-    monkeypatch.setattr(series, "_PROXIES", p)
-    params = SeriesParams(s=0.5, max_gen=12)
-    cs = CantorSet.build(0.5, 12)
+def _proxy_use(params: SeriesParams, cs: CantorSet, zs: np.ndarray) -> np.ndarray:
+    """Per point and generation k, the log cos elements its far proxies take
+    explicitly (b_k past the polynomial's cap), counted in one-point calls."""
+    kernel = series.log_cos
+    gens = {params.coeff(k): k for k in range(1, params.max_gen + 1)}
+    out = np.zeros((zs.size, params.max_gen + 1), dtype=int)
+    for n, z in enumerate(zs):
+
+        def counted(lr, th, b, with_deriv=False):
+            if np.ndim(lr) == 2:  # (pair, proxy): proxied, not near
+                out[n, gens[b]] += np.size(lr)
+            return kernel(lr, th, b, with_deriv)
+
+        series.log_cos = counted
+        try:
+            log_cosine_product_many(params, cs, np.array([z]))
+        finally:
+            series.log_cos = kernel
+    return out
+
+
+@pytest.mark.parametrize("s,p,M", [
+    pytest.param(0.5, 4, None, id="4"),
+    pytest.param(0.5, 8, None, id="8"),
+    pytest.param(0.5, None, None, id="13"),
+    pytest.param(0.75, None, None, id="13-s0.75"),
+    pytest.param(1.0, None, None, id="13-s1"),
+    pytest.param(0.5, None, 4, id="13-M4"),
+])
+def test_proxy_remainder_bounds_the_deviation_from_the_pair_sum(monkeypatch, s, p, M):
+    """With p proxies per far subtree and M terms of the (log w)^2
+    polynomial, log|G| and arg G differ from the sum over every pair by at
+    most the certified remainder (plus rounding): on probes where
+    generation 1 stays explicit at some proxies and on probes where every
+    proxied generation is in the polynomial.  G'/G, taken in the same
+    call, agrees with the pair sum to rounding at the default p and M.  At
+    p = 4 the proxies' own error, and at M = 4 the polynomial's, stands
+    well above rounding."""
+    monkeypatch.setattr(series, "_PROXIES", p or series._PROXIES)
+    monkeypatch.setattr(series, "_POLY_TERMS", M or series._POLY_TERMS)
+    params = SeriesParams(s=s, max_gen=12)
+    cs = CantorSet.build(s, 12)
     zs = _mixed_probes(300, 5)
-    la_b, ar_b, _, scale = _brute_cos(params, cs, zs)
-    la, ar, _, _, rem = log_cosine_product_many(params, cs, zs)
+    la_b, ar_b, dl_b, scale = _brute_cos(params, cs, zs)
+    la, ar, _, dl, rem = log_cosine_product_many(params, cs, zs, with_deriv=True)
+    assert np.array_equal(la, log_cosine_product_many(params, cs, zs)[0])
+    use = _proxy_use(params, cs, zs)
+    gen1, poly = use[:, 1] > 0, use.sum(axis=1) == 0
+    assert gen1.sum() > 50 and poly.sum() > 50  # both kinds of probe
     assert np.all(rem > 0.0)
     assert np.all(np.abs(la - la_b) <= rem + 1e-15 * scale)
     assert np.all(np.abs(ar - ar_b) <= rem + 1e-15 * scale)
-    if p == 4:
-        assert np.abs(la - la_b).max() > 1e-10
+    if p is None and M is None:
+        d_scale = _cos_scales(cs, 12, zs)[1]
+        assert np.all(np.abs(dl - dl_b) <= 1e-14 * d_scale)
+    if p == 4 or M == 4:
+        for sel in (gen1, poly):
+            assert np.abs(la - la_b)[sel].max() > 1e-10
+
+
+def _mp_log_cos_coeff(m: int):
+    """c_m of log cos u = sum_m c_m u^(2m) (A&S 4.3.71), from mpmath's B_2m."""
+    return ((-1) ** m * mpmath.mpf(2) ** (2 * m - 1) * (mpmath.mpf(4) ** m - 1)
+            * mpmath.bernoulli(2 * m) / (m * mpmath.factorial(2 * m)))
+
+
+def test_log_cos_coefficients_match_the_bernoulli_numbers():
+    """The Taylor coefficients of log cos, rounded from exact rationals,
+    within 1 ulp of A&S 4.3.71 with mpmath's Bernoulli numbers."""
+    c = series._log_cos_coeffs(30)
+    assert c[0] == 0.0
+    with mpmath.workdps(50):
+        for m in range(1, 31):
+            want = _mp_log_cos_coeff(m)
+            assert abs(mpmath.mpf(c[m]) - want) <= math.ulp(float(want)), m
+
+
+@pytest.mark.parametrize("M", [4, 8, series._POLY_TERMS])
+def test_log_cos_tail_bounds_the_truncated_series(M):
+    """|log cos u - sum_{m<=M} c_m u^(2m)| (exact c_m) is at most
+    _log_cos_tail(M, |u|) on 200 sampled complex u with cap / 4 <= |u| <=
+    cap, the circle |u| = cap included, and the bound is within 200 times
+    the largest tail there.  (The tail falls like |u|^(2M+2): at
+    |u| = cap / 4 and M = 18 it is 1e-45 of log cos u, hence 100 digits.)"""
+    rng = np.random.default_rng(M)
+    cap = series._POLY_CAP
+    us = cap * np.sqrt(rng.uniform(1 / 16, 1.0, 200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    us[:8] = cap * np.exp(0.25j * np.pi * np.arange(8))
+    worst = 0.0
+    with mpmath.workdps(100):
+        c = [_mp_log_cos_coeff(m) for m in range(1, M + 1)]
+        for u in us:
+            uu = mpmath.mpc(u.real, u.imag)
+            poly = sum(cm * uu ** (2 * m) for m, cm in enumerate(c, 1))
+            tail = float(abs(mpmath.log(mpmath.cos(uu)) - poly))
+            assert tail <= series._log_cos_tail(M, abs(u)), u
+            worst = max(worst, tail)
+    assert series._log_cos_tail(M, cap) < 200 * worst
 
 
 def test_series_product_energy_density_against_the_pair_sum():
