@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Layer bench of the disk quadrature: arc meshes in µs per radial node,
+node assembly in ns per node, integrand nodes per second.
+
+    python3 bench/quad_layers.py                      # print the JSON entry
+    python3 bench/quad_layers.py --label change --out BENCH_quad.json
+    python3 bench/quad_layers.py --src ../parent/src --label parent --out BENCH_quad.json
+    python3 bench/quad_layers.py --quick              # a few seconds, for CI
+
+Times the disk integrals of the perfbench workloads that run them: D of
+the `SmoothBlock(0.5)` half-disks (Q = 2, R = 0.2, 0.1, 0.05, the default
+config of `frequency`), as `anchor_quad` takes them, and the innermost disk
+of `mass_curve` (the log L2 mass of `RealPartTarget`, s = 0.5, max_gen 18,
+R = 10^-1.1, `QuadConfig(rel_tol=1e-3, order=10, max_refine=6)`).  Each
+integral runs through the public API (`log_dirichlet_energy`, `log_mass`)
+with the angular-mesh callable of `polar_mesh` and the integrand of
+`log_disk_integral` wrapped in timers, so the split does not depend on how
+a checkout meshes its arcs:
+
+- mesh_us_per_radial_node: time in the angular-mesh callable over the
+  radial nodes whose rings the integral visits (rings x order);
+- assembly_ns_per_node: the rest of the disk integral, less the integrand,
+  per integrand node;
+- nodes_per_s: integrand nodes over the whole disk integral.
+
+Each figure comes from the fastest of REPEATS runs after one warm-up run,
+in reference seconds as in perfbench (perfbench/speed.py: wall time scaled
+by the host's speed, which a fixed probe samples while the run goes on);
+the split of that run is scaled alike.  Beside the times it records what
+does not depend on the machine: rings visited, radial nodes meshed,
+integrand nodes and the answers (log D or log mass and their log-errors),
+so a speed-up that moves an answer shows at once.  --out merges the entry
+into a JSON file under --label, so two checkouts measured on one machine
+sit side by side.  --quick (2 repeats) only checks that the script runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from speed import SpeedSampler  # noqa: E402
+
+REPEATS = 7
+BLOCK_RADII = (0.2, 0.1, 0.05)
+MASS_RADIUS = 10.0 ** (-1.1)
+
+
+class Split:
+    """Wall seconds of the disk integrals, their arc meshes and integrands,
+    with the counts of rings, meshed radial nodes and integrand nodes."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.disk_s = self.mesh_s = self.integrand_s = 0.0
+        self.rings = self.meshed = self.nodes = 0
+
+    def install(self, freq, van):
+        """Wrap `polar_mesh` and `log_disk_integral` where the modules call them."""
+        split = self
+        polar_mesh = freq.polar_mesh
+        disk = freq.log_disk_integral
+
+        def timed_mesh(*args, **kwargs):
+            r_edges, mesh, inner = polar_mesh(*args, **kwargs)
+
+            def arcs(rho):
+                t0 = time.perf_counter()
+                out = mesh(rho)
+                split.mesh_s += time.perf_counter() - t0
+                split.meshed += np.size(rho)
+                return out
+
+            return r_edges, arcs, inner
+
+        def timed_disk(L_fn, *args, **kwargs):
+            def L(zs):
+                t0 = time.perf_counter()
+                out = L_fn(zs)
+                split.integrand_s += time.perf_counter() - t0
+                split.rings += 1
+                split.nodes += zs.size
+                return out
+
+            t0 = time.perf_counter()
+            out = disk(L, *args, **kwargs)
+            split.disk_s += time.perf_counter() - t0
+            return out
+
+        for mod in (freq, van):
+            mod.polar_mesh = timed_mesh
+            mod.log_disk_integral = timed_disk
+
+
+def measure_case(name, run, order, repeats, sampler, split) -> dict:
+    run()  # tables and caches
+    best = None
+    for _ in range(repeats):
+        split.clear()
+        out, wall, ref = sampler.timed(run)
+        if best is None or ref < best[0]:
+            best = (ref, ref / wall, out, split.disk_s, split.mesh_s, split.integrand_s,
+                    split.rings, split.meshed, split.nodes)
+    _, scale, (value, err), disk_s, mesh_s, integrand_s, rings, meshed, nodes = best
+    assembly_s = disk_s - mesh_s - integrand_s
+    return {
+        "case": name,
+        "disk_ms": round(1e3 * scale * disk_s, 3),
+        "mesh_us_per_radial_node": round(1e6 * scale * mesh_s / (rings * order), 3),
+        "assembly_ns_per_node": round(1e9 * scale * assembly_s / nodes, 2),
+        "nodes_per_s": round(nodes / (scale * disk_s)),
+        "rings": rings, "radial_nodes_meshed": meshed, "nodes": nodes,
+        "log_value": value, "log_err": err,
+    }
+
+
+def measure(repeats: int, sampler: SpeedSampler) -> dict:
+    freq = importlib.import_module("branchpoint_lab.frequency")
+    van = importlib.import_module("branchpoint_lab.vanishing")
+    from branchpoint_lab import CantorSet, QuadConfig, SeriesParams
+
+    split = Split()
+    split.install(freq, van)
+    block = freq.MinimizerSpec(h=freq.SmoothBlock(alpha=0.5), Q=2)
+    block_cfg = QuadConfig(rel_tol=1e-6)
+    rows = [
+        measure_case(f"smooth_block D R={R}",
+                     lambda R=R: freq.log_dirichlet_energy(block, 0j, R, block_cfg),
+                     block_cfg.order, repeats, sampler, split)
+        for R in BLOCK_RADII
+    ]
+    params = SeriesParams(s=0.5, max_gen=18)
+    target = van.RealPartTarget(params=params, cs=CantorSet.build(0.5, 18))
+    mass_cfg = QuadConfig(rel_tol=1e-3, order=10, max_refine=6)
+    rows.append(measure_case(
+        f"mass_curve innermost disk R={MASS_RADIUS:.6g}",
+        lambda: van.log_mass(target, 0j, MASS_RADIUS, mass_cfg),
+        mass_cfg.order, repeats, sampler, split,
+    ))
+    return {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "processor": platform.processor()},
+        "repeats": repeats, "disks": rows,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src",
+                    help="the package source to measure (default: this checkout's src/)")
+    ap.add_argument("--quick", action="store_true", help="2 repeats")
+    ap.add_argument("--label", default="change")
+    ap.add_argument("--out", type=Path, help="JSON file to merge the entry into")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    with SpeedSampler() as sampler:
+        entry = measure(2 if args.quick else REPEATS, sampler)
+    if args.out is None:
+        print(json.dumps({args.label: entry}, indent=1))
+        return 0
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = entry
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

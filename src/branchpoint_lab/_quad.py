@@ -26,6 +26,12 @@ from .errors import ConvergenceError, ValidationError
 MIN_FRAC = 1e-8
 DROP = 45.0
 MAX_NODES = 2**16
+# radial panels of a disk level whose arcs are meshed in one call: the early
+# exit leaves about half of a level's panels unvisited
+RING_BLOCK = 8
+
+# the angular panels at each of an array of radii: (lo, hi, count per radius)
+Arcs = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,88 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _doublings(w: float, span: float) -> list[float]:
-    """The offsets w, 2w, 4w, ... below span/2."""
-    out = []
-    while w < 0.5 * span:
-        out.append(w)
-        w *= 2.0
-    return out
+def refined_panels(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    geo_a: bool = False,
+    rate_a: np.ndarray | float = 0.0,
+    rate_b: np.ndarray | float = 0.0,
+    targets: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of `refined_breakpoints` on the intervals [a[n], b[n]] at
+    once, row n with end rates rate_a[n] and rate_b[n] (arrays or floats).
+
+    `targets` is (t, w), two arrays of one row per interval: row n's
+    targets t[n] in the order it adds them, with their smallest cluster
+    widths w[n]; a NaN target is none.  Returns (lo, hi, count): the panels
+    [lo, hi] of every row, row after row, and the number of each row's.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.count_nonzero(b > a) < a.size:
+        i = int(np.argmin(b > a))
+        raise ValidationError(f"empty interval [{a[i]}, {b[i]}]")
+    n = a.size
+    span = b - a
+    half = 0.5 * span
+    # the smallest widths of the clusters edged up from a, down from b and
+    # about the targets, in the order a row adds them (inf: the row has none)
+    up, down = [], []
+    if geo_a:
+        up.append(MIN_FRAC * span)
+    for side, rate in ((up, rate_a), (down, rate_b)):
+        # a boundary layer exp(rate * x): keep the per-panel log variation ~8
+        if np.ndim(rate):
+            side.append(np.divide(8.0, rate, out=np.full(n, np.inf), where=rate > 0.0))
+        elif rate > 0.0:
+            side.append(8.0 / rate)
+    at = np.zeros((n, 0, 1))
+    if targets is not None:
+        t, wt = targets
+        on = (a[:, None] <= t) & (t <= b[:, None])  # one outside is skipped
+        at = np.where(on, t, np.nan)[..., None]
+        down += list(np.where(on, np.maximum(wt, 1e-15 * span[:, None]), np.inf).T)
+    w = np.empty((n, len(up) + len(down), 1))
+    for i, wi in enumerate(up + down):
+        w[:, i, 0] = wi
+    # each cluster is edged at width, 2 width, 4 width, ... below span / 2
+    most = np.fmax.reduce(half[:, None, None] / w, axis=None, initial=0.0)  # NaN: none
+    k = math.frexp(most)[1] + 1 if 1.0 <= most < math.inf else 0
+    w = np.ldexp(w, np.arange(k))
+    w = np.where(w < half[:, None, None], w, np.nan)
+    a3, b3 = a[:, None, None], b[:, None, None]
+    nu, nt = len(up), at.shape[1]
+    parts = [a[:, None], b[:, None], (0.5 * (a + b))[:, None]]
+    if nu:
+        parts.append((a3 + w[:, :nu]).reshape(n, -1))
+    if len(down) > nt:
+        parts.append((b3 - w[:, nu : w.shape[1] - nt]).reshape(n, -1))
+    if nt:
+        # a target is an edge itself; one of its edges past an end of
+        # [a, b] falls on the end, which the merge below drops
+        wt = w[:, w.shape[1] - nt :]
+        parts.append(np.concatenate(
+            [at, np.maximum(at - wt, a3), np.minimum(at + wt, b3)], axis=2
+        ).reshape(n, -1))
+    x = np.concatenate(parts, axis=1)
+    # sorted, NaNs last; of equal edges the first added stays, which tells
+    # only for zeros, whose signs the sort may swap
+    zero = x == 0.0
+    first_zero = None
+    if np.signbit(x[zero]).any():
+        first_zero = x[np.arange(n), zero.argmax(axis=1), None]
+    x.sort(axis=1)
+    if first_zero is not None:
+        x = np.where(x == 0.0, first_zero, x)
+    # merge edges indistinguishable at double precision
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:, 0] = True
+    np.greater(x[:, 1:] - x[:, :-1], 1e-15 * span[:, None], out=keep[:, 1:])
+    r = keep.nonzero()[0]
+    x = x[keep]
+    same = r[1:] == r[:-1]
+    return x[:-1][same], x[1:][same], np.bincount(r, minlength=n) - 1
 
 
 def refined_breakpoints(
@@ -74,33 +155,16 @@ def refined_breakpoints(
 
     A target may carry its own smallest cluster width as (position, width);
     bare floats use MIN_FRAC times the span.  A target on an end of [a, b]
-    is clustered toward from inside; one outside is skipped.
+    is clustered toward from inside; one outside is skipped.  Edges closer
+    than 1e-15 of the span to the one below are merged into it.
     """
-    if not b > a:
-        raise ValidationError(f"empty interval [{a}, {b}]")
-    span = b - a
-    edges = {a, b, 0.5 * (a + b)}
-    for w in _doublings(MIN_FRAC * span, span) if geo_a else []:
-        edges.add(a + w)
-    # a boundary layer exp(rate * x): keep the per-panel log variation ~8
-    for w in _doublings(8.0 / rate_a, span) if rate_a > 0.0 else []:
-        edges.add(a + w)
-    for w in _doublings(8.0 / rate_b, span) if rate_b > 0.0 else []:
-        edges.add(b - w)
-    for tgt in targets:
-        t, w0 = tgt if isinstance(tgt, tuple) else (tgt, MIN_FRAC * span)
-        if not (a <= t <= b):
-            continue
-        edges.add(t)
-        for w in _doublings(max(w0, 1e-15 * span), span):
-            if t - w > a:
-                edges.add(t - w)
-            if t + w < b:
-                edges.add(t + w)
-    out = np.array(sorted(edges))
-    # merge edges indistinguishable at double precision
-    keep = np.concatenate(([True], np.diff(out) > 1e-15 * span))
-    return out[keep]
+    pairs = [t if isinstance(t, tuple) else (t, MIN_FRAC * (b - a)) for t in targets]
+    t, w = np.array(pairs, dtype=float).reshape(-1, 2).T
+    lo, hi, _ = refined_panels(
+        np.array([a], dtype=float), np.array([b], dtype=float), geo_a=geo_a,
+        rate_a=rate_a, rate_b=rate_b, targets=(t[None, :], w[None, :]) if t.size else None,
+    )
+    return np.append(lo, hi[-1])
 
 
 def halve_edges(edges: np.ndarray) -> np.ndarray:
@@ -230,7 +294,7 @@ def _disk_level(
     L_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
     r_edges: np.ndarray,
-    theta_edges_fn: Callable[[float], np.ndarray],
+    arcs: Arcs,
     cfg: QuadConfig,
     level: int,
     inner_targets: Sequence[float],
@@ -238,38 +302,45 @@ def _disk_level(
     """One mesh level of the polar integral, outermost radial panel first,
     with early exit once inner panels are provably negligible.
 
-    The angular panels of all radial nodes of a ring are one flat (lo, hi)
-    pair, each panel split at its midpoint `level` times, so the nodes and
-    weights, in their order, are those of halving each node's own mesh.
+    The arcs of the radial nodes of RING_BLOCK radial panels (rings) are
+    meshed in one call.  The angular panels of all radial nodes of a ring
+    are one flat (lo, hi) pair, each panel split at its midpoint `level`
+    times, so the nodes and weights, in their order, are those of halving
+    each node's own mesh.
     """
     total = -math.inf
     quiet = 0
-    for i in range(r_edges.size - 2, -1, -1):
-        lo, hi = r_edges[i], r_edges[i + 1]
-        rho, logw_r = panel_nodes(np.array([lo, hi]), cfg.order)
-        meshes = [theta_edges_fn(float(rj)) for rj in rho]
-        a = np.concatenate([m[:-1] for m in meshes])
-        b = np.concatenate([m[1:] for m in meshes])
-        for _ in range(level):
-            mid = 0.5 * (a + b)
-            a = np.stack([a, mid], axis=1).ravel()
-            b = np.stack([mid, b], axis=1).ravel()
-        th, logw_t = _gauss(a, b, cfg.order)
-        per_node = np.array([m.size - 1 for m in meshes]) << level
-        log_rho = np.array([math.log(rj) for rj in rho])
-        logw = (logw_t + np.repeat(logw_r, per_node)[:, None]
-                + np.repeat(log_rho, per_node)[:, None])
-        zs = center + np.repeat(rho, per_node)[:, None] * np.exp(1j * th)
-        with np.errstate(invalid="ignore"):
-            vals = L_fn(zs.ravel()) + logw.ravel()
-        contrib = _lse(vals)
-        total = float(np.logaddexp(total, contrib))
-        if contrib < total - DROP:
-            quiet += 1
-            if quiet >= 3 and not any(t < lo for t in inner_targets):
-                break
-        else:
-            quiet = 0
+    n = cfg.order
+    for top in range(r_edges.size - 1, 0, -RING_BLOCK):
+        bottom = max(top - RING_BLOCK, 0)
+        rho_b, logw_rb = panel_nodes(r_edges[bottom : top + 1], n)
+        lo, hi, count = arcs(rho_b)
+        first = np.concatenate(([0], np.cumsum(count))).tolist()
+        for i in range(top - 1, bottom - 1, -1):
+            nodes = slice((i - bottom) * n, (i - bottom + 1) * n)
+            rho, logw_r = rho_b[nodes], logw_rb[nodes]
+            a = lo[first[nodes.start] : first[nodes.stop]]
+            b = hi[first[nodes.start] : first[nodes.stop]]
+            for _ in range(level):
+                mid = 0.5 * (a + b)
+                a = np.stack([a, mid], axis=1).ravel()
+                b = np.stack([mid, b], axis=1).ravel()
+            th, logw_t = _gauss(a, b, n)
+            per_node = count[nodes] << level
+            log_rho = np.array([math.log(rj) for rj in rho])
+            logw = (logw_t + np.repeat(logw_r, per_node)[:, None]
+                    + np.repeat(log_rho, per_node)[:, None])
+            zs = center + np.repeat(rho, per_node)[:, None] * np.exp(1j * th)
+            with np.errstate(invalid="ignore"):
+                vals = L_fn(zs.ravel()) + logw.ravel()
+            contrib = _lse(vals)
+            total = float(np.logaddexp(total, contrib))
+            if contrib < total - DROP:
+                quiet += 1
+                if quiet >= 3 and not any(t < r_edges[i] for t in inner_targets):
+                    return total
+            else:
+                quiet = 0
     return total
 
 
@@ -277,21 +348,22 @@ def log_disk_integral(
     L_fn: Callable[[np.ndarray], np.ndarray],
     center: complex,
     r_edges: np.ndarray,
-    theta_edges_fn: Callable[[float], np.ndarray],
+    arcs: Arcs,
     cfg: QuadConfig,
     *,
     inner_targets: Sequence[float] = (),
 ) -> tuple[float, float]:
     """Adaptive polar integral of exp(L) dA over panels around `center`.
 
-    `theta_edges_fn` supplies the angular mesh at each radius (domain clips
-    and singularity targets are baked in there); `inner_targets` lists radii
-    of interior singularities that must never be skipped by early exit.
-    Returns (log integral, log-error estimate).
+    `arcs` supplies the angular panels at an array of radii, as
+    `refined_panels` returns them (domain clips and singularity targets are
+    baked in there); `inner_targets` lists radii of interior singularities
+    that must never be skipped by early exit.  Returns (log integral,
+    log-error estimate).
     """
     return _refine(
         lambda level, edges: _disk_level(
-            L_fn, center, edges, theta_edges_fn, cfg, level, inner_targets
+            L_fn, center, edges, arcs, cfg, level, inner_targets
         ),
         r_edges,
         cfg,

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral
-from ._quad import log_line_integral, refined_breakpoints
+from ._quad import Arcs, log_line_integral, refined_breakpoints, refined_panels
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
@@ -370,48 +370,64 @@ def _log_flux(
         return (power - 1.0) * la_h + la_p + lr + np.log(np.abs(c)), c < 0
 
 
-def _theta_limit(center: complex, rho: float, domain: str) -> float:
+def _theta_limits(center: complex, rho: np.ndarray, domain: str) -> np.ndarray:
+    """The clip angles of the arcs of radii rho: the domain holds the part
+    |theta| <= thm of each."""
+    thm = np.full(rho.size, math.pi)
     if domain == "plane":
-        return math.pi
+        return thm
     x = complex(center).real
     if x < 0:
         raise ValidationError(f"half-plane center must have Re >= 0, got {center}")
-    if rho <= x:
-        return math.pi
-    return math.acos(max(-1.0, -x / rho))
+    clip = np.flatnonzero(rho > x)
+    thm[clip] = [math.acos(max(-1.0, -x / r)) for r in rho[clip].tolist()]
+    return thm
 
 
-def _arc_key(
+def _arc_keys(
     center: complex,
-    rho: float,
+    rho: np.ndarray,
     domain: str,
-    rate: float,
+    rate: Callable[[float], float],
     zero_polar: Sequence[tuple[float, float]] = (),
-) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """(clip angle, rate, zero targets) of the arc of radius rho: the rate
-    of a density decaying at `rate` at the domain's clip, 0 when the arc is
-    not clipped, and the zeros inside the arc with their cluster widths."""
-    thm = _theta_limit(center, rho, domain)
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """(clip angles, rates, zero targets) of the arcs of radii rho: the rate
+    rate(rho) of a density decaying at the domain's clip, 0 where the arc is
+    not clipped, and the zeros inside each arc with their cluster widths, as
+    `refined_panels` takes them (None without zeros)."""
+    thm = _theta_limits(center, rho, domain)
+    rates = np.zeros(rho.size)
+    clip = np.flatnonzero(thm < math.pi)
+    rates[clip] = [rate(r) for r in rho[clip].tolist()]
+    if not zero_polar:
+        return thm, rates, None
     # a zero ring only needs deep angular resolution at nearby radii
-    targets = []
-    for rz, az in zero_polar:
-        w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
-        if -thm < az < thm:
-            targets.append((az, w0))
-        elif thm == math.pi and abs(az) == math.pi:
-            # a zero on the seam of a full arc is at both of its ends
-            targets += [(-math.pi, w0), (math.pi, w0)]
-    return thm, rate if thm < math.pi else 0.0, tuple(targets)
+    rz, az = np.array(zero_polar, dtype=float).T
+    w0 = np.maximum(
+        MIN_FRAC * 2.0 * thm[:, None],
+        0.3 * np.abs(rho[:, None] - rz) / np.maximum(rho, 1e-300)[:, None],
+    )
+    # two targets per zero: the zero inside the arc, or both ends of a full
+    # arc for a zero on its seam (NaN: none)
+    seam = (thm[:, None] == math.pi) & (np.abs(az) == math.pi)
+    inside = (-thm[:, None] < az) & (az < thm[:, None])
+    t = np.stack([np.where(seam, -math.pi, np.where(inside, az, np.nan)),
+                  np.where(seam, math.pi, np.nan)], axis=2)
+    return thm, rates, (t.reshape(rho.size, -1), np.repeat(w0, 2, axis=1))
 
 
-def _arc_edges(
-    thm: float, rate: float, targets: tuple[tuple[float, float], ...]
-) -> np.ndarray:
-    """Angular panel edges of the arc [-thm, thm], refined at both ends for
-    `rate` and at the zeros; read-only, as successive radii share them."""
-    edges = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
-    edges.setflags(write=False)
-    return edges
+def _arc_panels(
+    center: complex,
+    rho: np.ndarray,
+    domain: str,
+    rate: Callable[[float], float],
+    zero_polar: Sequence[tuple[float, float]] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular panels of the arcs [-thm, thm] of radii rho, as
+    `refined_panels` returns them, refined at both ends for the rate and at
+    the zeros (`_arc_keys`)."""
+    thm, rates, targets = _arc_keys(center, rho, domain, rate, zero_polar)
+    return refined_panels(-thm, thm, rate_a=rates, rate_b=rates, targets=targets)
 
 
 def polar_mesh(
@@ -422,15 +438,15 @@ def polar_mesh(
     *,
     r_inner: float = 0.0,
     zero_polar: Sequence[tuple[float, float]] = (),
-) -> tuple[np.ndarray, Callable[[float], np.ndarray], list[float]]:
+) -> tuple[np.ndarray, Arcs, list[float]]:
     """Panel edges of the (annular) disk r_inner <= |z - center| <= r,
     clipped to `domain`, for a log-density whose |d/dr| near the domain edge
     at radius rho is about rate(rho).
 
-    Returns (radial edges, angular edges at a radius, the radii of the
-    interior zeros in zero_polar that fall inside the annulus).  Radial
+    Returns (radial edges, angular panels at an array of radii, the radii of
+    the interior zeros in zero_polar that fall inside the annulus).  Radial
     edges are geometric toward a disk's center and refined toward r by the
-    decay rate and around each zero radius; angular edges as _arc_edges.
+    decay rate and around each zero radius; angular panels as _arc_panels.
     """
     inner = [x for x, _ in zero_polar if r_inner < x < r]
     r_edges = refined_breakpoints(
@@ -446,17 +462,10 @@ def polar_mesh(
         if not np.any(np.abs(r_edges - x) == 0.0):
             warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
 
-    key, mesh = None, None
+    def arcs(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _arc_panels(center, rho, domain, rate, zero_polar)
 
-    def theta_edges(rho: float) -> np.ndarray:
-        # successive radii mostly share their arc: build its mesh on a change
-        nonlocal key, mesh
-        k = _arc_key(center, rho, domain, rate(rho), zero_polar)
-        if k != key:
-            key, mesh = k, _arc_edges(*k)
-        return mesh
-
-    return r_edges, theta_edges, inner
+    return r_edges, arcs, inner
 
 
 def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple[float, float]]:
@@ -475,7 +484,7 @@ def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple
         return []
     keep = zeros
     if spec.domain == "half_plane":
-        thm = _theta_limit(center, r, spec.domain)
+        thm = _theta_limits(center, np.array([r], dtype=float), spec.domain)[0]
         ring = center + r * np.exp(1j * np.linspace(-0.98 * thm, 0.98 * thm, 9))
         probes = np.array([z0 * 1.001 + center * (-0.001) for z0 in zeros])
         la_ring, _ = spec.h.log_h(ring)
@@ -492,7 +501,9 @@ def _arc_mesh(spec: MinimizerSpec, center: complex, r: float) -> np.ndarray:
     """Angular panel edges of the arc of radius r, refined at its clip and at
     the zeros of h next to it."""
     zero_polar = _zero_geometry(spec, center, 1.001 * r)
-    return _arc_edges(*_arc_key(center, r, spec.domain, spec.decay_rate(r), zero_polar))
+    lo, hi, _ = _arc_panels(center, np.array([r], dtype=float), spec.domain,
+                            spec.decay_rate, zero_polar)
+    return np.append(lo, hi[-1])
 
 
 def log_boundary_mass(
@@ -559,7 +570,7 @@ def log_dirichlet_energy(
     center = complex(center)
     if spec.domain == "plane" or r < center.real:
         return _log_arc_energy(spec, center, r, cfg)
-    r_edges, theta_edges, inner = polar_mesh(
+    r_edges, arcs, inner = polar_mesh(
         center,
         r,
         spec.domain,
@@ -567,7 +578,7 @@ def log_dirichlet_energy(
         zero_polar=_zero_geometry(spec, center, r),
     )
     return log_disk_integral(
-        spec.log_energy_density, center, r_edges, theta_edges, cfg, inner_targets=inner
+        spec.log_energy_density, center, r_edges, arcs, cfg, inner_targets=inner
     )
 
 

@@ -481,12 +481,16 @@ def _tree_sum(
             if fi.size:
                 inv_f = inv.take(fi)
                 q = len_j * inv_f
+                # np.multiply, not *: on a temporary right operand of 256 KiB
+                # or more, * reuses its buffer with the operands swapped, and
+                # a complex product with fused multiply-adds is not symmetric
+                # in the last bit, so a point's F would depend on its call
                 for g in table.groups[j]:
                     a_g = table.alphas[g]
                     wg = wa.take(fi) if a_g == al else neg_power(lr.take(fi), th.take(fi), a_g)
-                    vF += wg * _horner(table.coef[g, j], q)
+                    vF += np.multiply(wg, _horner(table.coef[g, j], q))
                     if with_deriv:
-                        vFp += wg * _horner(table.dcoef[g, j], q)
+                        vFp += np.multiply(wg, _horner(table.dcoef[g, j], q))
                 vFp = vFp * inv_f  # not in place, as in _horner
                 # Taylor remainder of (w + i t)^-a over offsets 0 <= t <= len_j:
                 # rem[j] len_j^p min(1, d)^-(a+p), formed in logs
@@ -582,10 +586,10 @@ def _log_cos_tail(M: int, r, rho: float = 1.56):
 
 @functools.lru_cache(maxsize=32)
 def _poly_table(params: SeriesParams, p: int, M: int) -> tuple[np.ndarray, ...]:
-    """(T, dT, A): proxy i of a generation-j subtree sums its generations
+    """(T, A): proxy i of a generation-j subtree sums its generations
     k >= k0 as P(u^2) = sum_m T[j, m, k0, i] u^(2m), u = b_k0 log w_i, with
     T[j, m, k0, i] = c[m] sum_{k>=k0} W[j, k, i] (b_k / b_k0)^(2m), and d/dw
-    as 2 u b_k0 / w_i P'(u^2), dT[:, m] = (m + 1) T[:, m + 1]; k0 = K + 1 is 0.
+    as 2 u b_k0 / w_i P'(u^2); k0 = K + 1 is 0.
     At b_k0 max_i |log w_i| = r its truncation error is at most
     _log_cos_tail(M, r) A[j, k0], A = sum_{k>=k0, i} |W[j, k, i]| (b_k / b_k0)^(2M+2)."""
     K = params.max_gen
@@ -597,10 +601,9 @@ def _poly_table(params: SeriesParams, p: int, M: int) -> tuple[np.ndarray, ...]:
     T[:, :, 1:-1] = np.einsum("m,jki,akm->jmai", _log_cos_coeffs(M), W[:, 1:], pw[..., :-1])
     A = np.zeros((K + 1, K + 2))
     A[:, 1:-1] = np.einsum("jki,ak->ja", np.abs(W[:, 1:]), pw[..., -1])
-    dT = T[:, 1:] * np.arange(1, M + 1)[:, None, None]
-    for arr in (T, dT, A):
+    for arr in (T, A):
         arr.flags.writeable = False
-    return T, dT, A
+    return T, A
 
 
 def _proxy_remainder(
@@ -709,7 +712,8 @@ def _cosine_sum(
         return log_abs, arg, zero, dlog, rem
     p = _PROXIES
     tau, W = _proxy_table(params, p)
-    T, dT, A = _poly_table(params, p, _POLY_TERMS)
+    T, A = _poly_table(params, p, _POLY_TERMS)
+    m1 = np.arange(1.0, _POLY_TERMS + 1.0)[:, None, None]  # m + 1 of P'(x)'s T[m + 1]
     for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
         ks = np.arange(max(j, 1), K + 1)  # generations left to sum
         v_log = np.zeros(idx.size, dtype=complex)  # log cos, summed per pair
@@ -746,12 +750,12 @@ def _cosine_sum(
                 if with_deriv:
                     v_dl[rows[at]] += (dl * W[j, k]).sum(axis=1)
             # the rest in one polynomial, zero where k0 = K + 1 (b_k0 = 0, T = 0)
-            u = coeffs[k0, None] * (lp + 1j * tp)
+            u = np.multiply(coeffs[k0, None], lp + 1j * tp)  # as in _tree_sum
             v_log[rows] += _horner(T[j][:, k0], u * u).sum(axis=1)
             v_rem[rows] += _log_cos_tail(_POLY_TERMS, coeffs[k0] * L_max) * A[j, k0]
             if with_deriv:  # 2 u b_k0 P'(u^2) / w
-                dp = _horner(dT[j][:, k0], u * u) * (2.0 * coeffs[k0, None] * u)
-                v_dl[rows] += (dp * neg_power(lp, tp, 1.0)).sum(axis=1)
+                dp = _horner(T[j][1:, k0] * m1, u * u) * (2.0 * coeffs[k0, None] * u)
+                v_dl[rows] += np.multiply(dp, neg_power(lp, tp, 1.0)).sum(axis=1)
         log_abs += np.bincount(idx, weights=v_log.real, minlength=n)
         arg += np.bincount(idx, weights=v_log.imag, minlength=n)
         rem += np.bincount(idx, weights=v_rem, minlength=n)

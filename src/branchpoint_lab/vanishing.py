@@ -135,10 +135,10 @@ def log_mass(
     if not (0.0 <= r_inner < r):
         raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
     center = complex(center)
-    r_edges, theta_edges, _ = polar_mesh(
+    r_edges, arcs, _ = polar_mesh(
         center, r, target.domain, target.decay_rate, r_inner=r_inner
     )
-    return log_disk_integral(target.log_density, center, r_edges, theta_edges, cfg)
+    return log_disk_integral(target.log_density, center, r_edges, arcs, cfg)
 
 
 def mass_curve(

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     CantorSet,
@@ -23,12 +24,11 @@ from branchpoint_lab import (
     frequency,
     frequency_curve,
 )
-from branchpoint_lab._quad import refined_breakpoints
+from branchpoint_lab._quad import MIN_FRAC, refined_breakpoints, refined_panels
 from branchpoint_lab.frequency import (
     BaseFunction,
     OscillatingPower,
-    _arc_edges,
-    _arc_key,
+    _arc_keys,
     _log_flux,
     polar_mesh,
 )
@@ -79,54 +79,136 @@ def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
-@pytest.mark.parametrize(
-    "thm, rate, targets",
-    [
-        (math.pi, 0.0, ()),
-        (0.5 * math.pi, 37.5, ()),
-        (1.2, 4.0, ((0.3, 1e-6), (-0.9, 0.02))),
-    ],
-)
-def test_arc_edges_are_read_only_breakpoints(thm, rate, targets):
-    got = _arc_edges(thm, rate, targets)
+_ARC_CASES = [
+    (math.pi, 0.0, ()),
+    (0.5 * math.pi, 37.5, ()),
+    (1.2, 4.0, ((0.3, 1e-6), (-0.9, 0.02))),
+]
+
+
+@pytest.mark.parametrize("thm, rate, targets", _ARC_CASES)
+def test_a_row_among_others_is_its_breakpoints(thm, rate, targets):
+    """The case's arc as the middle row of one call, between rows with other
+    clips, rates and targets, has the panels of its own one-row call."""
+    rows = [_ARC_CASES[1], (thm, rate, targets), _ARC_CASES[2]]
+    thms = np.array([r[0] for r in rows])
+    rates = np.array([r[1] for r in rows])
+    # the rows' targets, NaN-padded to the longest list
+    t, w = np.full((2, len(rows), 2), np.nan)
+    for i, r in enumerate(rows):
+        for j, (tj, wj) in enumerate(r[2]):
+            t[i, j], w[i, j] = tj, wj
+    lo, hi, count = refined_panels(-thms, thms, rate_a=rates, rate_b=rates, targets=(t, w))
+    at = np.cumsum(count) - count
+    got = np.append(lo[at[1] : at[1] + count[1]], hi[at[1] + count[1] - 1])
     want = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
-    assert np.array_equal(got, want)
-    assert not got.flags.writeable
-    with pytest.raises(ValueError):
-        got[0] = 0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _arc_key(center, rho, domain, rate, zero_polar=()):
+    """(clip angle, rate, zero targets) of one arc, node by node: the rule
+    `_arc_keys` forms for an array of radii."""
+    thm = math.pi
+    x = complex(center).real
+    if domain == "half_plane" and rho > x:
+        thm = math.acos(max(-1.0, -x / rho))
+    targets = []
+    for rz, az in zero_polar:
+        w0 = max(MIN_FRAC * 2.0 * thm, 0.3 * abs(rho - rz) / max(rho, 1e-300))
+        if -thm < az < thm:
+            targets.append((az, w0))
+        elif thm == math.pi and abs(az) == math.pi:
+            targets += [(-math.pi, w0), (math.pi, w0)]
+    return thm, rate(rho) if thm < math.pi else 0.0, tuple(targets)
+
+
+def _one_key(center, rho, domain, rate, zero_polar=()):
+    thm, rates, targets = _arc_keys(center, np.array([rho]), domain, rate, zero_polar)
+    t, w = (v[0] for v in targets) if targets is not None else ((), ())
+    return float(thm[0]), float(rates[0]), tuple((a, b) for a, b in zip(t, w) if a == a)
 
 
 def test_arc_key_drops_the_rate_of_an_unclipped_arc():
     # the full circle of a plane disk, or a half-plane arc that stays inside
-    assert _arc_key(0j, 0.3, "plane", 50.0) == (math.pi, 0.0, ())
-    assert _arc_key(1.0 + 0j, 0.3, "half_plane", 50.0) == (math.pi, 0.0, ())
+    assert _one_key(0j, 0.3, "plane", lambda rho: 50.0) == (math.pi, 0.0, ())
+    assert _one_key(1.0 + 0j, 0.3, "half_plane", lambda rho: 50.0) == (math.pi, 0.0, ())
     thm = math.acos(-0.1 / 0.3)
-    assert _arc_key(0.1 + 0j, 0.3, "half_plane", 50.0) == (thm, 50.0, ())
+    assert _one_key(0.1 + 0j, 0.3, "half_plane", lambda rho: 50.0) == (thm, 50.0, ())
 
 
 @pytest.mark.parametrize("az", [math.pi, -math.pi])
 def test_arc_key_puts_a_seam_zero_at_both_ends(az):
-    thm, _, targets = _arc_key(0j, 0.3, "plane", 0.0, [(0.2, az)])
+    thm, _, targets = _one_key(0j, 0.3, "plane", lambda rho: 0.0, [(0.2, az)])
     (lo, w0), (hi, w1) = targets
     assert (lo, hi) == (-math.pi, math.pi)
     assert w0 == w1 == pytest.approx(0.1)
-    edges = _arc_edges(thm, 0.0, targets)
+    edges = refined_breakpoints(-thm, thm, targets=targets)
     assert -math.pi + w0 in edges and math.pi - w0 in edges
 
 
-def test_polar_mesh_rebuilds_the_arc_mesh_only_on_a_change():
-    _, plane, _ = polar_mesh(0j, 0.5, "plane", lambda rho: 50.0)
-    first = plane(0.1)
-    assert plane(0.4) is first
-    assert np.array_equal(first, refined_breakpoints(-math.pi, math.pi))
-    # a clipped half-plane arc changes with the radius
-    _, half, _ = polar_mesh(0.1 + 0j, 0.5, "half_plane", lambda rho: 50.0 * rho)
-    for rho in (0.05, 0.3, 0.3, 0.45):
-        thm, rate, targets = _arc_key(0.1 + 0j, rho, "half_plane", 50.0 * rho)
-        want = refined_breakpoints(-thm, thm, rate_a=rate, rate_b=rate, targets=targets)
-        assert np.array_equal(half(rho), want)
-    assert half(0.3) is half(0.3)
-    assert half(0.3) is not half(0.45)
+def _assert_arcs_are_per_node_breakpoints(center, domain, rate, zero_polar, rho):
+    _, arcs, _ = polar_mesh(center, 1.0, domain, rate, zero_polar=zero_polar)
+    lo, hi, count = arcs(rho)
+    assert lo.size == hi.size == count.sum()
+    at = 0
+    for x, n in zip(rho.tolist(), count.tolist()):
+        thm, rt, targets = _arc_key(center, x, domain, rate, zero_polar)
+        want = refined_breakpoints(-thm, thm, rate_a=rt, rate_b=rt, targets=targets)
+        got = np.append(lo[at : at + n], hi[at + n - 1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        at += n
+
+
+def test_polar_mesh_arcs_are_the_per_node_breakpoints():
+    """Every radius of one call gets the mesh of its own arc: the same
+    full circle at each plane radius, and a clipped half-plane arc that
+    changes with the radius (a repeated radius repeats its mesh)."""
+    _assert_arcs_are_per_node_breakpoints(
+        0j, "plane", lambda rho: 50.0, (), np.array([0.1, 0.4])
+    )
+    _assert_arcs_are_per_node_breakpoints(
+        0.1 + 0j, "half_plane", lambda rho: 50.0 * rho, (), np.array([0.05, 0.3, 0.3, 0.45])
+    )
+
+
+_ANGLES = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 1e-17, -1e-17]),
+)
+
+
+@st.composite
+def _arc_meshes(draw):
+    """A center, domain, rate and zeros, and radii on both sides of the clip;
+    some zeros sit within a few ulps or 1e-15 of the span of an edge that
+    the rate or another zero puts there."""
+    domain = draw(st.sampled_from(["plane", "half_plane"]))
+    x = draw(st.sampled_from([0.0, 0.1, 0.35])) if domain == "half_plane" else 0.0
+    center = complex(x, draw(st.sampled_from([0.0, 0.2])))
+    scale = draw(st.sampled_from([0.0, 1.0, 40.0, 3e4]))
+    rate = (lambda rho: scale) if draw(st.booleans()) else (lambda rho: scale / rho)
+    rho = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=24)))
+    zeros = []
+    for _ in range(draw(st.integers(0, 3))):
+        rz = draw(st.floats(1e-3, 1.0))
+        az = draw(_ANGLES)
+        if draw(st.booleans()) and zeros:
+            # near-duplicate of another zero
+            az = zeros[-1][1] * (1.0 + draw(st.sampled_from([2.2e-16, 1e-15, -4.4e-16])))
+        elif draw(st.booleans()) and scale > 0.0:
+            # near the first rate edge of a clipped arc at rho[0]
+            thm = math.acos(max(-1.0, -x / rho[0])) if rho[0] > x else math.pi
+            az = -thm + 8.0 / rate(rho[0]) * (1.0 + draw(st.sampled_from([0.0, 1e-15, -1e-15])))
+        zeros.append((rz, az))
+    return center, domain, rate, zeros, rho
+
+
+@given(_arc_meshes())
+@example((0j, "plane", lambda rho: 0.0, [(0.5, math.pi), (0.2, -0.0)], np.array([0.3, 0.5])))
+@example((0.1 + 0j, "half_plane", lambda rho: 50.0, [(0.3, 0.4)], np.array([0.05, 0.1, 0.3])))
+@settings(max_examples=150, deadline=None)
+def test_random_arcs_are_the_per_node_breakpoints(case):
+    _assert_arcs_are_per_node_breakpoints(*case)
 
 
 def test_monomial_closed_forms():

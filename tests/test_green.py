@@ -45,12 +45,12 @@ LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 
 def _disk_energy(spec, center, r, cfg=DISK):
     """log D as the disk integral of the energy density, meshed as
     `log_dirichlet_energy` meshes a half-plane disk that reaches the axis."""
-    r_edges, theta_edges, inner = polar_mesh(
+    r_edges, arcs, inner = polar_mesh(
         center, r, spec.domain, lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
         zero_polar=_zero_geometry(spec, center, r),
     )
     return log_disk_integral(
-        spec.log_energy_density, center, r_edges, theta_edges, cfg, inner_targets=inner
+        spec.log_energy_density, center, r_edges, arcs, cfg, inner_targets=inner
     )
 
 

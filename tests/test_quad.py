@@ -10,6 +10,7 @@ from scipy.special import logsumexp
 from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError
 from branchpoint_lab._quad import (
     DROP,
+    MIN_FRAC,
     _disk_level,
     _gl,
     _lse,
@@ -19,6 +20,7 @@ from branchpoint_lab._quad import (
     log_line_integral,
     panel_nodes,
     refined_breakpoints,
+    refined_panels,
 )
 
 
@@ -70,6 +72,99 @@ def test_breakpoints_rate_hint():
 def test_breakpoints_empty_interval():
     with pytest.raises(ValidationError):
         refined_breakpoints(1.0, 1.0)
+
+
+def _set_breakpoints(a, b, *, geo_a=False, rate_a=0.0, rate_b=0.0, targets=()):
+    """The breakpoint rule one edge at a time, in a set: the form it had
+    before `refined_panels` formed it for many intervals at once."""
+
+    def doublings(w):
+        while w < 0.5 * span:
+            yield w
+            w *= 2.0
+
+    span = b - a
+    edges = {a, b, 0.5 * (a + b)}
+    for w in doublings(MIN_FRAC * span) if geo_a else ():
+        edges.add(a + w)
+    for w in doublings(8.0 / rate_a) if rate_a > 0.0 else ():
+        edges.add(a + w)
+    for w in doublings(8.0 / rate_b) if rate_b > 0.0 else ():
+        edges.add(b - w)
+    for tgt in targets:
+        t, w0 = tgt if isinstance(tgt, tuple) else (tgt, MIN_FRAC * span)
+        if not (a <= t <= b):
+            continue
+        edges.add(t)
+        for w in doublings(max(w0, 1e-15 * span)):
+            if t - w > a:
+                edges.add(t - w)
+            if t + w < b:
+                edges.add(t + w)
+    out = np.array(sorted(edges))
+    return out[np.concatenate(([True], np.diff(out) > 1e-15 * span))]
+
+
+@st.composite
+def _breakpoint_cases(draw):
+    a = draw(st.one_of(st.sampled_from([0.0, -0.0, -math.pi]), st.floats(-2.0, 2.0)))
+    b = a + draw(st.one_of(st.sampled_from([1.0, 2.0 * math.pi]), st.floats(1e-9, 4.0)))
+    rates = st.one_of(st.sampled_from([0.0, -1.0]), st.floats(1e-3, 1e7))
+    targets = []
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.one_of(
+            st.sampled_from([a, b, 0.0, -0.0, 0.5 * (a + b)]),
+            st.floats(a - 0.1, b + 0.1),
+        ))
+        if targets and draw(st.booleans()):
+            # within a few ulps, or 1e-15 of the span, of another target
+            t = targets[-1] if isinstance(targets[-1], float) else targets[-1][0]
+            t += draw(st.sampled_from([1e-15, -2e-15, 4e-16])) * (b - a)
+        width = draw(st.sampled_from([None, 1e-17, 1e-6, 0.02, math.nan]))
+        targets.append(t if width is None else (t, width))
+    return a, b, dict(
+        geo_a=draw(st.booleans()), rate_a=draw(rates), rate_b=draw(rates), targets=targets
+    )
+
+
+@given(_breakpoint_cases())
+@example((-0.0, 1.0, dict(geo_a=True, rate_a=0.0, rate_b=0.0, targets=[0.0, (-0.0, 1e-6)])))
+@example((-1.0, 1.0, dict(geo_a=False, rate_a=0.0, rate_b=0.0, targets=[-0.0])))
+@example((0.0, 1.0, dict(geo_a=False, rate_a=0.0, rate_b=7285.6, targets=[])))
+@settings(max_examples=300, deadline=None)
+def test_breakpoints_follow_the_set_rule_bit_for_bit(case):
+    """Ends, targets on the ends or outside, zero targets of either sign and
+    edges within 1e-15 of the span of each other (which merge) come out as
+    the one-edge-at-a-time rule gives them, to the bit."""
+    a, b, kw = case
+    got = refined_breakpoints(a, b, **kw)
+    want = _set_breakpoints(a, b, **kw)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_breakpoint_rows_are_their_own_breakpoints():
+    """Rows of one call with different ends, rates, clusters and targets
+    give the panels of their one-row calls."""
+    a = np.array([0.0, -1.0, -math.pi, 0.2])
+    b = np.array([1.0, 1.0, math.pi, 0.3])
+    rate_a = np.array([0.0, 40.0, 0.0, 3e5])
+    rate_b = np.array([1e3, 0.0, 0.0, 2.0])
+    # NaN: no target
+    t = np.array([[np.nan, np.nan], [0.1, -0.0], [math.pi, np.nan], [np.nan, 0.25]])
+    w = np.array([[1.0, 1.0], [1e-6, 1e-3], [0.05, np.nan], [np.nan, 1e-17]])
+    for geo_a in (False, True):
+        lo, hi, count = refined_panels(
+            a, b, geo_a=geo_a, rate_a=rate_a, rate_b=rate_b, targets=(t, w)
+        )
+        at = np.concatenate(([0], np.cumsum(count)))
+        for i in range(a.size):
+            on = ~np.isnan(t[i])
+            want = refined_breakpoints(
+                a[i], b[i], geo_a=geo_a, rate_a=rate_a[i], rate_b=rate_b[i],
+                targets=list(zip(t[i, on], w[i, on])),
+            )
+            assert np.array_equal(lo[at[i] : at[i + 1]], want[:-1])
+            assert np.array_equal(hi[at[i] : at[i + 1]], want[1:])
 
 
 def test_halve_edges():
@@ -154,6 +249,20 @@ def test_lse_matches_scipy(v):
     assert _same(_lse(v), float(logsumexp(v)))
 
 
+def _per_node(theta_edges):
+    """The arcs of an array of radii from a mesh per radius, as
+    `polar_mesh` gives them."""
+
+    def arcs(rho):
+        meshes = [theta_edges(float(x)) for x in rho]
+        return (np.concatenate([m[:-1] for m in meshes]),
+                np.concatenate([m[1:] for m in meshes]),
+                np.array([m.size - 1 for m in meshes]))
+
+    return arcs
+
+
+@_per_node
 def _full_theta(rho):
     return np.array([-math.pi, 0.0, math.pi])
 
@@ -248,7 +357,7 @@ def test_ring_assembly_matches_per_node_loop(case, level):
     L, center, r_edges, inner = _RING_CASES[case]
     cfg = QuadConfig(order=6)
     for edges in (r_edges, halve_edges(r_edges)):
-        got = _disk_level(L, center, edges, _ragged_theta, cfg, level, inner)
+        got = _disk_level(L, center, edges, _per_node(_ragged_theta), cfg, level, inner)
         want = _per_node_level(L, center, edges, _ragged_theta, cfg, level, inner)
         assert math.isfinite(got) and got == want
 
@@ -265,5 +374,7 @@ def test_log_disk_integral_matches_per_node_loop(case):
         cfg,
         "disk",
     )
-    got = log_disk_integral(L, center, r_edges, _ragged_theta, cfg, inner_targets=inner)
+    got = log_disk_integral(
+        L, center, r_edges, _per_node(_ragged_theta), cfg, inner_targets=inner
+    )
     assert got == want

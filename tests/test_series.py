@@ -26,6 +26,7 @@ from branchpoint_lab import (
     decay_factor,
     derivative,
     function_evaluator,
+    gap_centered_radii,
     product_zero,
 )
 from branchpoint_lab import series
@@ -555,6 +556,29 @@ def test_large_calls_walk_their_points_in_blocks():
         parts = [many(zs[lo : lo + 5000]) for lo in range(0, zs.size, 5000)]
         for a, b in zip(whole, zip(*parts)):
             assert np.array_equal(a, np.concatenate(b))
+
+
+def test_a_point_sums_alike_in_calls_past_the_elision_size():
+    """A generation of 32,768 pairs holds arrays past NumPy's 256 KiB
+    temporary-elision size, where `x * f(...)` reuses f's buffer with the
+    operands swapped; F, F', G and G'/G still match 64-point calls bit for
+    bit (1,143 points of F and 613 of F' did not while they used *)."""
+    params = SeriesParams(s=0.5, max_gen=20)
+    cs = CantorSet.build(0.5, 20)
+    rng = np.random.default_rng(0)
+    n = series._POINT_BLOCK
+    r = gap_centered_radii(0.5, 2) * np.sqrt(rng.uniform(0.0, 1.0, n))
+    zs = r * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
+    pairs = max(far.size for *_, far in series._tree_walk(params, cs, zs, FAR_TOL))
+    assert pairs * 16 >= 2**18
+    for many in (
+        lambda pts: decay_exponent_many(params, cs, pts, with_deriv=True, far_tol=FAR_TOL),
+        lambda pts: log_cosine_product_many(params, cs, pts, with_deriv=True),
+    ):
+        whole = many(zs)
+        parts = [many(zs[lo : lo + 64]) for lo in range(0, n, 64)]
+        for a, b in zip(whole, zip(*parts)):
+            assert np.array_equal(a, np.concatenate(b), equal_nan=True)
 
 
 def test_trigamma_tail_is_computed_once(params_half, cs_half, probe_grid):
