@@ -36,24 +36,13 @@ sit side by side.  --quick (2 repeats) only checks that the script runs.
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+import harness  # before NumPy: it pins the thread pools
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from speed import SpeedSampler  # noqa: E402
+from speed import SpeedSampler
 
 REPEATS = 7
 BLOCK_RADII = (0.2, 0.1, 0.05)
@@ -130,11 +119,12 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
     }
 
 
-def measure(repeats: int, sampler: SpeedSampler) -> dict:
+def measure(quick: bool, sampler: SpeedSampler) -> dict:
     freq = importlib.import_module("branchpoint_lab.frequency")
     van = importlib.import_module("branchpoint_lab.vanishing")
     from branchpoint_lab import CantorSet, QuadConfig, SeriesParams
 
+    repeats = 2 if quick else REPEATS
     split = Split()
     split.install(freq, van)
     block = freq.MinimizerSpec(h=freq.SmoothBlock(alpha=0.5), Q=2)
@@ -153,32 +143,8 @@ def measure(repeats: int, sampler: SpeedSampler) -> dict:
         lambda: van.log_mass(target, 0j, MASS_RADIUS, mass_cfg),
         mass_cfg.order, repeats, sampler, split,
     ))
-    return {
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "processor": platform.processor()},
-        "repeats": repeats, "disks": rows,
-    }
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the package source to measure (default: this checkout's src/)")
-    ap.add_argument("--quick", action="store_true", help="2 repeats")
-    ap.add_argument("--label", default="change")
-    ap.add_argument("--out", type=Path, help="JSON file to merge the entry into")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    with SpeedSampler() as sampler:
-        entry = measure(2 if args.quick else REPEATS, sampler)
-    if args.out is None:
-        print(json.dumps({args.label: entry}, indent=1))
-        return 0
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = entry
-    args.out.write_text(json.dumps(data, indent=1) + "\n")
-    return 0
+    return {"repeats": repeats, "disks": rows}
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "2 repeats", measure))

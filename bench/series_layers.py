@@ -30,23 +30,12 @@ checks that the script still runs.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
 import sys
-from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+import harness  # before NumPy: it pins the thread pools
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from speed import SpeedSampler  # noqa: E402
+from speed import SpeedSampler
 
 POINTS = 2240
 SEED = 0
@@ -181,37 +170,17 @@ def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dic
         best = _best(lambda: neg_power(lr, th, alpha), 20 * repeats, sampler)
         power[str(alpha)] = round(1e9 * best / lr.size, 3)
     return {
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "processor": platform.processor()},
         "points": zs.size, "seed": SEED, "repeats": repeats,
         "series": rows, "neg_power_ns_per_element": power,
         "contour": measure_contour(repeats, sampler),
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", type=Path, default=ROOT / "src",
-                    help="the package source to measure (default: this checkout's src/)")
-    ap.add_argument("--quick", action="store_true",
-                    help="max_gen 12 only, 200 points, 2 repeats")
-    ap.add_argument("--label", default="change")
-    ap.add_argument("--out", type=Path, help="JSON file to merge the entry into")
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    with SpeedSampler() as sampler:
-        if args.quick:
-            entry = measure((12,), 200, 2, sampler)
-        else:
-            entry = measure(MAX_GENS, POINTS, REPEATS, sampler)
-    if args.out is None:
-        print(json.dumps({args.label: entry}, indent=1))
-        return 0
-    data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data[args.label] = entry
-    args.out.write_text(json.dumps(data, indent=1) + "\n")
-    return 0
+def run(quick: bool, sampler: SpeedSampler) -> dict:
+    if quick:
+        return measure((12,), 200, 2, sampler)
+    return measure(MAX_GENS, POINTS, REPEATS, sampler)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, "max_gen 12 only, 200 points, 2 repeats", run))

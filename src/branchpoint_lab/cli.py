@@ -206,8 +206,7 @@ def cmd_cantor(p: dict) -> int:
 
 def _series_setup(p: dict) -> tuple[SeriesParams, CantorSet]:
     params = SeriesParams(s=p["s"], alpha=p["alpha"], max_gen=p["max_gen"])
-    depth = params.max_gen if p["depth"] is None else p["depth"]
-    return params, CantorSet.build(params.s, depth)
+    return params, CantorSet.build(params.s, params.max_gen)
 
 
 def cmd_eval(p: dict) -> int:
@@ -309,12 +308,11 @@ def cmd_vanishing(p: dict) -> int:
     return 0
 
 
-def _series(max_gen: int) -> tuple:  # the options of SeriesParams and its set
+def _series(max_gen: int) -> tuple:  # the options of SeriesParams; its set is max_gen deep
     return (
         ("s", number, 0.5, "Hausdorff parameter in (0, 1]"),
         ("alpha", number, None, "power-law exponent"),
-        ("max_gen", int, max_gen, "truncation generation"),
-        ("depth", int, None, "stored boundary-set depth"),
+        ("max_gen", int, max_gen, "truncation generation and stored set depth"),
     )
 
 

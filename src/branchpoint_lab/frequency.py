@@ -10,6 +10,7 @@ the arc of H, by Green's identity.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -497,6 +498,24 @@ def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple
     return [(abs(dz), math.atan2(dz.imag, dz.real)) for dz in offsets]
 
 
+def _check_disk(center: complex, r: float, r_inner: float = 0.0) -> complex:
+    """The disk's centre as a complex; raises ValidationError, before any
+    quadrature, unless it is finite and 0 <= r_inner < r < inf."""
+    c = complex(center)
+    if not cmath.isfinite(c):
+        raise ValidationError(f"disk centre must be finite, got {center}")
+    if not 0.0 <= r_inner < r < math.inf:
+        raise ValidationError(f"need 0 <= r_inner < r < inf, got r_inner = {r_inner}, r = {r}")
+    return c
+
+
+def _from_log(log_v: float, log_err: float) -> tuple[float, float]:
+    """(v, its absolute error) from log v and its log-error; v underflows to
+    0 below e^-745."""
+    v = math.exp(log_v) if log_v > -745.0 else 0.0
+    return v, v * math.expm1(log_err) if log_err < 1.0 else v
+
+
 def _arc_mesh(spec: MinimizerSpec, center: complex, r: float) -> np.ndarray:
     """Angular panel edges of the arc of radius r, refined at its clip and at
     the zeros of h next to it."""
@@ -514,9 +533,7 @@ def log_boundary_mass(
 ) -> tuple[float, float]:
     """log of H = (1/r) * integral of Q|h|^(2/Q) over the arc, plus log-error."""
     cfg = config or QuadConfig()
-    if r <= 0:
-        raise ValidationError(f"radius must be positive, got {r}")
-    center = complex(center)
+    center = _check_disk(center, r)
 
     def L(thetas: np.ndarray) -> np.ndarray:
         return spec.log_density(center + r * np.exp(1j * thetas))
@@ -531,9 +548,7 @@ def boundary_mass(
     config: QuadConfig | None = None,
 ) -> tuple[float, float]:
     """H with an absolute error estimate (underflows to 0 when tiny)."""
-    lh, le = log_boundary_mass(spec, center, r, config)
-    H = math.exp(lh) if lh > -745.0 else 0.0
-    return H, H * math.expm1(le) if le < 1.0 else H
+    return _from_log(*log_boundary_mass(spec, center, r, config))
 
 
 def _log_arc_energy(
@@ -565,9 +580,7 @@ def log_dirichlet_energy(
     energy density.
     """
     cfg = config or QuadConfig(rel_tol=1e-6)
-    if not r > 0.0:
-        raise ValidationError(f"radius must be positive, got {r}")
-    center = complex(center)
+    center = _check_disk(center, r)
     if spec.domain == "plane" or r < center.real:
         return _log_arc_energy(spec, center, r, cfg)
     r_edges, arcs, inner = polar_mesh(
@@ -589,9 +602,7 @@ def dirichlet_energy(
     config: QuadConfig | None = None,
 ) -> tuple[float, float]:
     """D with an absolute error estimate (underflows to 0 when tiny)."""
-    ld, le = log_dirichlet_energy(spec, center, r, config)
-    D = math.exp(ld) if ld > -745.0 else 0.0
-    return D, D * math.expm1(le) if le < 1.0 else D
+    return _from_log(*log_dirichlet_energy(spec, center, r, config))
 
 
 def frequency(
@@ -606,11 +617,11 @@ def frequency(
 
     The ratio is always formed in log space, which is exactly the rescaling
     of both integrals by the common underflow scale; `log_scale` merely
-    permits H to underflow a double without raising.
+    permits H to underflow a double without raising.  Without `config`
+    each integral takes its own default (`log_boundary_mass`,
+    `log_dirichlet_energy`).
     """
-    arc_cfg = config or QuadConfig()
-    energy_cfg = config or QuadConfig(rel_tol=1e-6)
-    log_H, err_H = log_boundary_mass(spec, center, r, arc_cfg)
+    log_H, err_H = log_boundary_mass(spec, center, r, config)
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
     if not log_scale and log_H < math.log(1e-300):
@@ -618,10 +629,9 @@ def frequency(
             f"H underflows (log H = {log_H:.4g}); pass log_scale=True to use "
             f"the rescaled ratio"
         )
-    log_D, err_D = log_dirichlet_energy(spec, center, r, energy_cfg)
+    log_D, err_D = log_dirichlet_energy(spec, center, r, config)
     I = math.exp(log_D - log_H) if log_D > -math.inf else 0.0
-    D = math.exp(log_D) if log_D > -745.0 else 0.0
-    H = math.exp(log_H) if log_H > -745.0 else 0.0
+    D, H = _from_log(log_D, err_D)[0], _from_log(log_H, err_H)[0]
     err = I * math.expm1(min(err_D + err_H, 1.0))
     return FrequencySample(complex(center), r, D, H, I, err, log_D, log_H)
 

@@ -39,9 +39,8 @@ _POINT_BLOCK = 8192
 # Default opening ratio of the array-valued base functions (SeriesFactor,
 # SeriesProduct, RealPartTarget); the far-field order rises to match it.
 FAR_TOL = 0.25
-# Opening ratio of the point path (decay_exponent, evaluate_many and the
-# wrappers over them); see decay_exponent_many for why it stays at the
-# two-term setting.
+# Opening ratio of the point path (evaluate_many and the one-point wrappers
+# over it); see decay_exponent_many for why it stays at the two-term setting.
 POINT_FAR_TOL = 3e-4
 # Bound on |C(-a, p)| far_tol^p, the far-field remainder relative to a
 # subtree's weight, that sets the expansion order p.
@@ -416,8 +415,8 @@ def decay_exponent_many(
     0 <= t <= len_j), formed as one exp of its log.  At p = 2 this is the
     two-term bound.
 
-    The scalar path (`decay_exponent`, `evaluate_many` and the wrappers
-    over it) keeps far_tol = 3e-4 (POINT_FAR_TOL): contour derivatives
+    The point path (`evaluate_many` and the one-point wrappers over it)
+    keeps far_tol = 3e-4 (POINT_FAR_TOL): contour derivatives
     taken through it were recorded with the two-term expansion, which
     differs from exact sums by up to 3.2e-9 relative in third derivatives.
 
@@ -773,16 +772,8 @@ def cosine_product_logderiv_many(
 
 
 # ---------------------------------------------------------------------------
-# one point: a complex z or an AnchoredPoint, as a one-element array call
+# F, f = exp(-F), G and g = G exp(-F) at an array of points or one AnchoredPoint
 # ---------------------------------------------------------------------------
-
-
-def _dist_lower(cs: CantorSet, z: complex | AnchoredPoint) -> float:
-    if isinstance(z, AnchoredPoint):
-        # the anchor is a point of the set, so the offset bounds the distance
-        # from above, also where the complex form rounds or underflows it
-        return min(cs.dist_to_boundary_rays(z.to_complex())[0], math.exp(z.log_r))
-    return cs.dist_to_boundary_rays(complex(z))[0]
 
 
 def _singular(cs: CantorSet, z: complex) -> SingularPointError:
@@ -796,69 +787,15 @@ def _exponent_tail(params: SeriesParams, d, ferr=0.0):
     generation tail max(1, 1/d) * sum_{k>K} 2^k coeff plus the far-field
     remainder `ferr`; infinite at d = 0."""
     with np.errstate(divide="ignore"):
-        scale = np.maximum(1.0, 1.0 / np.asarray(d, dtype=float))
+        scale = np.maximum(1.0, 1.0 / d)
     return scale * params.coeff_tail(params.max_gen) + ferr
 
 
 def _cosine_log_tail(params: SeriesParams, d):
     """Tail bound on the accumulated log of the cosine product; infinite at d = 0."""
     with np.errstate(divide="ignore"):
-        ln_d = np.minimum(np.log(np.asarray(d, dtype=float)), 0.0)
+        ln_d = np.minimum(np.log(d), 0.0)
     return (math.pi - ln_d * (_COS_LOG_CONST + 1.0)) * params.coeff_tail(params.max_gen)
-
-
-def _one_point(
-    cs: CantorSet, z: complex | AnchoredPoint
-) -> tuple[np.ndarray | AnchoredPoint, float]:
-    """(z as a one-element input of the pair sums, its certified lower
-    distance d).  A complex z at d = 0 raises SingularPointError; an
-    anchored point whose offset underflowed keeps d = 0 (infinite tails)."""
-    d = _dist_lower(cs, z)
-    if isinstance(z, AnchoredPoint):
-        return z, d
-    if d == 0.0:
-        raise _singular(cs, z)
-    return np.array([complex(z)]), d
-
-
-def decay_exponent(
-    params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
-) -> TruncatedValue:
-    """Truncated shifted power sum at one point, with a certified tail bound.
-
-    The bound combines the generation tail max(1, 1/d) * sum_{k>K} 2^k coeff
-    with the far-field aggregation remainder of `decay_exponent_many` at
-    POINT_FAR_TOL.  An anchored point is summed directly, with no far field.
-    """
-    zs, d = _one_point(cs, z)
-    F, _, far_err = decay_exponent_many(params, cs, zs)
-    return TruncatedValue(complex(F[0]), float(_exponent_tail(params, d, far_err[0])))
-
-
-def cosine_product(
-    params: SeriesParams,
-    cs: CantorSet,
-    z: complex | AnchoredPoint,
-) -> TruncatedValue:
-    """Truncated cosine product as a LogComplex, tail bound on its log (the
-    generation tail plus the proxy remainder of `log_cosine_product_many`).
-
-    A ProductZero of generation 1..max_gen is an exact zero.
-    """
-    _require_depth(params, cs)
-    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
-        return TruncatedValue(LogComplex.zero(), 0.0)
-    zs, d = _one_point(cs, z)
-    la, ar, zero, _, rem = log_cosine_product_many(params, cs, zs)
-    if zero[0]:
-        return TruncatedValue(LogComplex.zero(), 0.0)
-    tail = _cosine_log_tail(params, d) + rem[0]
-    return TruncatedValue(LogComplex(float(la[0]), float(ar[0])), float(tail))
-
-
-# ---------------------------------------------------------------------------
-# F, f = exp(-F) and g = G exp(-F) on an array of complex points
-# ---------------------------------------------------------------------------
 
 
 def _factor(F: np.ndarray, F_tail: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -887,22 +824,28 @@ def _to_complex(log_mag: np.ndarray, arg: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointValues:
-    """F, f = exp(-F) and g = G exp(-F) at an array of complex points.
+    """F, f = exp(-F), the cosine product G and g = G exp(-F) at an array of
+    points.
 
     Magnitudes are logs and arguments unreduced, as in LogComplex; an exact
-    zero has log -inf and argument 0.  The tails bound the log errors of f
-    and g; d is the certified lower distance to the boundary set that they
-    use.  The g fields are None when the product was not asked for.
+    zero has log -inf and argument 0.  F_tail bounds the absolute error of
+    F, the other tails the log errors of f, G and g; d is the certified
+    lower distance to the boundary set that they use.  The G and g fields
+    are None when the product was not asked for.
     """
 
     d: np.ndarray
     F: np.ndarray
+    F_tail: np.ndarray
     log_f: np.ndarray
     arg_f: np.ndarray
     f_tail: np.ndarray
+    log_G: np.ndarray | None = None
+    arg_G: np.ndarray | None = None
+    G_tail: np.ndarray | None = None
+    g_zero: np.ndarray | None = None  # exact zeros of the cosine product
     log_g: np.ndarray | None = None
     arg_g: np.ndarray | None = None
-    g_zero: np.ndarray | None = None  # exact zeros of the cosine product
     g_tail: np.ndarray | None = None
 
     def f(self) -> np.ndarray:
@@ -913,61 +856,102 @@ class PointValues:
 
 
 def evaluate_many(
-    params: SeriesParams, cs: CantorSet, zs: np.ndarray, *, product: bool = True
+    params: SeriesParams,
+    cs: CantorSet,
+    zs: np.ndarray | AnchoredPoint,
+    *,
+    product: bool = True,
 ) -> PointValues:
     """The decay exponent F, the decay factor f and (with `product`) the
-    branched product g at every point of `zs`, with certified tails.
+    cosine product G and the branched product g at every point of `zs`, or
+    at one AnchoredPoint (a one-element result), with certified tails.
 
-    F is computed once per point, at the scalar opening ratio POINT_FAR_TOL.
-    The tails are those of `decay_factor` and `branched_product`: the log
-    tail of f is the exponent's bound (infinite past 0.1); that of g adds
-    the cosine product's log tail and proxy remainder (see
-    `log_cosine_product_many`), and an exact zero of the cosine product
-    gives g = 0 with tail 0.  Raises SingularPointError if any point's
-    certified distance to the boundary set vanishes.
+    F is computed once per point, at the scalar opening ratio POINT_FAR_TOL
+    (an AnchoredPoint by the direct sums).  F's tail is the generation tail
+    at d plus the far-field remainder; the log tail of f is F's (infinite
+    past 0.1); that of G is its generation tail plus the proxy remainder
+    (see `log_cosine_product_many`), and g's adds f's.  An exact zero of
+    the cosine product gives G = g = 0 with tail 0.  Raises
+    SingularPointError if any complex point's certified distance to the
+    boundary set vanishes.  An anchored point's d is at most its stored
+    offset: one that underflowed gives d = 0 and infinite tails.
     """
-    zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
     if product:
         _require_depth(params, cs)
-    d = cs.dist_to_boundary_rays_many(zs)
-    if (d == 0.0).any():
-        raise _singular(cs, complex(zs[np.argmax(d == 0.0)]))
+    if isinstance(zs, AnchoredPoint):
+        # the anchor is a point of the set, so the offset bounds the distance
+        # from above, also where the complex form rounds or underflows it
+        d = np.minimum(cs.dist_to_boundary_rays_many([zs.to_complex()]), math.exp(zs.log_r))
+    else:
+        zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
+        d = cs.dist_to_boundary_rays_many(zs)
+        if (d == 0.0).any():
+            raise _singular(cs, complex(zs[np.argmax(d == 0.0)]))
     F, _, ferr = decay_exponent_many(params, cs, zs)
-    log_f, arg_f, f_tail = _factor(F, _exponent_tail(params, d, ferr))
+    F_tail = _exponent_tail(params, d, ferr)
+    log_f, arg_f, f_tail = _factor(F, F_tail)
     if not product:
-        return PointValues(d, F, log_f, arg_f, f_tail)
+        return PointValues(d, F, F_tail, log_f, arg_f, f_tail)
     la, ar, g_zero, _, g_rem = log_cosine_product_many(params, cs, zs)
+    log_G = np.where(g_zero, -math.inf, la)
+    arg_G = np.where(g_zero, 0.0, ar)
+    G_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + g_rem)
     dead = g_zero | np.isneginf(log_f)
     with np.errstate(invalid="ignore"):
         log_g = np.where(dead, -math.inf, la + log_f)
         arg_g = np.where(dead, 0.0, ar + arg_f)
-    g_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + g_rem + f_tail)
-    return PointValues(d, F, log_f, arg_f, f_tail, log_g, arg_g, g_zero, g_tail)
+    g_tail = np.where(g_zero, 0.0, G_tail + f_tail)
+    return PointValues(d, F, F_tail, log_f, arg_f, f_tail, log_G, arg_G, G_tail, g_zero,
+                       log_g, arg_g, g_tail)
+
+
+def _read(log_mag: np.ndarray, arg: np.ndarray, tail: np.ndarray) -> TruncatedValue:
+    """A one-element result of evaluate_many as a LogComplex and its tail."""
+    return TruncatedValue(LogComplex(float(log_mag[0]), float(arg[0])), float(tail[0]))
+
+
+def decay_exponent(
+    params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
+) -> TruncatedValue:
+    """Truncated shifted power sum at one point, with a certified tail bound
+    (`evaluate_many`'s F and F_tail)."""
+    v = evaluate_many(params, cs, z, product=False)
+    return TruncatedValue(complex(v.F[0]), float(v.F_tail[0]))
 
 
 def decay_factor(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
-    """exp(-decay_exponent) as a LogComplex.
+    """exp(-decay_exponent) as a LogComplex, with the log tail of
+    `evaluate_many`: F's bound while it is at most 0.1, else infinite."""
+    v = evaluate_many(params, cs, z, product=False)
+    return _read(v.log_f, v.arg_f, v.f_tail)
 
-    First-order tail propagation: the bound on |delta(exponent)| doubles as
-    a relative-error bound on the factor, valid while it is small; beyond
-    0.1 the bound is reported as infinite.
+
+def cosine_product(
+    params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
+) -> TruncatedValue:
+    """Truncated cosine product as a LogComplex, tail bound on its log (the
+    generation tail plus the proxy remainder of `log_cosine_product_many`).
+
+    A ProductZero of generation 1..max_gen is an exact zero.
     """
-    F = decay_exponent(params, cs, z)
-    log_f, arg_f, tail = _factor(np.array([F.value]), np.array([F.tail_bound]))
-    return TruncatedValue(LogComplex(float(log_f[0]), float(arg_f[0])), float(tail[0]))
+    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
+        _require_depth(params, cs)
+        return TruncatedValue(LogComplex.zero(), 0.0)
+    v = evaluate_many(params, cs, z)
+    return _read(v.log_G, v.arg_G, v.G_tail)
 
 
 def branched_product(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
     """Cosine product times the decay factor; exact zeros short-circuit."""
-    G = cosine_product(params, cs, z)
-    if G.value.is_zero:
+    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
+        _require_depth(params, cs)
         return TruncatedValue(LogComplex.zero(), 0.0)
-    f = decay_factor(params, cs, z)
-    return TruncatedValue(G.value.mul(f.value), G.tail_bound + f.tail_bound)
+    v = evaluate_many(params, cs, z)
+    return _read(v.log_g, v.arg_g, v.g_tail)
 
 
 def product_zero(
@@ -1158,7 +1142,7 @@ def derivative(
     global _last_ring
     z = complex(z)
     _check_contour(z, radius, [m])
-    d = _dist_lower(cs, z)
+    d = cs.dist_to_boundary_rays(z)[0]
     if d == 0.0:
         raise SingularPointError(f"no admissible contour radius at z = {z}")
     if radius is None:
@@ -1199,7 +1183,7 @@ def boundary_decay_check(
     rows = []
     for z in probes:
         z = complex(z)
-        d = _dist_lower(cs, z)
+        d = cs.dist_to_boundary_rays(z)[0]
         if d == 0.0:
             raise SingularPointError(f"probe {z} touches the boundary set")
         re_F = decay_exponent(params, cs, z).value.real

@@ -23,7 +23,7 @@ import numpy as np
 from ._quad import QuadConfig, log_disk_integral
 from .cantor import CantorSet
 from .errors import ValidationError
-from .frequency import MinimizerSpec, polar_mesh
+from .frequency import MinimizerSpec, _check_disk, polar_mesh
 from .series import FAR_TOL, SeriesParams, decay_exponent_many
 
 __all__ = [
@@ -132,9 +132,7 @@ def log_mass(
     r_inner <= |z - center| <= r, clipped to the domain, plus a log-error
     estimate."""
     cfg = config or QuadConfig()
-    if not (0.0 <= r_inner < r):
-        raise ValidationError(f"need 0 <= r_inner < r, got {r_inner}, {r}")
-    center = complex(center)
+    center = _check_disk(center, r, r_inner)
     r_edges, arcs, _ = polar_mesh(
         center, r, target.domain, target.decay_rate, r_inner=r_inner
     )

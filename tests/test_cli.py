@@ -334,9 +334,12 @@ def test_config_key_that_names_no_option_is_invalid(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "c.json"
     # a misspelt key, and a key that is an option of another subcommand only
-    for values, named in (({"dpeth": 3, "s": 0.5}, "'dpeth'"), ({"nx": 4, "ny": 4}, "'nx', 'ny'")):
+    # (eval's set is max_gen deep)
+    for values, command, named in (({"dpeth": 3, "s": 0.5}, "cantor", "'dpeth'"),
+                                   ({"nx": 4, "ny": 4}, "cantor", "'nx', 'ny'"),
+                                   ({"depth": 4}, "eval", "'depth'")):
         cfg.write_text(json.dumps(values), encoding="utf-8")
-        assert main(["cantor", "--config", str(cfg), "--output", str(out)]) == 2
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,10 +31,13 @@ from branchpoint_lab.frequency import (
     OscillatingPower,
     _arc_keys,
     _log_flux,
+    log_boundary_mass,
+    log_dirichlet_energy,
     polar_mesh,
 )
 from branchpoint_lab.logcomplex import decay_block, log_polar, oscillating_block
 from branchpoint_lab.series import FAR_TOL, cosine_product_logderiv_many, decay_exponent_many
+from branchpoint_lab.vanishing import ConstantTarget, log_mass
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,41 @@ def test_half_plane_center_validation():
     spec = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
     with pytest.raises(ValidationError):
         boundary_mass(spec, -0.5 + 0j, 0.1)
+
+
+_PLANE = MinimizerSpec(h=Monomial(P=1), Q=2)
+_BLOCK = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
+
+
+@pytest.mark.parametrize(
+    "integral, spec, center, r, r_inner",
+    [
+        (log_boundary_mass, _PLANE, 0j, math.nan, None),
+        (log_boundary_mass, _BLOCK, complex(math.nan, 0.0), 0.1, None),
+        (log_boundary_mass, _PLANE, 0j, 0.0, None),
+        (log_dirichlet_energy, _PLANE, 0j, math.inf, None),
+        (log_dirichlet_energy, _BLOCK, 0j, math.inf, None),
+        (log_dirichlet_energy, _BLOCK, complex(0.0, math.inf), 0.1, None),
+        (frequency, _PLANE, complex(math.inf, 0.0), 0.5, None),
+        (log_mass, _BLOCK, 0j, math.inf, 0.0),
+        (log_mass, ConstantTarget(1.0), 0j, 0.3, math.nan),
+        (log_mass, ConstantTarget(1.0), complex(0.0, math.nan), 0.3, 0.0),
+    ],
+)
+def test_bad_disks_raise_before_any_quadrature(monkeypatch, integral, spec, center, r, r_inner):
+    """A centre that is not finite, or radii outside 0 <= r_inner < r < inf,
+    raise ValidationError before any quadrature (they used to run every
+    refinement, raise ConvergenceError or IndexError, or return H = 0)."""
+    calls = []
+    for target in ("frequency.log_line_integral", "frequency.log_disk_integral",
+                   "vanishing.log_disk_integral"):
+        module, name = target.split(".")
+        monkeypatch.setattr(importlib.import_module(f"branchpoint_lab.{module}"), name,
+                            lambda *args, **kw: calls.append(args))
+    kwargs = {} if r_inner is None else {"r_inner": r_inner}
+    with pytest.raises(ValidationError):
+        integral(spec, center, r, **kwargs)
+    assert calls == []
 
 
 def _series_product(max_gen=6):

@@ -25,6 +25,7 @@ from branchpoint_lab import (
     decay_exponent_many,
     decay_factor,
     derivative,
+    evaluate_many,
     function_evaluator,
     gap_centered_radii,
     product_zero,
@@ -146,7 +147,28 @@ def test_singular_point_rejected(params_half, cs_half):
         decay_exponent(params_half, cs_half, 0j)
 
 
-def test_anchored_point_matches_complex(params_half, cs_half):
+def _reads_one_call(params, cs, z):
+    """Each one-point function at z is the matching `evaluate_many` field of
+    one call at z, bit for bit (G and g but at a constructed zero, which
+    short-circuits); returns that call."""
+    v = evaluate_many(params, cs, z)
+    F = decay_exponent(params, cs, z)
+    assert (F.value, F.tail_bound) == (complex(v.F[0]), v.F_tail[0])
+    reads = [(decay_factor, v.log_f, v.arg_f, v.f_tail)]
+    if not isinstance(z, ProductZero):
+        reads += [(cosine_product, v.log_G, v.arg_G, v.G_tail),
+                  (branched_product, v.log_g, v.arg_g, v.g_tail)]
+    for fn, log_mag, arg, tail in reads:
+        tv = fn(params, cs, z)
+        assert (tv.value.log_mag, tv.value.arg, tv.tail_bound) == (log_mag[0], arg[0], tail[0])
+    # product=False forms the same F and f
+    w = evaluate_many(params, cs, z, product=False)
+    for name in ("d", "F", "F_tail", "log_f", "arg_f", "f_tail"):
+        assert np.array_equal(getattr(w, name), getattr(v, name))
+    return v
+
+
+def test_anchored_point_matches_complex(params_half, cs_half, monkeypatch):
     # at max_gen 14 one generation (16384 shifts) spans two pair blocks
     sets = [(params_half, cs_half), (SeriesParams(s=0.5, max_gen=14), CantorSet.build(0.5, 14))]
     for params, cs in sets:
@@ -161,6 +183,24 @@ def test_anchored_point_matches_complex(params_half, cs_half):
             vc = fn(params, cs, z_c).value
             assert va.log_mag == pytest.approx(vc.log_mag, rel=1e-9)
             assert va.arg == pytest.approx(vc.arg, rel=1e-9, abs=1e-9)
+        for z in (z_anch, z_c):
+            _reads_one_call(params, cs, z)
+    # the underflowed offset: d = 0, every tail infinite, f = g = 0
+    z = AnchoredPoint(y=cs_half.left_endpoint(IntervalIndex(2, 2)), log_r=-800.0)
+    v = _reads_one_call(params_half, cs_half, z)
+    assert v.d[0] == 0.0
+    assert all(math.isinf(t[0]) for t in (v.F_tail, v.f_tail, v.G_tail, v.g_tail))
+    assert v.f()[0] == 0.0 and v.g()[0] == 0.0
+    # a constructed zero: G = g = 0 with tail 0, and nothing evaluated
+    z = product_zero(params_half, cs_half, IntervalIndex(2, 3), 1)
+    v = _reads_one_call(params_half, cs_half, z)
+    assert v.log_G[0] > -math.inf  # the floating cosine is not 0.0 there
+    calls = []
+    monkeypatch.setattr(series, "evaluate_many", lambda *args, **kw: calls.append(args))
+    for fn in (cosine_product, branched_product):
+        tv = fn(params_half, cs_half, z)
+        assert (tv.value.log_mag, tv.value.arg, tv.tail_bound) == (-math.inf, 0.0, 0.0)
+    assert calls == []
 
 
 def test_anchored_tail_uses_certified_distance(params_half, cs_half):
@@ -340,6 +380,10 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
         assert np.all(np.abs(got[name] - want) <= 1e-14 * np.abs(want))
     g = got["branched_product"]
     assert 0.0 < abs(g[-1]) < 1e-12 * np.median(np.abs(g[:-1]))
+    # each wrapper reads one evaluate_many call, also at the constructed zero
+    zero = product_zero(params_half, cs_half, IntervalIndex(1, 2), 1)
+    for z in (*zs[::8], near_zero, zero):
+        _reads_one_call(params_half, cs_half, z)
     # a scalar in, a complex out
     one_point = function_evaluator(params_half, cs_half, "decay_factor")(1.0 + 0.5j)
     assert isinstance(one_point, complex)
