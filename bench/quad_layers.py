@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Layer bench of the disk quadrature: arc meshes in µs per radial node,
-node assembly in ns per node, integrand nodes per second.
+"""Layer bench of the quadrature: disk integrals (arc meshes in µs per
+radial node, node assembly in ns per node, integrand nodes per second) and
+the arc samples of `frequency`.
 
     python3 bench/quad_layers.py                      # print the JSON entry
     python3 bench/quad_layers.py --label change --out BENCH_quad.json
@@ -32,6 +33,16 @@ integrand nodes and the answers (log D or log mass and their log-errors),
 so a speed-up that moves an answer shows at once.  --out merges the entry
 into a JSON file under --label, so two checkouts measured on one machine
 sit side by side.  --quick (2 repeats) only checks that the script runs.
+
+It also times arc samples of `frequency`, where H and D are line integrals
+on the arc: the two polynomial ladders of `anchor_quad` (Q = 2, 8 rungs
+each, through `frequency_curve`) and the branch-point sample of the
+`SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
+0.01294).  Each row records the time, the integrand nodes and calls of the
+line integrals that `frequency` makes (`log_line_integral` wrapped where
+the module calls it), the level at which H and D each stop (from their
+one-part integrals, `log_boundary_mass` and `log_dirichlet_energy`) and
+the answers: I, its error, log H and log D.
 """
 
 from __future__ import annotations
@@ -47,6 +58,9 @@ from speed import SpeedSampler
 REPEATS = 7
 BLOCK_RADII = (0.2, 0.1, 0.05)
 MASS_RADIUS = 10.0 ** (-1.1)
+# anchor_quad's polynomial ladders: (coefficients, centre, (r_min, r_max)), 8 rungs
+LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
+BRANCH_POINT = (0.0432139, 0.01294)
 
 
 class Split:
@@ -119,6 +133,53 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
     }
 
 
+class LineCount:
+    """Integrand nodes and calls of the line integrals a module makes."""
+
+    def __init__(self, freq):
+        self.nodes = self.calls = 0
+        line = freq.log_line_integral
+
+        def counted(L_fn, *args, **kwargs):
+            def L(th):
+                self.nodes += th.size
+                self.calls += 1
+                return L_fn(th)
+
+            return line(L, *args, **kwargs)
+
+        freq.log_line_integral = counted
+
+
+def stop_level(count, integral) -> int:
+    """The level at which a one-part line integral stops."""
+    before = count.calls
+    integral()
+    return count.calls - before - 1
+
+
+def measure_arcs(name, spec, center, radii, repeats, sampler, freq, count) -> dict:
+    run = lambda: freq.frequency_curve(spec, center, radii)  # noqa: E731
+    run()
+    best = None
+    for _ in range(repeats):
+        count.nodes = count.calls = 0
+        curve, _, ref = sampler.timed(run)
+        if best is None or ref < best[0]:
+            best = (ref, count.nodes, count.calls, curve)
+    ref, nodes, calls, curve = best
+    return {
+        "case": name, "ms": round(1e3 * ref, 3), "samples": len(radii),
+        "integrand_nodes": nodes, "integrand_calls": calls,
+        "stop_level_H": [stop_level(count, lambda: freq.log_boundary_mass(spec, center, r))
+                         for r in radii],
+        "stop_level_D": [stop_level(count, lambda: freq.log_dirichlet_energy(spec, center, r))
+                         for r in radii],
+        "answers": [{"r": fs.radius, "I": fs.I, "err": fs.quadrature_error,
+                     "log_H": fs.log_H, "log_D": fs.log_D} for fs in curve],
+    }
+
+
 def measure(quick: bool, sampler: SpeedSampler) -> dict:
     freq = importlib.import_module("branchpoint_lab.frequency")
     van = importlib.import_module("branchpoint_lab.vanishing")
@@ -143,7 +204,19 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
         lambda: van.log_mass(target, 0j, MASS_RADIUS, mass_cfg),
         mass_cfg.order, repeats, sampler, split,
     ))
-    return {"repeats": repeats, "disks": rows}
+    count = LineCount(freq)
+    arcs = [
+        measure_arcs(f"poly{j} ladder", freq.MinimizerSpec(h=freq.Polynomial(coeffs=coeffs), Q=2),
+                     complex(c), [float(r) for r in np.geomspace(lo, hi, 8)],
+                     repeats, sampler, freq, count)
+        for j, (coeffs, c, (lo, hi)) in enumerate(LADDERS)
+    ]
+    product = freq.SeriesProduct(params=SeriesParams(s=0.5, max_gen=12),
+                                 cs=CantorSet.build(0.5, 12))
+    center, r = BRANCH_POINT
+    arcs.append(measure_arcs(f"branch point r={r}", freq.MinimizerSpec(h=product, Q=3),
+                             complex(center), [r], repeats, sampler, freq, count))
+    return {"repeats": repeats, "disks": rows, "arcs": arcs}
 
 
 if __name__ == "__main__":

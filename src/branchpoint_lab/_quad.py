@@ -207,35 +207,64 @@ def _lse(v: np.ndarray) -> float:
     return float(np.log1p(np.add.reduce(terms) / k) + np.log(k) + top)
 
 
-def _refine(
-    estimate: Callable[[int, np.ndarray], float],
-    edges: np.ndarray,
-    cfg: QuadConfig,
-    kind: str,
-) -> tuple[float, float]:
-    """Halve the panel mesh until two successive log-estimates agree.
+def _step(est: list[float]) -> float:
+    """The change of a part's last level estimate (inf after one level)."""
+    if len(est) < 2:
+        return math.inf
+    return 0.0 if est[-1] == est[-2] == -math.inf else abs(est[-1] - est[-2])
 
-    `estimate(level, edges)` gives the log-integral on the level-th mesh.
-    Returns (log of the integral, log-error estimate from the last halving);
-    the ConvergenceError raised when they never agree carries every level's
-    estimate.
+
+def _refine(
+    level_fn: Callable[[int, np.ndarray], Callable[[int], float]],
+    edges: np.ndarray,
+    cfgs: Sequence[QuadConfig | None],
+    kind: str,
+) -> list[tuple[float, float] | ConvergenceError]:
+    """Halve the panel mesh until each part's successive log-estimates agree.
+
+    `level_fn(level, edges)` evaluates the level-th mesh and returns
+    `estimate(i)`, the log-integral of part i on it; only the parts still
+    open are asked.  cfgs[i] holds part i's rel_tol and max_refine, or is
+    None for a part that drives nothing: it is asked on every level the
+    others take and gets the last one's estimate, with the last change as
+    its error.  Returns one (log of the integral, log-error estimate) per
+    part, from the level where it first passed, or the ConvergenceError
+    that ended it: one its estimate raised, or, when it never agreed within
+    max_refine halvings, one carrying every level's estimate.
     """
-    estimates: list[float] = []
-    for level in range(cfg.max_refine + 1):
-        cur = estimate(level, edges)
-        if estimates:
-            prev = estimates[-1]
-            if cur == -math.inf and prev == -math.inf:
-                return cur, 0.0
-            err = abs(cur - prev)
-            if err <= cfg.rel_tol:
-                return cur, err
-        estimates.append(cur)
+    runs: list[list[float]] = [[] for _ in cfgs]
+    out: list = [None] * len(cfgs)
+    level = 0
+    while True:
+        estimate = level_fn(level, edges)
+        for i in [i for i, o in enumerate(out) if o is None]:
+            cfg, est = cfgs[i], runs[i]
+            try:
+                est.append(estimate(i))
+            except ConvergenceError as exc:
+                out[i] = exc
+                continue
+            if cfg is None:
+                continue
+            if _step(est) <= cfg.rel_tol:
+                out[i] = (est[-1], _step(est))
+            elif level == cfg.max_refine:
+                out[i] = ConvergenceError(
+                    f"{kind} quadrature did not converge within {cfg.max_refine} refinements",
+                    tuple(est),
+                )
+        if all(o is not None for o, c in zip(out, cfgs) if c is not None):
+            break
+        level += 1
         edges = halve_edges(edges)
-    raise ConvergenceError(
-        f"{kind} quadrature did not converge within {cfg.max_refine} refinements",
-        tuple(estimates),
-    )
+    return [(est[-1], _step(est)) if o is None else o for o, est in zip(out, runs)]
+
+
+def _passed(part: tuple[float, float] | ConvergenceError) -> tuple[float, float]:
+    """A part's result from `_refine`, or the ConvergenceError that ended it raised."""
+    if isinstance(part, ConvergenceError):
+        raise part
+    return part
 
 
 def log_difference(lp: float, ln: float) -> tuple[float, float]:
@@ -255,39 +284,62 @@ def log_difference(lp: float, ln: float) -> tuple[float, float]:
 def log_line_integral(
     L_fn: Callable[[np.ndarray], np.ndarray],
     edges: np.ndarray,
-    cfg: QuadConfig,
+    cfg: QuadConfig | Sequence[QuadConfig | None],
     *,
-    signed: bool = False,
-) -> tuple[float, float]:
+    signed: bool | Sequence[bool] = False,
+) -> tuple[float, float] | list[tuple[float, float] | ConvergenceError]:
     """Adaptive log-space integral of exp(L) over a 1-d panel mesh.
 
     With `signed`, L_fn returns (log|f|, f < 0) and each level sums the
     positive and the negative node terms apart, as log(P - N); the
     log-error is then never below the rounding floor 2^-52 (P + N) / (P - N).
     Returns (log of the integral, log-error estimate from the last halving).
+
+    Several parts share one mesh when `cfg` is a sequence, one config per
+    part (the first one a QuadConfig, whose order all parts take; None: a
+    part that drives nothing, see `_refine`), and `signed` one flag per
+    part: L_fn then returns one value per part, and the result is
+    `_refine`'s list.  The mesh is halved until every part has passed its
+    own test, and each part ends on the level where it passed, so it
+    equals its one-part integral bit for bit.
     """
-    floor = 0.0
+    one = isinstance(cfg, QuadConfig)
+    cfgs = [cfg] if one else list(cfg)
+    signs = [signed] if one else list(signed)
+    order = cfgs[0].order
+    floors = [0.0] * len(cfgs)
 
-    def estimate(level: int, edges: np.ndarray) -> float:
-        nonlocal floor
-        if (edges.size - 1) * cfg.order > MAX_NODES:
-            raise ConvergenceError(
-                f"line quadrature exceeded {MAX_NODES} nodes without "
-                f"meeting rel_tol {cfg.rel_tol}"
-            )
-        nodes, logw = panel_nodes(edges, cfg.order)
-        if not signed:
+    def level_fn(level: int, edges: np.ndarray) -> Callable[[int], float]:
+        if (edges.size - 1) * order > MAX_NODES:
+            def over(i: int) -> float:
+                raise ConvergenceError(
+                    f"line quadrature exceeded {MAX_NODES} nodes without "
+                    f"meeting rel_tol {(cfgs[i] or cfgs[0]).rel_tol}"
+                )
+            return over
+        nodes, logw = panel_nodes(edges, order)
+        vals = L_fn(nodes)
+        if one:
+            vals = (vals,)
+
+        def estimate(i: int) -> float:
+            if not signs[i]:
+                with np.errstate(invalid="ignore"):
+                    return _lse(vals[i] + logw)
+            la, neg = vals[i]
             with np.errstate(invalid="ignore"):
-                return _lse(L_fn(nodes) + logw)
-        la, neg = L_fn(nodes)
-        with np.errstate(invalid="ignore"):
-            vals = la + logw
-        out, amp = log_difference(_lse(vals[~neg]), _lse(vals[neg]))
-        floor = 2.0**-52 * amp if out > -math.inf else 0.0
-        return out
+                v = la + logw
+            out, amp = log_difference(_lse(v[~neg]), _lse(v[neg]))
+            floors[i] = 2.0**-52 * amp if out > -math.inf else 0.0
+            return out
 
-    out, err = _refine(estimate, edges, cfg, "line")
-    return out, max(err, floor)
+        return estimate
+
+    parts = [
+        p if isinstance(p, ConvergenceError) else (p[0], max(p[1], floor))
+        for p, floor in zip(_refine(level_fn, edges, cfgs, "line"), floors)
+    ]
+    return _passed(parts[0]) if one else parts
 
 
 def _disk_level(
@@ -361,11 +413,11 @@ def log_disk_integral(
     that must never be skipped by early exit.  Returns (log integral,
     log-error estimate).
     """
-    return _refine(
-        lambda level, edges: _disk_level(
+    return _passed(_refine(
+        lambda level, edges: lambda _: _disk_level(
             L_fn, center, edges, arcs, cfg, level, inner_targets
         ),
         r_edges,
-        cfg,
+        (cfg,),
         "disk",
-    )
+    )[0])

@@ -11,6 +11,7 @@ the arc of H, by Green's identity.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral
-from ._quad import Arcs, log_line_integral, refined_breakpoints, refined_panels
+from ._quad import Arcs, _passed, log_line_integral, refined_breakpoints, refined_panels
 from .cantor import CantorSet, IntervalIndex
 from .errors import DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
@@ -110,18 +111,24 @@ class Polynomial(BaseFunction):
         if len(self.coeffs) < 1 or self.coeffs[-1] == 0:
             raise ValidationError("need a nonzero leading coefficient")
 
+    # h' and the zeros of h, formed at their first use
+    @functools.cached_property
+    def _derivative(self) -> np.ndarray:
+        return npoly.polyder(self.coeffs)
+
+    @functools.cached_property
+    def _roots(self) -> np.ndarray:
+        return npoly.polyroots(self.coeffs) if len(self.coeffs) > 1 else np.zeros(0)
+
     def log_h(self, zs):
         return _log_split(npoly.polyval(np.asarray(zs, dtype=complex), self.coeffs))
 
     def log_h_hprime(self, zs):
         zs = np.asarray(zs, dtype=complex)
-        return (*self.log_h(zs), *_log_split(npoly.polyval(zs, npoly.polyder(self.coeffs))))
+        return (*self.log_h(zs), *_log_split(npoly.polyval(zs, self._derivative)))
 
     def zeros_in_disk(self, center, r):
-        if len(self.coeffs) == 1:
-            return []
-        roots = npoly.polyroots(self.coeffs)
-        return [complex(z) for z in roots if abs(z - center) < r]
+        return [complex(z) for z in self._roots if abs(z - center) < r]
 
 
 def _log_power(zs, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -319,8 +326,10 @@ class MinimizerSpec:
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:
         """log of the mass density |u|^2 = Q|h|^(2/Q)."""
-        la, _ = self.h.log_h(zs)
-        out = math.log(self.Q) + (2.0 / self.Q) * la
+        return self._log_density(self.h.log_h(zs)[0])
+
+    def _log_density(self, la_h: np.ndarray) -> np.ndarray:
+        out = math.log(self.Q) + (2.0 / self.Q) * la_h
         if self.domain == "half_plane":
             out = np.where(np.isfinite(out), out, -np.inf)
         return out
@@ -338,8 +347,12 @@ class MinimizerSpec:
         (integrable) marker.
         """
         la_h, _, la_p, _ = self.h.log_h_hprime(zs)
+        return self._log_energy(la_h, la_p, math.log(2.0 / self.Q))
+
+    def _log_energy(self, la_h: np.ndarray, la_p: np.ndarray, shift: float) -> np.ndarray:
+        """shift + log(|h|^(2/Q-2)|h'|^2), sanitized as log_energy_density."""
         with np.errstate(invalid="ignore"):
-            out = math.log(2.0 / self.Q) + (2.0 / self.Q - 2.0) * la_h + 2.0 * la_p
+            out = shift + (2.0 / self.Q - 2.0) * la_h + 2.0 * la_p
         if self.domain == "half_plane":
             return np.where(np.isfinite(out), out, -np.inf)
         return np.where(np.isnan(out), np.inf, out)
@@ -347,7 +360,12 @@ class MinimizerSpec:
 
 @dataclass(frozen=True)
 class FrequencySample:
-    """D, H, I at one (center, radius), with log-scale duplicates of D and H."""
+    """D, H, I at one (center, radius), with log-scale duplicates of D and H.
+
+    On a sample whose D is an arc integral (the plane, or a half-plane disk
+    clear of the imaginary axis) `dI_dr` is the slope I'(r) from the same
+    nodes, with `dI_dr_error` (an estimate); NaN on the others.
+    """
 
     center: complex
     radius: float
@@ -357,15 +375,17 @@ class FrequencySample:
     quadrature_error: float
     log_D: float = field(default=math.nan)
     log_H: float = field(default=math.nan)
+    dI_dr: float = field(default=math.nan)
+    dI_dr_error: float = field(default=math.nan)
 
 
 def _log_flux(
-    spec: MinimizerSpec, zs: np.ndarray, lr: np.ndarray, th: np.ndarray, power: float
+    h_hp: tuple[np.ndarray, ...], lr: np.ndarray, th: np.ndarray, power: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(log|f|, f < 0) for f = |h|^power phi at zs = center + rho e^(i theta),
-    lr = log rho, where phi = rho Re(h'/h e^(i theta)) is the radial
-    log-derivative of |h| times rho."""
-    la_h, ar_h, la_p, ar_p = spec.h.log_h_hprime(zs)
+    """(log|f|, f < 0) for f = |h|^power phi at center + rho e^(i theta),
+    where h_hp = `log_h_hprime` there and lr = log rho, and phi = rho Re(h'/h
+    e^(i theta)) is the radial log-derivative of |h| times rho."""
+    la_h, ar_h, la_p, ar_p = h_hp
     c = np.cos(ar_p - ar_h + th)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (power - 1.0) * la_h + la_p + lr + np.log(np.abs(c)), c < 0
@@ -509,6 +529,11 @@ def _check_disk(center: complex, r: float, r_inner: float = 0.0) -> complex:
     return c
 
 
+# the default configs of H and of D
+_H_CONFIG = QuadConfig()
+_D_CONFIG = QuadConfig(rel_tol=1e-6)
+
+
 def _from_log(log_v: float, log_err: float) -> tuple[float, float]:
     """(v, its absolute error) from log v and its log-error; v underflows to
     0 below e^-745."""
@@ -532,7 +557,7 @@ def log_boundary_mass(
     config: QuadConfig | None = None,
 ) -> tuple[float, float]:
     """log of H = (1/r) * integral of Q|h|^(2/Q) over the arc, plus log-error."""
-    cfg = config or QuadConfig()
+    cfg = config or _H_CONFIG
     center = _check_disk(center, r)
 
     def L(thetas: np.ndarray) -> np.ndarray:
@@ -559,9 +584,33 @@ def _log_arc_energy(
     log_r, power = math.log(r), 2.0 / spec.Q
 
     def L(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _log_flux(spec, center + r * np.exp(1j * thetas), log_r, thetas, power)
+        h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * thetas))
+        return _log_flux(h_hp, log_r, thetas, power)
 
     return log_line_integral(L, _arc_mesh(spec, center, r), cfg, signed=True)
+
+
+def _arc_form(spec: MinimizerSpec, center: complex, r: float) -> bool:
+    """Whether D on the disk is the arc integral of `_log_arc_energy`."""
+    return spec.domain == "plane" or r < center.real
+
+
+def _log_arc_pass(
+    spec: MinimizerSpec, center: complex, r: float, config: QuadConfig | None
+) -> list:
+    """H, D and C = integral of |h|^(2/Q) |psi|^2 d theta, psi = (z - c) h'/h,
+    on one mesh of the arc, with one `log_h_hprime` call per level: the
+    parts of one `log_line_integral`, H and D each equal to its own integral
+    under its default config (without `config`), C driving nothing."""
+    log_r, power = math.log(r), 2.0 / spec.Q
+
+    def L(thetas: np.ndarray) -> tuple:
+        h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * thetas))
+        return (spec._log_density(h_hp[0]), _log_flux(h_hp, log_r, thetas, power),
+                spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
+
+    cfgs = (config or _H_CONFIG, config or _D_CONFIG, None)
+    return log_line_integral(L, _arc_mesh(spec, center, r), cfgs, signed=(False, True, False))
 
 
 def log_dirichlet_energy(
@@ -579,9 +628,9 @@ def log_dirichlet_energy(
     disk that touches or crosses the axis is the disk integral of the
     energy density.
     """
-    cfg = config or QuadConfig(rel_tol=1e-6)
+    cfg = config or _D_CONFIG
     center = _check_disk(center, r)
-    if spec.domain == "plane" or r < center.real:
+    if _arc_form(spec, center, r):
         return _log_arc_energy(spec, center, r, cfg)
     r_edges, arcs, inner = polar_mesh(
         center,
@@ -620,8 +669,18 @@ def frequency(
     permits H to underflow a double without raising.  Without `config`
     each integral takes its own default (`log_boundary_mass`,
     `log_dirichlet_energy`).
+
+    Where D is an arc integral, H, D and C (`_log_arc_pass`) come from one
+    pass over the arc, and the sample carries the slope
+    I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and D' = (2/(Q r)) C.
     """
-    log_H, err_H = log_boundary_mass(spec, center, r, config)
+    center = _check_disk(center, r)
+    arc = _arc_form(spec, center, r)
+    if arc:
+        parts = _log_arc_pass(spec, center, r, config)
+        log_H, err_H = _passed(parts[0])
+    else:
+        log_H, err_H = log_boundary_mass(spec, center, r, config)
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
     if not log_scale and log_H < math.log(1e-300):
@@ -629,11 +688,32 @@ def frequency(
             f"H underflows (log H = {log_H:.4g}); pass log_scale=True to use "
             f"the rescaled ratio"
         )
-    log_D, err_D = log_dirichlet_energy(spec, center, r, config)
+    if arc:
+        log_D, err_D = _passed(parts[1])
+    else:
+        log_D, err_D = log_dirichlet_energy(spec, center, r, config)
     I = math.exp(log_D - log_H) if log_D > -math.inf else 0.0
     D, H = _from_log(log_D, err_D)[0], _from_log(log_H, err_H)[0]
     err = I * math.expm1(min(err_D + err_H, 1.0))
-    return FrequencySample(complex(center), r, D, H, I, err, log_D, log_H)
+    slope = _slope(spec.Q, r, I, log_H, err_H, log_D, err_D, *_passed(parts[2])) if arc else ()
+    return FrequencySample(center, r, D, H, I, err, log_D, log_H, *slope)
+
+
+def _slope(
+    Q: int, r: float, I: float, log_H: float, err_H: float, log_D: float, err_D: float,
+    log_C: float, err_C: float,
+) -> tuple[float, float]:
+    """I'(r) = (2/r)(J - I^2), J = C/(Q H), and its error: the log-errors
+    of C, H and D carried through J and I^2 apart, each with a rounding
+    floor of the logs it is formed from.  J past the largest double is
+    inf."""
+    log_J = log_C - math.log(Q) - log_H
+    J = math.exp(log_J) if log_J < 709.0 else math.inf
+    ulps = 2.0**-52 * (abs(log_C) + abs(log_H) + abs(log_D) + 4.0)
+    err = J * math.expm1(min(err_C + err_H + ulps, 1.0)) + I * I * math.expm1(
+        min(2.0 * (err_D + err_H + ulps), 1.0)
+    )
+    return (2.0 / r) * (J - I * I), (2.0 / r) * err
 
 
 def frequency_curve(

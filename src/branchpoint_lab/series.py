@@ -221,12 +221,35 @@ def _direct_sum(
         a_k = params.coeff(k)
         al = params.exponent(k)
         for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
-            # an anchored offset below e^-745 makes its own term infinite
-            with np.errstate(invalid="ignore"):
-                F += a_k * neg_power(lr, th, al).sum(axis=1)
-                if with_deriv:
-                    Fp += -al * a_k * neg_power(lr, th, al + 1.0).sum(axis=1)
+            F += _power_sum(a_k, lr, th, al)
+            if with_deriv:
+                Fp += _power_sum(-al * a_k, lr, th, al + 1.0)
     return F, Fp, np.zeros(n)
+
+
+def _power_sum(c: float, lr: np.ndarray, th: np.ndarray, alpha: float) -> np.ndarray:
+    """c times each row's sum of w^-alpha, w = exp(lr + i th).
+
+    A term past the largest double (an anchored point's own term, once its
+    offset lies below about e^(-709/alpha)) is taken in log space: c|w|^-alpha
+    at its angle, an infinity whose zero parts stay 0 rather than inf * 0 =
+    NaN, so that Re F = +inf reads as the exact zero of f.
+    """
+    w = neg_power(lr, th, alpha)
+    big = ~np.isfinite(w)
+    if not big.any():
+        return c * w.sum(axis=1)
+    w[big] = 0.0
+    out = c * w.sum(axis=1)
+    ang = -alpha * th[big]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = math.copysign(1.0, c) * np.exp(math.log(abs(c)) - alpha * lr[big])
+        cos, sin = np.cos(ang), np.sin(ang)
+        term = np.empty(ang.size, dtype=complex)
+        term.real = np.where(cos == 0.0, 0.0, mag * cos)
+        term.imag = np.where(sin == 0.0, 0.0, mag * sin)
+    np.add.at(out, big.nonzero()[0], term)
+    return out
 
 
 def _top_exponent(params: SeriesParams) -> float:

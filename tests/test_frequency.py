@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     CantorSet,
+    ConvergenceError,
     DegenerateMassError,
     MinimizerSpec,
     Monomial,
@@ -30,7 +31,9 @@ from branchpoint_lab.frequency import (
     BaseFunction,
     OscillatingPower,
     _arc_keys,
+    _log_arc_pass,
     _log_flux,
+    _slope,
     log_boundary_mass,
     log_dirichlet_energy,
     polar_mesh,
@@ -79,7 +82,7 @@ def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     zs = np.array([z], dtype=complex)
     dz = zs - complex(center)
     lr, th = log_polar(dz.real, dz.imag)
-    la, neg = _log_flux(spec, zs, lr, th, 0.0)
+    la, neg = _log_flux(spec.h.log_h_hprime(zs), lr, th, 0.0)
     return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
@@ -451,3 +454,88 @@ def test_blocks_log_h_at_tiny_z():
     for h in (SmoothBlock(0.5), OscillatingPower(0.5)):
         la, _ = h.log_h(np.array([1e-200 + 0j]))
         assert la[0] == pytest.approx(-1e100, rel=1e-12)
+
+
+_FREQ = importlib.import_module("branchpoint_lab.frequency")
+_ARC_PASS_CASES = [
+    (Monomial(P=3), 2, 0j, 0.4, None),
+    (Monomial(P=2), 3, 0.2 + 0.25j, 0.2, None),
+    (Polynomial(coeffs=(0.0, 0.0, -0.5, 1.0)), 3, 0.1 + 0j, 0.1265, None),
+    (Polynomial(coeffs=(0.3, 1.0)), 2, 0j, 0.25, QuadConfig(rel_tol=1e-10, max_refine=6)),
+    (SmoothBlock(alpha=0.5), 3, 0.3 + 0.1j, 0.25, None),
+    (_series_product(), 3, 0.5 + 0j, 0.3, QuadConfig(rel_tol=0.25, order=6, max_refine=2)),
+]
+
+
+@pytest.mark.parametrize("h, Q, center, r, cfg", _ARC_PASS_CASES)
+def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r, cfg):
+    """Where D is an arc integral, `frequency` meshes the arc once and makes
+    one line integral whose integrand calls log_h_hprime once per level; its
+    H and D are `log_boundary_mass` and `log_dirichlet_energy` bit for bit,
+    under their own defaults or one given config."""
+    spec = MinimizerSpec(h=h, Q=Q)
+    H = log_boundary_mass(spec, center, r, cfg)
+    D = log_dirichlet_energy(spec, center, r, cfg)
+    parts = _log_arc_pass(spec, center, r, cfg)
+    assert parts[:2] == [H, D]
+    meshes, levels = [], []
+    arc_mesh, line = _FREQ._arc_mesh, _FREQ.log_line_integral
+
+    def counted_line(L, *args, **kwargs):
+        return line(lambda th: levels.append(th.size) or L(th), *args, **kwargs)
+
+    monkeypatch.setattr(_FREQ, "_arc_mesh", lambda *a: meshes.append(a) or arc_mesh(*a))
+    monkeypatch.setattr(_FREQ, "log_line_integral", counted_line)
+    fs = frequency(spec, center, r, cfg, log_scale=True)
+    assert (fs.log_H, fs.log_D) == (H[0], D[0])
+    assert fs.I == math.exp(D[0] - H[0])
+    assert len(meshes) == 1
+    # sizes double from level to level: one integrand call per level
+    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    assert math.isfinite(fs.dI_dr) and fs.dI_dr_error >= 0.0
+
+
+@pytest.mark.parametrize(
+    "parts, log_scale, raised",
+    [
+        # H vanishes or underflows: DegenerateMassError before D's error
+        ([(-math.inf, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, DegenerateMassError),
+        ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], False, DegenerateMassError),
+        ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, "D"),
+        ([ConvergenceError("H"), ConvergenceError("D"), (0.0, 0.0)], True, "H"),
+    ],
+)
+def test_mass_checks_come_before_the_energy_s_convergence_error(monkeypatch, parts, log_scale,
+                                                                raised):
+    """From one arc pass, H's errors and checks are raised first, in the
+    order of the separate integrals: H's ConvergenceError, then the vanishing
+    or underflowing H, and only then D's ConvergenceError."""
+    monkeypatch.setattr(_FREQ, "log_line_integral", lambda *args, **kwargs: parts)
+    spec = MinimizerSpec(h=Monomial(P=1), Q=2)
+    if isinstance(raised, str):
+        with pytest.raises(ConvergenceError, match=raised):
+            frequency(spec, 0j, 0.5, log_scale=log_scale)
+    else:
+        with pytest.raises(raised):
+            frequency(spec, 0j, 0.5, log_scale=log_scale)
+
+
+@pytest.mark.parametrize("P, Q", [(1, 2), (3, 2), (2, 3), (1, 3), (5, 3)])
+@pytest.mark.parametrize("r", [0.05, 0.5, 2.0])
+def test_slope_vanishes_on_monomials_about_their_zero(P, Q, r):
+    # I = P/Q at every radius, so I' = 0 within its reported error
+    fs = frequency(MinimizerSpec(h=Monomial(P=P), Q=Q), 0j, r)
+    assert abs(fs.dI_dr) <= fs.dI_dr_error
+    assert fs.dI_dr_error <= 1e-12 / r
+
+
+def test_slope_of_a_ratio_past_the_largest_double_is_inf():
+    # C/(Q H) = e^800 overflows a double: I' and its error are inf, not an
+    # OverflowError
+    assert _slope(2, 0.1, 0.5, 0.0, 1e-9, -0.7, 1e-9, 800.0, 1e-9) == (math.inf, math.inf)
+
+
+def test_disk_form_samples_have_no_slope():
+    # a half-plane disk that reaches the axis takes D from the disk
+    fs = frequency(MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2), 0.05 + 0j, 0.1)
+    assert math.isnan(fs.dI_dr) and math.isnan(fs.dI_dr_error)

@@ -57,7 +57,8 @@ def _disk_energy(spec, center, r, cfg=DISK):
 def _signs(spec, center, r):
     """The signs the arc integrand takes at 512 points of the arc."""
     th = np.linspace(-math.pi, math.pi, 512)
-    _, neg = _log_flux(spec, center + r * np.exp(1j * th), math.log(r), th, 2.0 / spec.Q)
+    h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * th))
+    _, neg = _log_flux(h_hp, math.log(r), th, 2.0 / spec.Q)
     return set(np.where(neg, -1, 1))
 
 
@@ -179,6 +180,40 @@ def test_arc_energy_matches_disk_on_random_polynomials(case):
     assert abs(math.expm1(got - want)) <= 1e-8
 
 
+def _check_slope(spec, center, r):
+    """I'(r) of the arc pass against the central difference of I with step
+    h = 1e-4 r: they agree within I''s error, the reported errors of I at
+    r +- h over 2h, and |CD(h) - CD(2h)|, three times the difference's
+    O(h^2) truncation."""
+    fs = frequency(spec, center, r)
+
+    def cd(h):
+        lo, hi = frequency(spec, center, r - h), frequency(spec, center, r + h)
+        return (hi.I - lo.I) / (2.0 * h), (lo.quadrature_error + hi.quadrature_error) / (2.0 * h)
+
+    h = 1e-4 * r
+    (d1, e1), (d2, _) = cd(h), cd(2.0 * h)
+    assert abs(fs.dI_dr - d1) <= fs.dI_dr_error + e1 + abs(d2 - d1)
+    return fs, d1
+
+
+@pytest.mark.parametrize(
+    "P,Q,center,r",
+    [(3, 2, 0.1 + 0.05j, 0.3), (1, 2, -0.2 + 0.1j, 0.5), (3, 2, 0.2 + 0.25j, 0.2),
+     (2, 3, -0.4 - 0.1j, 0.25)],
+)
+def test_slope_matches_central_difference_on_monomials(P, Q, center, r):
+    # the off-centre monomials above, where I moves with r
+    fs, d = _check_slope(MinimizerSpec(h=Monomial(P=P), Q=Q), center, r)
+    assert abs(fs.dI_dr - d) <= 1e-6 * abs(d)
+
+
+@given(case=_polynomials())
+@settings(max_examples=10, deadline=None)
+def test_slope_matches_central_difference_on_random_polynomials(case):
+    _check_slope(*case)
+
+
 def _mp_frequency(a: float, r: float) -> float:
     """I of h = a + z, Q = 2, on the disk of radius r < a about 0: D from
     the mean of 1/|a + rho e^(i theta)| over theta, 4 K(m) / (a + rho) with
@@ -207,7 +242,7 @@ def test_cancelling_arc_covers_the_rounding_floor():
     want, _ = _disk_energy(spec, 1 + 0j, 0.01, QuadConfig(rel_tol=1e-10))
     assert abs(math.expm1(got - want)) <= 1e-12
     th = np.linspace(-math.pi, math.pi, 200001)[:-1]
-    la, neg = _log_flux(spec, 1 + 0.01 * np.exp(1j * th), math.log(0.01), th, 1.0)
+    la, neg = _log_flux(spec.h.log_h_hprime(1 + 0.01 * np.exp(1j * th)), math.log(0.01), th, 1.0)
     f = np.where(neg, -1.0, 1.0) * np.exp(la)
     ratio = np.sum(np.abs(f)) / np.sum(f)
     assert ratio > 50.0

@@ -227,6 +227,78 @@ def test_convergence_error_carries_estimates():
         edges = halve_edges(edges)
 
 
+def _signed(f):
+    def L(x):
+        v = f(x)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(v)), v < 0
+    return L
+
+
+# (L, config, signed): parts that pass on levels 1 and later, a signed one
+# with its rounding floor, one that never agrees within max_refine 3 and one
+# whose signed sum is negative
+_PARTS = [
+    (lambda x: -0.5 * x**2, QuadConfig(rel_tol=1e-13, order=8), False),
+    (lambda x: 0.1 * x, QuadConfig(rel_tol=1e-4, order=8), False),
+    (_signed(lambda x: np.cos(x) + 0.5), QuadConfig(rel_tol=1e-9, order=8), True),
+    (lambda x: np.cos(40.0 * x) * 30.0, QuadConfig(rel_tol=1e-15, order=8, max_refine=3), False),
+    (_signed(lambda x: -1.0 - x * x), QuadConfig(order=8), True),
+]
+
+
+def _outcome(part):
+    if isinstance(part, ConvergenceError):
+        return str(part), part.estimates
+    return part
+
+
+def test_parts_of_one_mesh_are_their_one_part_integrals():
+    """Each part of a several-part line integral ends on the level where it
+    passed its own test, so it is its one-part integral bit for bit (or
+    fails alike); L_fn is called once per level, and a part without a
+    config takes the last level's estimate with the last difference."""
+    edges = refined_breakpoints(-3.0, 3.0)
+    calls = []
+
+    def L(x):
+        calls.append(x.size)
+        return [fn(x) for fn, _, _ in _PARTS] + [np.sin(3.0 * x)]
+
+    got = log_line_integral(L, edges, [c for _, c, _ in _PARTS] + [None],
+                            signed=[s for _, _, s in _PARTS] + [False])
+    for part, (fn, cfg, signed) in zip(got, _PARTS):
+        try:
+            want = log_line_integral(fn, edges, cfg, signed=signed)
+        except ConvergenceError as exc:
+            want = exc
+        assert _outcome(part) == _outcome(want)
+    assert isinstance(got[3], ConvergenceError) and len(got[3].estimates) == 4
+    assert isinstance(got[4], ConvergenceError) and got[4].estimates == ()
+    # the never-agreeing part keeps the mesh halving to level 3
+    assert len(calls) == 4
+    follow = []
+    for _ in calls:
+        nodes, logw = panel_nodes(edges, 8)
+        follow.append(_lse(np.sin(3.0 * nodes) + logw))
+        edges = halve_edges(edges)
+    assert got[5] == (follow[3], abs(follow[3] - follow[2]))
+
+
+def test_parts_fail_alike_at_the_node_cap():
+    # 2,049 panels of order 8 reach MAX_NODES on level 2: the part that has
+    # not passed by then raises as its one-part integral does
+    edges = np.linspace(0.0, 1.0, 2050)
+    parts = [(lambda x: 0.1 * x, QuadConfig(rel_tol=1e-4, order=8)),
+             (lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), QuadConfig(rel_tol=1e-15, order=8))]
+    got = log_line_integral(lambda x: [fn(x) for fn, _ in parts], edges,
+                            [cfg for _, cfg in parts], signed=[False, False])
+    assert got[0] == log_line_integral(parts[0][0], edges, parts[0][1])
+    with pytest.raises(ConvergenceError) as info:
+        log_line_integral(parts[1][0], edges, parts[1][1])
+    assert str(got[1]) == str(info.value) and "65536 nodes" in str(got[1])
+
+
 def _same(got: float, want: float) -> bool:
     return got == want or (math.isnan(got) and math.isnan(want))
 
@@ -366,12 +438,12 @@ def test_ring_assembly_matches_per_node_loop(case, level):
 def test_log_disk_integral_matches_per_node_loop(case):
     L, center, r_edges, inner = _RING_CASES[case]
     cfg = QuadConfig(rel_tol=1e-9, order=6, max_refine=4)
-    want = _refine(
-        lambda level, edges: _per_node_level(
+    [want] = _refine(
+        lambda level, edges: lambda _: _per_node_level(
             L, center, edges, _ragged_theta, cfg, level, inner
         ),
         r_edges,
-        cfg,
+        [cfg],
         "disk",
     )
     got = log_disk_integral(
