@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """Layer bench of the quadrature: disk integrals (arc meshes in µs per
-radial node, node assembly in ns per node, integrand nodes per second) and
-the arc samples of `frequency`.
+radial node, node assembly in ns per node, integrand nodes per second),
+the blocks' D on half-disks and the arc samples of `frequency`.
 
     python3 bench/quad_layers.py                      # print the JSON entry
     python3 bench/quad_layers.py --label change --out BENCH_quad.json
     python3 bench/quad_layers.py --src ../parent/src --label parent --out BENCH_quad.json
     python3 bench/quad_layers.py --quick              # a few seconds, for CI
 
-Times the disk integrals of the perfbench workloads that run them: D of
-the `SmoothBlock(0.5)` half-disks (Q = 2, R = 0.2, 0.1, 0.05, the default
-config of `frequency`), as `anchor_quad` takes them, and the innermost disk
-of `mass_curve` (the log L2 mass of `RealPartTarget`, s = 0.5, max_gen 18,
-R = 10^-1.1, `QuadConfig(rel_tol=1e-3, order=10, max_refine=6)`).  Each
-integral runs through the public API (`log_dirichlet_energy`, `log_mass`)
-with the angular-mesh callable of `polar_mesh` and the integrand of
+Times the disk integral of the perfbench workload that runs one, the
+innermost disk of `mass_curve` (the log L2 mass of `RealPartTarget`, s =
+0.5, max_gen 18, R = 10^-1.1, `QuadConfig(rel_tol=1e-3, order=10,
+max_refine=6)`), through the public API (`log_mass`) with the
+angular-mesh callable of `polar_mesh` and the integrand of
 `log_disk_integral` wrapped in timers, so the split does not depend on how
 a checkout meshes its arcs:
 
@@ -33,6 +31,14 @@ integrand nodes and the answers (log D or log mass and their log-errors),
 so a speed-up that moves an answer shows at once.  --out merges the entry
 into a JSON file under --label, so two checkouts measured on one machine
 sit side by side.  --quick (2 repeats) only checks that the script runs.
+
+It times D of the `SmoothBlock(0.5)` half-disks (Q = 2, R = 0.2, 0.1,
+0.05, the default config of `frequency`), as `anchor_quad` takes them,
+through `log_dirichlet_energy`: by Green's identity, a line integral on the
+clipped arc and one on the chord on the imaginary axis.  Each row records
+the time, the integrand nodes of the line integrals, the level at which
+each of them stops, the integrand nodes of any disk integral (a checkout
+that still takes these D from the disk) and log D with its log-error.
 
 It also times arc samples of `frequency`, where H and D are line integrals
 on the arc: the two polynomial ladders of `anchor_quad` (Q = 2, 8 rungs
@@ -134,28 +140,54 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
 
 
 class LineCount:
-    """Integrand nodes and calls of the line integrals a module makes."""
+    """Integrand nodes and calls of the line integrals a module makes, and
+    the calls of each integral in `levels`."""
 
     def __init__(self, freq):
-        self.nodes = self.calls = 0
+        self.clear()
         line = freq.log_line_integral
 
         def counted(L_fn, *args, **kwargs):
+            self.levels.append(0)
+
             def L(th):
                 self.nodes += th.size
                 self.calls += 1
+                self.levels[-1] += 1
                 return L_fn(th)
 
             return line(L, *args, **kwargs)
 
         freq.log_line_integral = counted
 
+    def clear(self):
+        self.nodes = self.calls = 0
+        self.levels = []
+
 
 def stop_level(count, integral) -> int:
     """The level at which a one-part line integral stops."""
-    before = count.calls
     integral()
-    return count.calls - before - 1
+    return count.levels[-1] - 1
+
+
+def measure_line(name, run, repeats, sampler, count, split) -> dict:
+    """A D of line integrals: its fastest run, the nodes and stop level of
+    each line integral, and the nodes of any disk integral."""
+    run()
+    best = None
+    for _ in range(repeats):
+        count.clear()
+        split.clear()
+        out, _, ref = sampler.timed(run)
+        if best is None or ref < best[0]:
+            best = (ref, count.nodes, count.levels, split.nodes, out)
+    ref, nodes, levels, disk_nodes, (value, err) = best
+    return {
+        "case": name, "ms": round(1e3 * ref, 3), "integrand_nodes": nodes,
+        "stop_levels": [n - 1 for n in levels], "disk_nodes": disk_nodes,
+        "log_value": value, "log_err": err,
+    }
 
 
 def measure_arcs(name, spec, center, radii, repeats, sampler, freq, count) -> dict:
@@ -163,7 +195,7 @@ def measure_arcs(name, spec, center, radii, repeats, sampler, freq, count) -> di
     run()
     best = None
     for _ in range(repeats):
-        count.nodes = count.calls = 0
+        count.clear()
         curve, _, ref = sampler.timed(run)
         if best is None or ref < best[0]:
             best = (ref, count.nodes, count.calls, curve)
@@ -188,23 +220,23 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
     repeats = 2 if quick else REPEATS
     split = Split()
     split.install(freq, van)
-    block = freq.MinimizerSpec(h=freq.SmoothBlock(alpha=0.5), Q=2)
-    block_cfg = QuadConfig(rel_tol=1e-6)
-    rows = [
-        measure_case(f"smooth_block D R={R}",
-                     lambda R=R: freq.log_dirichlet_energy(block, 0j, R, block_cfg),
-                     block_cfg.order, repeats, sampler, split)
-        for R in BLOCK_RADII
-    ]
     params = SeriesParams(s=0.5, max_gen=18)
     target = van.RealPartTarget(params=params, cs=CantorSet.build(0.5, 18))
     mass_cfg = QuadConfig(rel_tol=1e-3, order=10, max_refine=6)
-    rows.append(measure_case(
+    rows = [measure_case(
         f"mass_curve innermost disk R={MASS_RADIUS:.6g}",
         lambda: van.log_mass(target, 0j, MASS_RADIUS, mass_cfg),
         mass_cfg.order, repeats, sampler, split,
-    ))
+    )]
     count = LineCount(freq)
+    block = freq.MinimizerSpec(h=freq.SmoothBlock(alpha=0.5), Q=2)
+    block_cfg = QuadConfig(rel_tol=1e-6)
+    lines = [
+        measure_line(f"smooth_block D R={R}",
+                     lambda R=R: freq.log_dirichlet_energy(block, 0j, R, block_cfg),
+                     repeats, sampler, count, split)
+        for R in BLOCK_RADII
+    ]
     arcs = [
         measure_arcs(f"poly{j} ladder", freq.MinimizerSpec(h=freq.Polynomial(coeffs=coeffs), Q=2),
                      complex(c), [float(r) for r in np.geomspace(lo, hi, 8)],
@@ -216,7 +248,7 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
     center, r = BRANCH_POINT
     arcs.append(measure_arcs(f"branch point r={r}", freq.MinimizerSpec(h=product, Q=3),
                              complex(center), [r], repeats, sampler, freq, count))
-    return {"repeats": repeats, "disks": rows, "arcs": arcs}
+    return {"repeats": repeats, "disks": rows, "block_D": lines, "arcs": arcs}
 
 
 if __name__ == "__main__":

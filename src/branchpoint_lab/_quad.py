@@ -296,8 +296,8 @@ def log_line_integral(
     Returns (log of the integral, log-error estimate from the last halving).
 
     Several parts share one mesh when `cfg` is a sequence, one config per
-    part (the first one a QuadConfig, whose order all parts take; None: a
-    part that drives nothing, see `_refine`), and `signed` one flag per
+    part (the first QuadConfig among them sets the order all parts take;
+    None: a part that drives nothing, see `_refine`), and `signed` one flag per
     part: L_fn then returns one value per part, and the result is
     `_refine`'s list.  The mesh is halved until every part has passed its
     own test, and each part ends on the level where it passed, so it
@@ -306,7 +306,7 @@ def log_line_integral(
     one = isinstance(cfg, QuadConfig)
     cfgs = [cfg] if one else list(cfg)
     signs = [signed] if one else list(signed)
-    order = cfgs[0].order
+    order = next(c for c in cfgs if c is not None).order
     floors = [0.0] * len(cfgs)
 
     def level_fn(level: int, edges: np.ndarray) -> Callable[[int], float]:

@@ -5,7 +5,8 @@ energy and mass densities: |Du|^2 = (2/Q)|h|^(2/Q - 2)|h'|^2 and
 |u|^2 = Q|h|^(2/Q).  Both are integrated in log space (via the shared panel
 quadrature) so the frequency ratio I = D/H stays computable even when D and
 H individually underflow near the boundary set.  On the plane D is taken on
-the arc of H, by Green's identity.
+the arc of H, by Green's identity, and on a half-disk that crosses the
+imaginary axis on that arc and the chord on the axis.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import DROP, MIN_FRAC, QuadConfig, log_disk_integral
+from ._quad import DROP, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
 from ._quad import Arcs, _passed, log_line_integral, refined_breakpoints, refined_panels
 from .cantor import CantorSet, IntervalIndex
-from .errors import DegenerateMassError, ValidationError
+from .errors import ConvergenceError, DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
 from .series import FAR_TOL, SeriesParams, decay_exponent_many, log_cosine_product_many
 from .series import product_zero
@@ -44,9 +45,15 @@ class BaseFunction(ABC):
     first two arrays are `log_h` bit for bit.  `decay_rate(rho)` bounds
     |d log|h| / dtheta| at distance rho from the function's singular corner;
     it seeds boundary-layer panels and may be zero for smooth cases.
+
+    `axis_singularities` lists the y of the points iy where a half-plane h
+    is singular on the imaginary axis, or is None where they are a Cantor
+    set; it chooses how D is taken on a disk that crosses the axis
+    (`log_dirichlet_energy`).
     """
 
     domain: str = "plane"
+    axis_singularities: tuple[float, ...] | None = None
 
     @abstractmethod
     def log_h(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,6 +151,7 @@ class SmoothBlock(BaseFunction):
 
     alpha: float
     domain = "half_plane"
+    axis_singularities = (0.0,)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -180,6 +188,7 @@ class OscillatingPower(BaseFunction):
     alpha: float
     P: int = 1
     domain = "half_plane"
+    axis_singularities = (0.0,)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -590,27 +599,83 @@ def _log_arc_energy(
     return log_line_integral(L, _arc_mesh(spec, center, r), cfg, signed=True)
 
 
-def _arc_form(spec: MinimizerSpec, center: complex, r: float) -> bool:
-    """Whether D on the disk is the arc integral of `_log_arc_energy`."""
-    return spec.domain == "plane" or r < center.real
+def _d_form(spec: MinimizerSpec, center: complex, r: float) -> str:
+    """How D on the disk is taken: "arc", the arc integral of
+    `_log_arc_energy` (the plane, or a half-plane disk clear of the axis,
+    r < Re c); "chord", the arc and the chord on the axis (a disk that
+    crosses the axis, where h has finitely many singular points on it);
+    "disk", the disk integral (tangent circles, and h over a Cantor set)."""
+    if spec.domain == "plane" or r < center.real:
+        return "arc"
+    return "chord" if r > center.real and spec.h.axis_singularities is not None else "disk"
 
 
 def _log_arc_pass(
-    spec: MinimizerSpec, center: complex, r: float, config: QuadConfig | None
+    spec: MinimizerSpec, center: complex, r: float, cfg_H: QuadConfig | None,
+    cfg_D: QuadConfig, chord: bool = False,
 ) -> list:
     """H, D and C = integral of |h|^(2/Q) |psi|^2 d theta, psi = (z - c) h'/h,
     on one mesh of the arc, with one `log_h_hprime` call per level: the
     parts of one `log_line_integral`, H and D each equal to its own integral
-    under its default config (without `config`), C driving nothing."""
+    under its config (H None: it drives nothing), C driving nothing.
+
+    With `chord`, D's part is the arc's share of D on a disk that crosses
+    the axis, which may be negative, and a fourth part integrates its
+    negative; the pair is as `_log_net` takes it."""
     log_r, power = math.log(r), 2.0 / spec.Q
 
     def L(thetas: np.ndarray) -> tuple:
         h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * thetas))
-        return (spec._log_density(h_hp[0]), _log_flux(h_hp, log_r, thetas, power),
-                spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
+        flux = _log_flux(h_hp, log_r, thetas, power)
+        return (spec._log_density(h_hp[0]), flux,
+                spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r), (flux[0], ~flux[1]))
 
-    cfgs = (config or _H_CONFIG, config or _D_CONFIG, None)
-    return log_line_integral(L, _arc_mesh(spec, center, r), cfgs, signed=(False, True, False))
+    cfgs = (cfg_H, cfg_D, None) + ((cfg_D,) if chord else ())
+    return log_line_integral(L, _arc_mesh(spec, center, r), cfgs,
+                             signed=(False, True, False, True)[: len(cfgs)])
+
+
+def _chord_parts(spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig) -> list:
+    """The chord's share of D on a half-plane disk that crosses the axis:
+    the integral of the flux |h|^(2/Q) Re(-h'/h) out through the axis over
+    y in Im c +- sqrt(r^2 - (Re c)^2), meshed toward h's singular points on
+    the axis, and a second part of its negative, as `_log_net` takes them."""
+    half = math.sqrt(r * r - center.real**2)
+    edges = refined_breakpoints(center.imag - half, center.imag + half,
+                                targets=spec.h.axis_singularities)
+    power = 2.0 / spec.Q
+
+    def L(ys: np.ndarray) -> tuple:
+        # the outward normal -1 is the direction theta = pi at rho = 1
+        flux = _log_flux(spec.h.log_h_hprime(1j * ys), 0.0, math.pi, power)
+        return flux, (flux[0], ~flux[1])
+
+    return log_line_integral(L, edges, (cfg, cfg), signed=(True, True))
+
+
+def _log_net(*pairs: Sequence) -> tuple[float, float]:
+    """log of a sum of signed integrals, each given as the two parts of
+    `log_line_integral` that integrate it and its negative, of which one
+    passes (a signed part raises unless its sum is positive), with its
+    log-error.
+
+    The sum is log(P - N), P and N the sums of the positive and of the
+    negative integrals.  Its error is theirs weighted by their magnitudes
+    over P - N, and at least the rounding floor 2^-52 (P + N) / (P - N)."""
+    logs: tuple[list, list] = ([], [])
+    weighted = []
+    for pair in pairs:
+        passed = [i for i, part in enumerate(pair) if not isinstance(part, ConvergenceError)]
+        if not passed:
+            raise max(pair, key=lambda exc: len(exc.estimates))
+        log_v, err = pair[passed[0]]
+        logs[passed[0]].append(log_v)
+        if err > 0.0:
+            weighted.append(log_v + math.log(err))
+    log_sum, amp = log_difference(*(float(np.logaddexp.reduce(v, initial=-math.inf))
+                                    for v in logs))
+    err = math.exp(float(np.logaddexp.reduce(weighted, initial=-math.inf)) - log_sum)
+    return log_sum, max(err, 2.0**-52 * amp)
 
 
 def log_dirichlet_energy(
@@ -624,14 +689,21 @@ def log_dirichlet_energy(
     On the plane, Green's identity turns D into the signed arc integral of
     |h|^(2/Q) phi, since sum |g_j|^2 = Q|h|^(2/Q) over the branches g_j of
     h^(1/Q) has Laplacian twice the energy density.  The same holds on a
-    half-plane disk clear of the imaginary axis (r < Re c); a half-plane
-    disk that touches or crosses the axis is the disk integral of the
-    energy density.
+    half-plane disk clear of the imaginary axis (r < Re c).  On one that
+    crosses it (r > Re c), D is that integral on the clipped arc minus the
+    integral of |h(iy)|^(2/Q) Re(h'/h)(iy) dy on the chord (`_log_net`),
+    where h has finitely many singular points on the axis (SmoothBlock and
+    OscillatingPower: 0).  A disk tangent to the axis, and one over a Cantor
+    set, is the disk integral of the energy density.
     """
     cfg = config or _D_CONFIG
     center = _check_disk(center, r)
-    if _arc_form(spec, center, r):
+    form = _d_form(spec, center, r)
+    if form == "arc":
         return _log_arc_energy(spec, center, r, cfg)
+    if form == "chord":
+        arc = _log_arc_pass(spec, center, r, None, cfg, chord=True)
+        return _log_net(arc[1::2], _chord_parts(spec, center, r, cfg))
     r_edges, arcs, inner = polar_mesh(
         center,
         r,
@@ -672,15 +744,19 @@ def frequency(
 
     Where D is an arc integral, H, D and C (`_log_arc_pass`) come from one
     pass over the arc, and the sample carries the slope
-    I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and D' = (2/(Q r)) C.
+    I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and D' = (2/(Q r)) C.  On a
+    half-plane disk that crosses the axis the same pass gives H and the
+    arc's share of D, and D adds the chord's (`log_dirichlet_energy`); I'
+    is NaN there, as on the disk integral.
     """
     center = _check_disk(center, r)
-    arc = _arc_form(spec, center, r)
-    if arc:
-        parts = _log_arc_pass(spec, center, r, config)
-        log_H, err_H = _passed(parts[0])
-    else:
+    form = _d_form(spec, center, r)
+    arc, cfg_D = form == "arc", config or _D_CONFIG
+    if form == "disk":
         log_H, err_H = log_boundary_mass(spec, center, r, config)
+    else:
+        parts = _log_arc_pass(spec, center, r, config or _H_CONFIG, cfg_D, form == "chord")
+        log_H, err_H = _passed(parts[0])
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
     if not log_scale and log_H < math.log(1e-300):
@@ -690,6 +766,8 @@ def frequency(
         )
     if arc:
         log_D, err_D = _passed(parts[1])
+    elif form == "chord":
+        log_D, err_D = _log_net(parts[1::2], _chord_parts(spec, center, r, cfg_D))
     else:
         log_D, err_D = log_dirichlet_energy(spec, center, r, config)
     I = math.exp(log_D - log_H) if log_D > -math.inf else 0.0

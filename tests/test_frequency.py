@@ -25,6 +25,7 @@ from branchpoint_lab import (
     dirichlet_energy,
     frequency,
     frequency_curve,
+    gap_centered_radii,
 )
 from branchpoint_lab._quad import MIN_FRAC, refined_breakpoints, refined_panels
 from branchpoint_lab.frequency import (
@@ -476,7 +477,7 @@ def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r,
     spec = MinimizerSpec(h=h, Q=Q)
     H = log_boundary_mass(spec, center, r, cfg)
     D = log_dirichlet_energy(spec, center, r, cfg)
-    parts = _log_arc_pass(spec, center, r, cfg)
+    parts = _log_arc_pass(spec, center, r, cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG)
     assert parts[:2] == [H, D]
     meshes, levels = [], []
     arc_mesh, line = _FREQ._arc_mesh, _FREQ.log_line_integral
@@ -536,6 +537,14 @@ def test_slope_of_a_ratio_past_the_largest_double_is_inf():
 
 
 def test_disk_form_samples_have_no_slope():
-    # a half-plane disk that reaches the axis takes D from the disk
-    fs = frequency(MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2), 0.05 + 0j, 0.1)
-    assert math.isnan(fs.dI_dr) and math.isnan(fs.dI_dr_error)
+    # a half-plane disk over a Cantor set that reaches the axis takes D from
+    # the disk; one over a block takes it from the arc and the chord, whose
+    # slope would need the clip term of the moving arc: neither has I'
+    factor = SeriesFactor(params=SeriesParams(s=0.5, max_gen=10), cs=CantorSet.build(0.5, 10))
+    coarse = QuadConfig(rel_tol=0.25, order=6, max_refine=2)
+    for spec, center, r, cfg in [
+        (MinimizerSpec(h=factor, Q=3), 0j, gap_centered_radii(0.5, 5), coarse),
+        (MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2), 0.05 + 0j, 0.1, None),
+    ]:
+        fs = frequency(spec, center, r, cfg, log_scale=True)
+        assert math.isnan(fs.dI_dr) and math.isnan(fs.dI_dr_error)

@@ -2,10 +2,14 @@
 
 On the plane, and on half-plane disks clear of the imaginary axis,
 `log_dirichlet_energy` integrates |h|^(2/Q) phi over the arc (a signed
-integrand); the reference here is the disk integral of the energy density,
-called directly, and for I two 25-digit mpmath integrals.
+integrand); on the blocks' half-disks that cross the axis it adds the flux
+through the chord on the axis.  The reference here is the disk integral of
+the energy density, called directly, the closed form of the block's chord
+term, and for I two 25-digit mpmath integrals.
 """
 
+import importlib
+import itertools
 import math
 import warnings
 
@@ -28,15 +32,20 @@ from branchpoint_lab import (
 )
 from branchpoint_lab._quad import log_difference, log_disk_integral, log_line_integral
 from branchpoint_lab.frequency import (
+    OscillatingPower,
     SeriesFactor,
     SeriesProduct,
+    _chord_parts,
     _log_arc_energy,
     _log_flux,
     _zero_geometry,
+    gap_centered_radii,
+    log_boundary_mass,
     log_dirichlet_energy,
     polar_mesh,
 )
 
+_FREQ = importlib.import_module("branchpoint_lab.frequency")
 ARC = QuadConfig(rel_tol=1e-10)
 DISK = QuadConfig(rel_tol=1e-7)
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
@@ -139,6 +148,58 @@ def test_arc_energy_matches_recorded_disk_next_to_a_branch_point():
     got, err = log_dirichlet_energy(spec, 0.0432139 + 0j, 0.01294, ARC)
     assert abs(math.expm1(got - (-3.487896721926))) <= 1e-8
     assert err <= 1e-10
+
+
+_BLOCK_GRID = list(itertools.product([0.25, 0.5, 0.75], [2, 3], [0.3, 0.1, 0.02]))
+
+
+@pytest.mark.parametrize("alpha,Q,R", _BLOCK_GRID)
+def test_chord_term_of_the_block_has_a_closed_form(alpha, Q, R):
+    # on the axis Re(h'/h)(iy) = -alpha sin(alpha pi/2) |y|^(-alpha-1) and
+    # |h|^(2/Q) = exp(-k |y|^-alpha), k = (2/Q) cos(alpha pi/2), so the
+    # chord's share of D is (2 sin(alpha pi/2) / k) exp(-k R^-alpha); the
+    # part of its negative has no positive sum
+    spec = MinimizerSpec(h=SmoothBlock(alpha=alpha), Q=Q)
+    k = (2.0 / Q) * math.cos(alpha * math.pi / 2.0)
+    want = math.log(2.0 * math.sin(alpha * math.pi / 2.0) / k) - k * R**-alpha
+    got, neg = _chord_parts(spec, 0j, R, QuadConfig(rel_tol=1e-6))
+    assert abs(math.expm1(got[0] - want)) <= 1e-13
+    assert isinstance(neg, ConvergenceError)
+
+
+@pytest.mark.parametrize(
+    "h,Q,center,r",
+    [(SmoothBlock(alpha=alpha), Q, 0j, R) for alpha, Q, R in _BLOCK_GRID]
+    + [
+        (SmoothBlock(alpha=0.5), 2, 0.05 + 0j, 0.1),
+        # the arc's share is negative here: D = chord - |arc|
+        (SmoothBlock(alpha=0.5), 2, 0.1j, 0.02),
+        (OscillatingPower(alpha=0.5, P=1), 2, 0j, 0.1),
+        (OscillatingPower(alpha=0.5, P=2), 3, 0j, 0.1),
+    ],
+    ids=[f"block{alpha}-Q{Q}-R{R}" for alpha, Q, R in _BLOCK_GRID]
+    + ["block_off_centre", "block_negative_arc", "oscillating_P1_Q2", "oscillating_P2_Q3"],
+)
+def test_chord_form_matches_disk_on_the_blocks(monkeypatch, h, Q, center, r):
+    # a half-disk that crosses the axis, where h is singular only at 0:
+    # the arc and the chord, with no disk integral
+    spec = MinimizerSpec(h=h, Q=Q)
+    want, _ = _disk_energy(spec, center, r)
+    monkeypatch.setattr(_FREQ, "log_disk_integral", None)
+    got, err = log_dirichlet_energy(spec, center, r, ARC)
+    assert abs(math.expm1(got - want)) <= 1e-8
+    assert err <= 1e-10
+    # frequency takes H from the same arc pass, bit for bit
+    fs = frequency(spec, center, r, ARC, log_scale=True)
+    assert (fs.log_H, fs.log_D) == (log_boundary_mass(spec, center, r, ARC)[0], got)
+
+
+def test_cantor_disk_that_crosses_the_axis_keeps_the_disk():
+    # the series factor has a Cantor set on the axis: D is the disk integral
+    spec = MinimizerSpec(h=_FACTOR_10, Q=3)
+    cfg = QuadConfig(rel_tol=0.25, order=6, max_refine=2)
+    r = gap_centered_radii(0.5, 5)
+    assert log_dirichlet_energy(spec, 0j, r, cfg) == _disk_energy(spec, 0j, r, cfg)
 
 
 def test_half_plane_disk_tangent_to_the_axis_keeps_the_disk():
