@@ -407,8 +407,6 @@ def _theta_limits(center: complex, rho: np.ndarray, domain: str) -> np.ndarray:
     if domain == "plane":
         return thm
     x = complex(center).real
-    if x < 0:
-        raise ValidationError(f"half-plane center must have Re >= 0, got {center}")
     clip = np.flatnonzero(rho > x)
     thm[clip] = [math.acos(max(-1.0, -x / r)) for r in rho[clip].tolist()]
     return thm
@@ -488,8 +486,9 @@ def polar_mesh(
     )
     for x in inner:
         # every interior zero must carry its own refinement cluster; a zero
-        # merely near a coarse panel edge would poison the Gauss nodes
-        if not np.any(np.abs(r_edges - x) == 0.0):
+        # merely near a coarse panel edge would poison the Gauss nodes.  An
+        # edge within the merge distance of `refined_panels` stands for it.
+        if not np.any(np.abs(r_edges - x) <= 1e-15 * (r - r_inner)):
             warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
 
     def arcs(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -527,12 +526,15 @@ def _zero_geometry(spec: MinimizerSpec, center: complex, r: float) -> list[tuple
     return [(abs(dz), math.atan2(dz.imag, dz.real)) for dz in offsets]
 
 
-def _check_disk(center: complex, r: float, r_inner: float = 0.0) -> complex:
+def _check_disk(center: complex, r: float, domain: str, r_inner: float = 0.0) -> complex:
     """The disk's centre as a complex; raises ValidationError, before any
-    quadrature, unless it is finite and 0 <= r_inner < r < inf."""
+    quadrature, unless it is finite, in the closed half-plane Re >= 0 for
+    the "half_plane" domain, and 0 <= r_inner < r < inf."""
     c = complex(center)
     if not cmath.isfinite(c):
         raise ValidationError(f"disk centre must be finite, got {center}")
+    if domain == "half_plane" and c.real < 0:
+        raise ValidationError(f"half-plane center must have Re >= 0, got {center}")
     if not 0.0 <= r_inner < r < math.inf:
         raise ValidationError(f"need 0 <= r_inner < r < inf, got r_inner = {r_inner}, r = {r}")
     return c
@@ -559,52 +561,12 @@ def _arc_mesh(spec: MinimizerSpec, center: complex, r: float) -> np.ndarray:
     return np.append(lo, hi[-1])
 
 
-def log_boundary_mass(
-    spec: MinimizerSpec,
-    center: complex,
-    r: float,
-    config: QuadConfig | None = None,
-) -> tuple[float, float]:
-    """log of H = (1/r) * integral of Q|h|^(2/Q) over the arc, plus log-error."""
-    cfg = config or _H_CONFIG
-    center = _check_disk(center, r)
-
-    def L(thetas: np.ndarray) -> np.ndarray:
-        return spec.log_density(center + r * np.exp(1j * thetas))
-
-    return log_line_integral(L, _arc_mesh(spec, center, r), cfg)
-
-
-def boundary_mass(
-    spec: MinimizerSpec,
-    center: complex,
-    r: float,
-    config: QuadConfig | None = None,
-) -> tuple[float, float]:
-    """H with an absolute error estimate (underflows to 0 when tiny)."""
-    return _from_log(*log_boundary_mass(spec, center, r, config))
-
-
-def _log_arc_energy(
-    spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig
-) -> tuple[float, float]:
-    """log of D on the disk of radius r in the plane by Green's identity:
-    the signed arc integral of |h|^(2/Q) phi d theta, on the nodes of H."""
-    log_r, power = math.log(r), 2.0 / spec.Q
-
-    def L(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * thetas))
-        return _log_flux(h_hp, log_r, thetas, power)
-
-    return log_line_integral(L, _arc_mesh(spec, center, r), cfg, signed=True)
-
-
 def _d_form(spec: MinimizerSpec, center: complex, r: float) -> str:
-    """How D on the disk is taken: "arc", the arc integral of
-    `_log_arc_energy` (the plane, or a half-plane disk clear of the axis,
-    r < Re c); "chord", the arc and the chord on the axis (a disk that
-    crosses the axis, where h has finitely many singular points on it);
-    "disk", the disk integral (tangent circles, and h over a Cantor set)."""
+    """How D on the disk is taken (`_log_D`): "arc", the arc integral (the
+    plane, or a half-plane disk clear of the axis, r < Re c); "chord", the
+    arc and the chord on the axis (a disk that crosses the axis, where h has
+    finitely many singular points on it); "disk", the disk integral
+    (tangent circles, and h over a Cantor set)."""
     if spec.domain == "plane" or r < center.real:
         return "arc"
     return "chord" if r > center.real and spec.h.axis_singularities is not None else "disk"
@@ -612,27 +574,44 @@ def _d_form(spec: MinimizerSpec, center: complex, r: float) -> str:
 
 def _log_arc_pass(
     spec: MinimizerSpec, center: complex, r: float, cfg_H: QuadConfig | None,
-    cfg_D: QuadConfig, chord: bool = False,
-) -> list:
-    """H, D and C = integral of |h|^(2/Q) |psi|^2 d theta, psi = (z - c) h'/h,
-    on one mesh of the arc, with one `log_h_hprime` call per level: the
-    parts of one `log_line_integral`, H and D each equal to its own integral
-    under its config (H None: it drives nothing), C driving nothing.
+    cfg_D: QuadConfig | None, form: str = "arc",
+) -> dict:
+    """The arc integrals of H and D, on one mesh of the arc of radius r with
+    one call of h per level: the parts of one `log_line_integral` by name,
+    each its own one-part integral under its config, bit for bit.
 
-    With `chord`, D's part is the arc's share of D on a disk that crosses
-    the axis, which may be negative, and a fourth part integrates its
-    negative; the pair is as `_log_net` takes it."""
+    "H" (with cfg_H) is H.  "D" (with cfg_D, unless `form` is "disk") is
+    the signed arc integral of |h|^(2/Q) phi: D on the "arc" form, the
+    arc's share of D on the "chord" form, with "-D" its negative (the pair
+    as `_log_net` takes it).  "C" = integral of |h|^(2/Q) |psi|^2 d theta,
+    psi = (z - c) h'/h, comes with H and D on the "arc" form and drives
+    nothing.  Without D each level calls `log_h`, so H computes no h'."""
     log_r, power = math.log(r), 2.0 / spec.Q
+    cfgs: dict[str, QuadConfig | None] = {} if cfg_H is None else {"H": cfg_H}
+    if cfg_D is not None and form != "disk":
+        cfgs["D"] = cfg_D
+        if form == "chord":
+            cfgs["-D"] = cfg_D
+        elif "H" in cfgs:
+            cfgs["C"] = None
+    if not cfgs:
+        return {}
 
     def L(thetas: np.ndarray) -> tuple:
-        h_hp = spec.h.log_h_hprime(center + r * np.exp(1j * thetas))
-        flux = _log_flux(h_hp, log_r, thetas, power)
-        return (spec._log_density(h_hp[0]), flux,
-                spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r), (flux[0], ~flux[1]))
+        zs = center + r * np.exp(1j * thetas)
+        if "D" not in cfgs:
+            return (spec.log_density(zs),)
+        h_hp = spec.h.log_h_hprime(zs)
+        D = _log_flux(h_hp, log_r, thetas, power)
+        # the columns in the order of cfgs: H, D, then C or -D
+        H = (spec._log_density(h_hp[0]),) if "H" in cfgs else ()
+        if "C" in cfgs:
+            return (*H, D, spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
+        return (*H, D, (D[0], ~D[1])) if "-D" in cfgs else (*H, D)
 
-    cfgs = (cfg_H, cfg_D, None) + ((cfg_D,) if chord else ())
-    return log_line_integral(L, _arc_mesh(spec, center, r), cfgs,
-                             signed=(False, True, False, True)[: len(cfgs)])
+    parts = log_line_integral(L, _arc_mesh(spec, center, r), list(cfgs.values()),
+                              signed=[k in ("D", "-D") for k in cfgs])
+    return dict(zip(cfgs, parts))
 
 
 def _chord_parts(spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig) -> list:
@@ -678,6 +657,47 @@ def _log_net(*pairs: Sequence) -> tuple[float, float]:
     return log_sum, max(err, 2.0**-52 * amp)
 
 
+def _log_D(
+    spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig, form: str, parts: dict
+) -> tuple[float, float]:
+    """log of D on the disk of radius r, plus log-error, in the form of
+    `_d_form`, from the parts of `_log_arc_pass`: on the "arc" form its part
+    "D"; on the "chord" form that pair and the chord's (`_log_net`); on the
+    "disk" form the polar integral of the energy density."""
+    if form == "arc":
+        return _passed(parts["D"])
+    if form == "chord":
+        return _log_net((parts["D"], parts["-D"]), _chord_parts(spec, center, r, cfg))
+    r_edges, arcs, inner = polar_mesh(
+        center, r, spec.domain, lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
+        zero_polar=_zero_geometry(spec, center, r),
+    )
+    return log_disk_integral(spec.log_energy_density, center, r_edges, arcs, cfg,
+                             inner_targets=inner)
+
+
+def log_boundary_mass(
+    spec: MinimizerSpec,
+    center: complex,
+    r: float,
+    config: QuadConfig | None = None,
+) -> tuple[float, float]:
+    """log of H = (1/r) * integral of Q|h|^(2/Q) over the arc, plus
+    log-error: the arc pass (`_log_arc_pass`) with H alone."""
+    center = _check_disk(center, r, spec.domain)
+    return _passed(_log_arc_pass(spec, center, r, config or _H_CONFIG, None)["H"])
+
+
+def boundary_mass(
+    spec: MinimizerSpec,
+    center: complex,
+    r: float,
+    config: QuadConfig | None = None,
+) -> tuple[float, float]:
+    """H with an absolute error estimate (underflows to 0 when tiny)."""
+    return _from_log(*log_boundary_mass(spec, center, r, config))
+
+
 def log_dirichlet_energy(
     spec: MinimizerSpec,
     center: complex,
@@ -694,26 +714,13 @@ def log_dirichlet_energy(
     integral of |h(iy)|^(2/Q) Re(h'/h)(iy) dy on the chord (`_log_net`),
     where h has finitely many singular points on the axis (SmoothBlock and
     OscillatingPower: 0).  A disk tangent to the axis, and one over a Cantor
-    set, is the disk integral of the energy density.
+    set, is the disk integral of the energy density.  D is `_log_D` of the
+    arc pass (`_log_arc_pass`) with D alone.
     """
     cfg = config or _D_CONFIG
-    center = _check_disk(center, r)
+    center = _check_disk(center, r, spec.domain)
     form = _d_form(spec, center, r)
-    if form == "arc":
-        return _log_arc_energy(spec, center, r, cfg)
-    if form == "chord":
-        arc = _log_arc_pass(spec, center, r, None, cfg, chord=True)
-        return _log_net(arc[1::2], _chord_parts(spec, center, r, cfg))
-    r_edges, arcs, inner = polar_mesh(
-        center,
-        r,
-        spec.domain,
-        lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
-        zero_polar=_zero_geometry(spec, center, r),
-    )
-    return log_disk_integral(
-        spec.log_energy_density, center, r_edges, arcs, cfg, inner_targets=inner
-    )
+    return _log_D(spec, center, r, cfg, form, _log_arc_pass(spec, center, r, None, cfg, form))
 
 
 def dirichlet_energy(
@@ -742,21 +749,16 @@ def frequency(
     each integral takes its own default (`log_boundary_mass`,
     `log_dirichlet_energy`).
 
-    Where D is an arc integral, H, D and C (`_log_arc_pass`) come from one
-    pass over the arc, and the sample carries the slope
-    I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and D' = (2/(Q r)) C.  On a
-    half-plane disk that crosses the axis the same pass gives H and the
-    arc's share of D, and D adds the chord's (`log_dirichlet_energy`); I'
-    is NaN there, as on the disk integral.
+    H and D's arc parts come from one arc pass (`_log_arc_pass`), as in
+    those two calls, and `_log_D` forms D, so both are theirs bit for bit.
+    Where D is an arc integral the pass also gives C, and the sample
+    carries the slope I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and
+    D' = (2/(Q r)) C; I' is NaN on the chord and disk forms.
     """
-    center = _check_disk(center, r)
-    form = _d_form(spec, center, r)
-    arc, cfg_D = form == "arc", config or _D_CONFIG
-    if form == "disk":
-        log_H, err_H = log_boundary_mass(spec, center, r, config)
-    else:
-        parts = _log_arc_pass(spec, center, r, config or _H_CONFIG, cfg_D, form == "chord")
-        log_H, err_H = _passed(parts[0])
+    center = _check_disk(center, r, spec.domain)
+    form, cfg_D = _d_form(spec, center, r), config or _D_CONFIG
+    parts = _log_arc_pass(spec, center, r, config or _H_CONFIG, cfg_D, form)
+    log_H, err_H = _passed(parts["H"])
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
     if not log_scale and log_H < math.log(1e-300):
@@ -764,16 +766,12 @@ def frequency(
             f"H underflows (log H = {log_H:.4g}); pass log_scale=True to use "
             f"the rescaled ratio"
         )
-    if arc:
-        log_D, err_D = _passed(parts[1])
-    elif form == "chord":
-        log_D, err_D = _log_net(parts[1::2], _chord_parts(spec, center, r, cfg_D))
-    else:
-        log_D, err_D = log_dirichlet_energy(spec, center, r, config)
+    log_D, err_D = _log_D(spec, center, r, cfg_D, form, parts)
     I = math.exp(log_D - log_H) if log_D > -math.inf else 0.0
     D, H = _from_log(log_D, err_D)[0], _from_log(log_H, err_H)[0]
     err = I * math.expm1(min(err_D + err_H, 1.0))
-    slope = _slope(spec.Q, r, I, log_H, err_H, log_D, err_D, *_passed(parts[2])) if arc else ()
+    slope = () if "C" not in parts else _slope(spec.Q, r, I, log_H, err_H, log_D, err_D,
+                                               *_passed(parts["C"]))
     return FrequencySample(center, r, D, H, I, err, log_D, log_H, *slope)
 
 

@@ -132,7 +132,7 @@ def log_mass(
     r_inner <= |z - center| <= r, clipped to the domain, plus a log-error
     estimate."""
     cfg = config or QuadConfig()
-    center = _check_disk(center, r, r_inner)
+    center = _check_disk(center, r, target.domain, r_inner)
     r_edges, arcs, _ = polar_mesh(
         center, r, target.domain, target.decay_rate, r_inner=r_inner
     )

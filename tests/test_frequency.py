@@ -179,6 +179,20 @@ def test_polar_mesh_arcs_are_the_per_node_breakpoints():
     )
 
 
+def test_zero_next_to_a_merged_edge_is_a_panel_edge():
+    """`refined_panels` merges an edge within 1e-15 of the span into the one
+    below: the zero at 0.001 gives way to its neighbour's cluster edge
+    5e-16 below it, which stands for it, so no warning."""
+    x2 = (0.001 - 5e-16) / (1.0 - 1e-7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r_edges, _, inner = polar_mesh(0j, 1.0, "plane", lambda rho: 0.0,
+                                       zero_polar=[(0.001, 0.0), (x2, 1.0)])
+    assert inner == [0.001, x2]
+    assert 0.001 not in r_edges
+    assert np.min(np.abs(r_edges - 0.001)) <= 1e-15
+
+
 _ANGLES = st.one_of(
     st.floats(-math.pi, math.pi),
     st.sampled_from([math.pi, -math.pi, 0.0, -0.0, 1e-17, -1e-17]),
@@ -298,6 +312,26 @@ def test_frequency_curve_requires_ascending():
         frequency_curve(spec, 0j, [0.5, 0.25])
 
 
+@dataclass(frozen=True)
+class _NoDerivative(BaseFunction):
+    """h of `base` without h'."""
+
+    base: BaseFunction
+
+    def log_h(self, zs):
+        return self.base.log_h(zs)
+
+    def log_h_hprime(self, zs):
+        raise AssertionError("called for h'")
+
+
+def test_mass_alone_computes_no_derivative():
+    # H alone is the arc pass on log_h: on the Cantor rungs it forms no F'
+    spec = MinimizerSpec(h=Monomial(P=2), Q=3)
+    bare = MinimizerSpec(h=_NoDerivative(base=spec.h), Q=3)
+    assert log_boundary_mass(bare, 0j, 0.5) == log_boundary_mass(spec, 0j, 0.5)
+
+
 def test_half_plane_center_validation():
     spec = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
     with pytest.raises(ValidationError):
@@ -306,6 +340,8 @@ def test_half_plane_center_validation():
 
 _PLANE = MinimizerSpec(h=Monomial(P=1), Q=2)
 _BLOCK = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
+_FACTOR = MinimizerSpec(h=SeriesFactor(params=SeriesParams(s=0.5, max_gen=4),
+                                       cs=CantorSet.build(0.5, 4)), Q=3)
 
 
 @pytest.mark.parametrize(
@@ -321,12 +357,16 @@ _BLOCK = MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2)
         (log_mass, _BLOCK, 0j, math.inf, 0.0),
         (log_mass, ConstantTarget(1.0), 0j, 0.3, math.nan),
         (log_mass, ConstantTarget(1.0), complex(0.0, math.nan), 0.3, 0.0),
+        # a half-plane centre with Re c < 0, on a spec whose D is a disk
+        (log_dirichlet_energy, _FACTOR, -0.5 + 0j, 0.1, None),
+        (log_mass, _BLOCK, -0.5 + 0j, 0.1, 0.0),
     ],
 )
 def test_bad_disks_raise_before_any_quadrature(monkeypatch, integral, spec, center, r, r_inner):
-    """A centre that is not finite, or radii outside 0 <= r_inner < r < inf,
-    raise ValidationError before any quadrature (they used to run every
-    refinement, raise ConvergenceError or IndexError, or return H = 0)."""
+    """A centre that is not finite, a half-plane centre with Re c < 0, or
+    radii outside 0 <= r_inner < r < inf, raise ValidationError before any
+    quadrature (they used to run every refinement, raise ConvergenceError
+    or IndexError, return H = 0, or raise from inside the disk integral)."""
     calls = []
     for target in ("frequency.log_line_integral", "frequency.log_disk_integral",
                    "vanishing.log_disk_integral"):
@@ -478,7 +518,7 @@ def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r,
     H = log_boundary_mass(spec, center, r, cfg)
     D = log_dirichlet_energy(spec, center, r, cfg)
     parts = _log_arc_pass(spec, center, r, cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG)
-    assert parts[:2] == [H, D]
+    assert [parts["H"], parts["D"]] == [H, D]
     meshes, levels = [], []
     arc_mesh, line = _FREQ._arc_mesh, _FREQ.log_line_integral
 

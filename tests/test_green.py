@@ -36,7 +36,7 @@ from branchpoint_lab.frequency import (
     SeriesFactor,
     SeriesProduct,
     _chord_parts,
-    _log_arc_energy,
+    _log_arc_pass,
     _log_flux,
     _zero_geometry,
     gap_centered_radii,
@@ -132,7 +132,7 @@ def test_arc_energy_matches_disk_on_interior_half_plane_disks(h, Q, center, r):
     # series factor's arc and disk differ by 1.8e-9 (F' is not certified)
     spec = MinimizerSpec(h=h, Q=Q)
     got = log_dirichlet_energy(spec, center, r, ARC)
-    assert got == _log_arc_energy(spec, center, r, ARC)
+    assert got == _log_arc_pass(spec, center, r, None, ARC)["D"]
     want, _ = _disk_energy(spec, center, r)
     assert abs(math.expm1(got[0] - want)) <= 1e-8
 
@@ -194,12 +194,23 @@ def test_chord_form_matches_disk_on_the_blocks(monkeypatch, h, Q, center, r):
     assert (fs.log_H, fs.log_D) == (log_boundary_mass(spec, center, r, ARC)[0], got)
 
 
+def _assert_frequency_is_the_one_part_integrals(spec, center, r, cfg, D):
+    # frequency's H and D are log_boundary_mass and log_dirichlet_energy bit
+    # for bit, on the disk form too
+    fs = frequency(spec, center, r, cfg, log_scale=True)
+    H = log_boundary_mass(spec, center, r, cfg)
+    assert (fs.log_H, fs.log_D) == (H[0], D[0])
+    assert fs.quadrature_error == fs.I * math.expm1(min(D[1] + H[1], 1.0))
+
+
 def test_cantor_disk_that_crosses_the_axis_keeps_the_disk():
     # the series factor has a Cantor set on the axis: D is the disk integral
     spec = MinimizerSpec(h=_FACTOR_10, Q=3)
     cfg = QuadConfig(rel_tol=0.25, order=6, max_refine=2)
     r = gap_centered_radii(0.5, 5)
-    assert log_dirichlet_energy(spec, 0j, r, cfg) == _disk_energy(spec, 0j, r, cfg)
+    got = log_dirichlet_energy(spec, 0j, r, cfg)
+    assert got == _disk_energy(spec, 0j, r, cfg)
+    _assert_frequency_is_the_one_part_integrals(spec, 0j, r, cfg, got)
 
 
 def test_half_plane_disk_tangent_to_the_axis_keeps_the_disk():
@@ -208,6 +219,7 @@ def test_half_plane_disk_tangent_to_the_axis_keeps_the_disk():
     cfg = QuadConfig(rel_tol=1e-4)
     got = log_dirichlet_energy(spec, 0.2 + 0j, 0.2, cfg)
     assert got == _disk_energy(spec, 0.2 + 0j, 0.2, cfg)
+    _assert_frequency_is_the_one_part_integrals(spec, 0.2 + 0j, 0.2, cfg, got)
 
 
 @st.composite
