@@ -43,6 +43,15 @@ def interval_length(k: int, s: float) -> float:
     return 2.0 ** log2_interval_length(k, s)
 
 
+def _json_value(record: dict, key: str, kind: type | tuple[type, ...]):
+    """record[key] if it is of `kind` and not a boolean (which JSON keeps
+    apart from numbers), else TypeError."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key} = {value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntervalIndex:
     """Position of one construction interval: generation `gen`, slot `pos`."""
@@ -177,15 +186,18 @@ class CantorSet:
     def from_json_dict(cls, data: dict) -> "CantorSet":
         """Inverse of :meth:`to_json_dict`.
 
-        Every interval (k, l), 0 <= k <= depth, 1 <= l <= 2^k, must appear
-        exactly once with the construction's left endpoint, bit for bit;
-        anything else raises ValidationError.
+        `depth`, `k` and `l` must be JSON integers and `s` and `left` JSON
+        numbers, none of them booleans.  Every interval (k, l),
+        0 <= k <= depth, 1 <= l <= 2^k, must appear exactly once with the
+        construction's left endpoint, bit for bit; anything else raises
+        ValidationError.
         """
         try:
-            s = float(data["s"])
-            depth = int(data["depth"])
-            records = [(int(r["k"]), int(r["l"]), float(r["left"])) for r in data["intervals"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            s = float(_json_value(data, "s", (int, float)))
+            depth = _json_value(data, "depth", int)
+            records = [(_json_value(r, "k", int), _json_value(r, "l", int),
+                        float(_json_value(r, "left", (int, float)))) for r in data["intervals"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed set data: {exc!r}") from None
         cs = cls(s, depth)
         # checked before the endpoints are built: they then cost no more than the input

@@ -41,10 +41,10 @@ class BaseFunction(ABC):
     """A holomorphic h whose Q-th roots define the minimizer.
 
     Log-magnitude/argument evaluation keeps densities meaningful when |h|
-    underflows.  `log_h_hprime` returns h and h' from one pass, and its
-    first two arrays are `log_h` bit for bit.  `decay_rate(rho)` bounds
-    |d log|h| / dtheta| at distance rho from the function's singular corner;
-    it seeds boundary-layer panels and may be zero for smooth cases.
+    underflows.  `log_h(zs, deriv=True)` adds h' from the same pass.
+    `decay_rate(rho)` bounds |d log|h| / dtheta| at distance rho from the
+    function's singular corner; it seeds boundary-layer panels and may be
+    zero for smooth cases.
 
     `axis_singularities` lists the y of the points iy where a half-plane h
     is singular on the imaginary axis, or is None where they are a Cantor
@@ -56,12 +56,10 @@ class BaseFunction(ABC):
     axis_singularities: tuple[float, ...] | None = None
 
     @abstractmethod
-    def log_h(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log|h|, arg h) on an array; log|h| = -inf marks an exact zero."""
-
-    @abstractmethod
-    def log_h_hprime(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(log|h|, arg h, log|h'|, arg h') on an array."""
+    def log_h(self, zs: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, ...]:
+        """(log|h|, arg h) on an array, and with `deriv` also
+        (log|h'|, arg h'); log|h| = -inf marks an exact zero.  Without
+        `deriv` no part of h' is formed."""
 
     def zeros_in_disk(self, center: complex, r: float) -> list[complex]:
         return []
@@ -91,18 +89,15 @@ class Monomial(BaseFunction):
         if self.P < 1:
             raise ValidationError(f"monomial power must be >= 1, got {self.P}")
 
-    def log_h(self, zs):
+    def log_h(self, zs, deriv=False):
         zs = np.asarray(zs, dtype=complex)
         lz, az = log_polar(zs.real, zs.imag)
-        return self.P * lz, self.P * az
-
-    def log_h_hprime(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        lz, az = log_polar(zs.real, zs.imag)
-        if self.P == 1:
-            return lz, az, np.zeros(lz.shape), np.zeros(lz.shape)
-        lp = math.log(self.P) + (self.P - 1) * lz
-        return self.P * lz, self.P * az, lp, (self.P - 1) * az
+        h = self.P * lz, self.P * az
+        if not deriv:
+            return h
+        if self.P == 1:  # h' = 1
+            return (*h, np.zeros(lz.shape), np.zeros(lz.shape))
+        return (*h, math.log(self.P) + (self.P - 1) * lz, (self.P - 1) * az)
 
     def zeros_in_disk(self, center, r):
         return [0j] if abs(center) < r else []
@@ -127,12 +122,10 @@ class Polynomial(BaseFunction):
     def _roots(self) -> np.ndarray:
         return npoly.polyroots(self.coeffs) if len(self.coeffs) > 1 else np.zeros(0)
 
-    def log_h(self, zs):
-        return _log_split(npoly.polyval(np.asarray(zs, dtype=complex), self.coeffs))
-
-    def log_h_hprime(self, zs):
+    def log_h(self, zs, deriv=False):
         zs = np.asarray(zs, dtype=complex)
-        return (*self.log_h(zs), *_log_split(npoly.polyval(zs, self._derivative)))
+        h = _log_split(npoly.polyval(zs, self.coeffs))
+        return (*h, *_log_split(npoly.polyval(zs, self._derivative))) if deriv else h
 
     def zeros_in_disk(self, center, r):
         return [complex(z) for z in self._roots if abs(z - center) < r]
@@ -157,13 +150,11 @@ class SmoothBlock(BaseFunction):
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    def log_h(self, zs):
-        w = _log_power(zs, self.alpha)[2]
-        return -w.real, -w.imag
-
-    def log_h_hprime(self, zs):
-        # h' = alpha * z**(-alpha-1) * h
+    def log_h(self, zs, deriv=False):
         lr, th, w = _log_power(zs, self.alpha)
+        if not deriv:
+            return -w.real, -w.imag
+        # h' = alpha * z**(-alpha-1) * h
         a1 = self.alpha + 1.0
         return -w.real, -w.imag, math.log(self.alpha) - a1 * lr - w.real, -a1 * th - w.imag
 
@@ -196,24 +187,17 @@ class OscillatingPower(BaseFunction):
         if self.P < 1:
             raise ValidationError(f"power must be >= 1, got {self.P}")
 
-    def _log_b(self, zs, with_deriv=False):
-        # log|b|, arg b for the block b = cos(log z) exp(-z^-alpha), h = b^P,
-        # and with_deriv the log-derivative of the cosine factor
+    def log_h(self, zs, deriv=False):
+        # h = b^P for the block b = cos(log z) exp(-z^-alpha)
         lr, th, w = _log_power(zs, self.alpha)
-        la_c, arg_c, _, dlog_c = log_cos(lr, th, 1.0, with_deriv)
-        return lr, th, la_c - w.real, arg_c - w.imag, dlog_c
-
-    def log_h(self, zs):
-        _, _, lb, ab, _ = self._log_b(zs)
-        return self.P * lb, self.P * ab
-
-    def log_h_hprime(self, zs):
+        la_c, arg_c, _, dlog_c = log_cos(lr, th, 1.0, deriv)
+        la, ar = self.P * (la_c - w.real), self.P * (arg_c - w.imag)
+        if not deriv:
+            return la, ar
         # h'/h = P b'/b = P (alpha z^(-alpha-1) - tan(log z) / z)
-        lr, th, lb, ab, dlog_c = self._log_b(zs, with_deriv=True)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = self.P * (self.alpha * neg_power(lr, th, self.alpha + 1.0) + dlog_c)
         l_r, a_r = _log_split(ratio)
-        la, ar = self.P * lb, self.P * ab
         return la, ar, la + l_r, ar + a_r
 
     def zeros_in_disk(self, center, r):
@@ -248,16 +232,15 @@ class _OverSet(BaseFunction):
 class SeriesFactor(_OverSet):
     """h = the decay factor exp(-F) built over a Cantor boundary set."""
 
-    def log_h(self, zs):
-        F = self._F(zs)[0]
-        return _nan_is_zero(-F.real), -F.imag
-
-    def log_h_hprime(self, zs):
+    def log_h(self, zs, deriv=False):
+        F, Fp, _ = self._F(zs, deriv)
+        la, ar = _nan_is_zero(-F.real), -F.imag
+        if not deriv:
+            return la, ar
         # h' = -F' h
-        F, Fp, _ = self._F(zs, with_deriv=True)
         lf, af = _log_split(-Fp)
         with np.errstate(invalid="ignore"):
-            return _nan_is_zero(-F.real), -F.imag, _nan_is_zero(lf - F.real), af - F.imag
+            return la, ar, _nan_is_zero(lf - F.real), af - F.imag
 
     def decay_rate(self, rho):
         am = self.params.max_exponent()
@@ -267,24 +250,17 @@ class SeriesFactor(_OverSet):
 class SeriesProduct(_OverSet):
     """h = the branched product: cosine product times the decay factor."""
 
-    def _log_h(self, zs, with_deriv):
-        # log|h|, arg h for h = G e^-F (exact zeros of G give -inf) and
-        # h'/h = G'/G - F' (None without the derivative)
-        F, Fp, _ = self._F(zs, with_deriv)
+    def log_h(self, zs, deriv=False):
+        # h = G e^-F (exact zeros of G give -inf) and h'/h = G'/G - F'
+        F, Fp, _ = self._F(zs, deriv)
         la_g, arg_g, zero, dlog_g, _ = log_cosine_product_many(
-            self.params, self.cs, zs, with_deriv=with_deriv
+            self.params, self.cs, zs, with_deriv=deriv
         )
         with np.errstate(invalid="ignore"):
-            la = np.where(zero, -np.inf, _nan_is_zero(la_g - F.real))
-            return la, arg_g - F.imag, dlog_g - Fp if with_deriv else None
-
-    def log_h(self, zs):
-        return self._log_h(zs, False)[:2]
-
-    def log_h_hprime(self, zs):
-        la, arg, ratio = self._log_h(zs, True)
-        lr, ar = _log_split(ratio)
-        with np.errstate(invalid="ignore"):
+            la, arg = np.where(zero, -np.inf, _nan_is_zero(la_g - F.real)), arg_g - F.imag
+            if not deriv:
+                return la, arg
+            lr, ar = _log_split(dlog_g - Fp)
             return la, arg, _nan_is_zero(la + lr), arg + ar
 
     def zeros_in_disk(self, center, r):
@@ -355,7 +331,7 @@ class MinimizerSpec:
         so they sanitize to -inf; algebraic zeros keep their +inf
         (integrable) marker.
         """
-        la_h, _, la_p, _ = self.h.log_h_hprime(zs)
+        la_h, _, la_p, _ = self.h.log_h(zs, deriv=True)
         return self._log_energy(la_h, la_p, math.log(2.0 / self.Q))
 
     def _log_energy(self, la_h: np.ndarray, la_p: np.ndarray, shift: float) -> np.ndarray:
@@ -392,8 +368,9 @@ def _log_flux(
     h_hp: tuple[np.ndarray, ...], lr: np.ndarray, th: np.ndarray, power: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(log|f|, f < 0) for f = |h|^power phi at center + rho e^(i theta),
-    where h_hp = `log_h_hprime` there and lr = log rho, and phi = rho Re(h'/h
-    e^(i theta)) is the radial log-derivative of |h| times rho."""
+    where h_hp = `log_h(..., deriv=True)` there and lr = log rho, and
+    phi = rho Re(h'/h e^(i theta)) is the radial log-derivative of |h|
+    times rho."""
     la_h, ar_h, la_p, ar_p = h_hp
     c = np.cos(ar_p - ar_h + th)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -585,7 +562,8 @@ def _log_arc_pass(
     arc's share of D on the "chord" form, with "-D" its negative (the pair
     as `_log_net` takes it).  "C" = integral of |h|^(2/Q) |psi|^2 d theta,
     psi = (z - c) h'/h, comes with H and D on the "arc" form and drives
-    nothing.  Without D each level calls `log_h`, so H computes no h'."""
+    nothing.  Without D each level calls `log_h` without `deriv`, so H
+    computes no h'."""
     log_r, power = math.log(r), 2.0 / spec.Q
     cfgs: dict[str, QuadConfig | None] = {} if cfg_H is None else {"H": cfg_H}
     if cfg_D is not None and form != "disk":
@@ -601,7 +579,7 @@ def _log_arc_pass(
         zs = center + r * np.exp(1j * thetas)
         if "D" not in cfgs:
             return (spec.log_density(zs),)
-        h_hp = spec.h.log_h_hprime(zs)
+        h_hp = spec.h.log_h(zs, deriv=True)
         D = _log_flux(h_hp, log_r, thetas, power)
         # the columns in the order of cfgs: H, D, then C or -D
         H = (spec._log_density(h_hp[0]),) if "H" in cfgs else ()
@@ -626,7 +604,7 @@ def _chord_parts(spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig
 
     def L(ys: np.ndarray) -> tuple:
         # the outward normal -1 is the direction theta = pi at rho = 1
-        flux = _log_flux(spec.h.log_h_hprime(1j * ys), 0.0, math.pi, power)
+        flux = _log_flux(spec.h.log_h(1j * ys, deriv=True), 0.0, math.pi, power)
         return flux, (flux[0], ~flux[1])
 
     return log_line_integral(L, edges, (cfg, cfg), signed=(True, True))

@@ -160,6 +160,12 @@ class ProductZero(AnchoredPoint):
     m: int = 1
 
 
+def _constructed_zero(params: SeriesParams, z: complex | AnchoredPoint) -> bool:
+    """Whether z is a ProductZero of generation 1..max_gen: an exact zero of
+    the cosine product, which its floating sums do not resolve."""
+    return isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen
+
+
 def _require_s(params: SeriesParams, cs: CantorSet) -> None:
     if cs.s != params.s:
         raise ValidationError(f"CantorSet s = {cs.s} differs from the series' s = {params.s}")
@@ -894,10 +900,11 @@ def evaluate_many(
     at d plus the far-field remainder; the log tail of f is F's (infinite
     past 0.1); that of G is its generation tail plus the proxy remainder
     (see `log_cosine_product_many`), and g's adds f's.  An exact zero of
-    the cosine product gives G = g = 0 with tail 0.  Raises
-    SingularPointError if any complex point's certified distance to the
-    boundary set vanishes.  An anchored point's d is at most its stored
-    offset: one that underflowed gives d = 0 and infinite tails.
+    the cosine product, a constructed ProductZero among them, gives
+    G = g = 0 with tail 0.  Raises SingularPointError if any complex
+    point's certified distance to the boundary set vanishes.  An anchored
+    point's d is at most its stored offset: one that underflowed gives
+    d = 0 and infinite tails.
     """
     if product:
         _require_depth(params, cs)
@@ -916,6 +923,7 @@ def evaluate_many(
     if not product:
         return PointValues(d, F, F_tail, log_f, arg_f, f_tail)
     la, ar, g_zero, _, g_rem = log_cosine_product_many(params, cs, zs)
+    g_zero |= _constructed_zero(params, zs)
     log_G = np.where(g_zero, -math.inf, la)
     arg_G = np.where(g_zero, 0.0, ar)
     G_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + g_rem)
@@ -957,9 +965,10 @@ def cosine_product(
     """Truncated cosine product as a LogComplex, tail bound on its log (the
     generation tail plus the proxy remainder of `log_cosine_product_many`).
 
-    A ProductZero of generation 1..max_gen is an exact zero.
+    A ProductZero of generation 1..max_gen is an exact zero, as in
+    `evaluate_many`, read without the sums.
     """
-    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
+    if _constructed_zero(params, z):
         _require_depth(params, cs)
         return TruncatedValue(LogComplex.zero(), 0.0)
     v = evaluate_many(params, cs, z)
@@ -969,8 +978,8 @@ def cosine_product(
 def branched_product(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
-    """Cosine product times the decay factor; exact zeros short-circuit."""
-    if isinstance(z, ProductZero) and 1 <= z.idx.gen <= params.max_gen:
+    """Cosine product times the decay factor; constructed zeros short-circuit."""
+    if _constructed_zero(params, z):
         _require_depth(params, cs)
         return TruncatedValue(LogComplex.zero(), 0.0)
     v = evaluate_many(params, cs, z)

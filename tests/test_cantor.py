@@ -182,6 +182,11 @@ def test_json_round_trip(s, depth):
     assert len(data["intervals"]) == 2 ** (depth + 1) - 1
 
 
+def _replaced(intervals, kl, **fields):
+    """The interval records with `fields` set on interval kl = (k, l)."""
+    return [{**r, **fields} if (r["k"], r["l"]) == kl else r for r in intervals]
+
+
 def test_json_rejects_incomplete_or_invalid_sets():
     data = CantorSet.build(0.5, 3).to_json_dict()
     intervals = data["intervals"]
@@ -194,13 +199,24 @@ def test_json_rejects_incomplete_or_invalid_sets():
         {**data, "depth": 0},
         {**data, "intervals": intervals[:-1] + [{"k": 3, "l": 8}]},
         {"s": 0.5, "depth": 3},
+        # JSON integers for depth, k and l, and numbers for s and left, none
+        # of them booleans: each of these once read as a valid set
+        {**data, "depth": 3.9},
+        {**CantorSet.build(0.5, 1).to_json_dict(), "depth": True},
+        {**data, "s": "0.5"},
+        {**CantorSet.build(1.0, 3).to_json_dict(), "s": True},
+        {**data, "intervals": _replaced(intervals, (1, 1), k=1.7)},
+        {**data, "intervals": _replaced(intervals, (2, 1), l=True)},
+        {**data, "intervals": _replaced(intervals, (0, 1), left="0.0")},
+        {**data, "intervals": _replaced(intervals, (0, 1), left=False)},
+        # an integer past the largest double (it raised OverflowError)
+        {**data, "intervals": _replaced(intervals, (0, 1), left=10**400)},
     ]
     for case in bad:
         with pytest.raises(ValidationError):
             CantorSet.from_json_dict(case)
     # an endpoint off the construction: the walk and the direct sums disagree on it
-    moved = {**data, "intervals": [{**r, "left": 0.123456} if (r["k"], r["l"]) == (3, 4)
-                                   else r for r in intervals]}
+    moved = {**data, "intervals": _replaced(intervals, (3, 4), left=0.123456)}
     with pytest.raises(ValidationError):
         CantorSet.from_json_dict(moved)
     # the same records in another order load the same set

@@ -61,15 +61,10 @@ class Scaled(BaseFunction):
         c = complex(self.factor)
         return math.log(abs(c)), math.atan2(c.imag, c.real)
 
-    def log_h(self, zs):
-        la, ar = self.base.log_h(zs)
+    def log_h(self, zs, deriv=False):
+        # c h and c h' both take c's log-magnitude and argument
         lc, ac = self._log_factor()
-        return la + lc, ar + ac
-
-    def log_h_hprime(self, zs):
-        la, ar, lp, ap = self.base.log_h_hprime(zs)
-        lc, ac = self._log_factor()
-        return la + lc, ar + ac, lp + lc, ap + ac
+        return tuple(v + (ac if i % 2 else lc) for i, v in enumerate(self.base.log_h(zs, deriv)))
 
     def zeros_in_disk(self, center, r):
         return self.base.zeros_in_disk(center, r)
@@ -83,7 +78,7 @@ def phi_indicator(spec: MinimizerSpec, center: complex, z: complex) -> float:
     zs = np.array([z], dtype=complex)
     dz = zs - complex(center)
     lr, th = log_polar(dz.real, dz.imag)
-    la, neg = _log_flux(spec.h.log_h_hprime(zs), lr, th, 0.0)
+    la, neg = _log_flux(spec.h.log_h(zs, deriv=True), lr, th, 0.0)
     return -math.exp(la[0]) if neg[0] else math.exp(la[0])
 
 
@@ -318,11 +313,10 @@ class _NoDerivative(BaseFunction):
 
     base: BaseFunction
 
-    def log_h(self, zs):
+    def log_h(self, zs, deriv=False):
+        if deriv:
+            raise AssertionError("called for h'")
         return self.base.log_h(zs)
-
-    def log_h_hprime(self, zs):
-        raise AssertionError("called for h'")
 
 
 def test_mass_alone_computes_no_derivative():
@@ -330,6 +324,33 @@ def test_mass_alone_computes_no_derivative():
     spec = MinimizerSpec(h=Monomial(P=2), Q=3)
     bare = MinimizerSpec(h=_NoDerivative(base=spec.h), Q=3)
     assert log_boundary_mass(bare, 0j, 0.5) == log_boundary_mass(spec, 0j, 0.5)
+
+
+def test_series_mass_alone_requests_no_derivative(monkeypatch):
+    """On the real SeriesFactor and SeriesProduct, H alone asks the series
+    for neither F' nor G'/G; `frequency` on the same arc asks for both."""
+    asked = []
+
+    def recorded(fn):
+        def call(*args, with_deriv=False, **kwargs):
+            asked.append((fn.__name__, with_deriv))
+            return fn(*args, with_deriv=with_deriv, **kwargs)
+        return call
+
+    for name in ("decay_exponent_many", "log_cosine_product_many"):
+        monkeypatch.setattr(_FREQ, name, recorded(getattr(_FREQ, name)))
+    product = _series_product()
+    cfg = QuadConfig(rel_tol=0.25, order=6, max_refine=2)
+    for h, names in ((SeriesFactor(params=product.params, cs=product.cs),
+                      {"decay_exponent_many"}),
+                     (product, {"decay_exponent_many", "log_cosine_product_many"})):
+        spec = MinimizerSpec(h=h, Q=3)
+        asked.clear()
+        log_boundary_mass(spec, 0.5 + 0j, 0.3, cfg)
+        assert set(asked) == {(name, False) for name in names}
+        asked.clear()
+        frequency(spec, 0.5 + 0j, 0.3, cfg, log_scale=True)
+        assert {name for name, deriv in asked if deriv} == names
 
 
 def test_half_plane_center_validation():
@@ -414,7 +435,7 @@ def test_series_base_functions_on_the_set_raise_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for base in (SeriesFactor(params=h.params, cs=h.cs), h):
-            la = base.log_h_hprime(zs)[0]
+            la = base.log_h(zs, deriv=True)[0]
             assert la[0] == -np.inf and la[1] < -1e100
 
 
@@ -432,7 +453,7 @@ def test_subnormal_phase_does_not_overflow():
     base = Monomial(P=1)
     scaled = Scaled(base=base, factor=2 + 5e-324j)
     for got, want in ((scaled.log_h(zs), base.log_h(zs)),
-                      (scaled.log_h_hprime(zs)[2:], base.log_h_hprime(zs)[2:])):
+                      (scaled.log_h(zs, True)[2:], base.log_h(zs, True)[2:])):
         assert np.allclose(got[0], want[0] + math.log(2.0), rtol=1e-15)
         assert np.allclose(got[1], want[1], rtol=1e-15)
     spec = MinimizerSpec(h=base, Q=2)
@@ -474,11 +495,12 @@ def _base_functions():
 
 @pytest.mark.parametrize("h", _base_functions(), ids=lambda h: type(h).__name__)
 def test_log_h_hprime_contract(h):
-    """log_h_hprime repeats log_h bit for bit, and its h'/h is the derivative
-    of log h (a central difference along the real axis)."""
+    """log_h with `deriv` repeats its first two arrays without it bit for
+    bit, and its h'/h is the derivative of log h (a central difference
+    along the real axis)."""
     rng = np.random.default_rng(5)
     zs = rng.uniform(0.2, 1.0, 20) + 1j * rng.uniform(-1.0, 0.6, 20)
-    la, ar, lp, ap = h.log_h_hprime(zs)
+    la, ar, lp, ap = h.log_h(zs, deriv=True)
     l0, a0 = h.log_h(zs)
     assert np.array_equal(la, l0) and np.array_equal(ar, a0)
     ratio = np.exp(lp - la + 1j * (ap - ar))
@@ -511,7 +533,7 @@ _ARC_PASS_CASES = [
 @pytest.mark.parametrize("h, Q, center, r, cfg", _ARC_PASS_CASES)
 def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r, cfg):
     """Where D is an arc integral, `frequency` meshes the arc once and makes
-    one line integral whose integrand calls log_h_hprime once per level; its
+    one line integral whose integrand calls log_h (with h') once per level; its
     H and D are `log_boundary_mass` and `log_dirichlet_energy` bit for bit,
     under their own defaults or one given config."""
     spec = MinimizerSpec(h=h, Q=Q)

@@ -387,5 +387,5 @@ def test_oscillating_power_hprime_next_to_zeros(P):
     b = a * np.cos(L)
     db = a * (alpha * np.exp(-(alpha + 1.0) * L) * np.cos(L) - np.sin(L) * np.exp(-L))
     want = P * b ** (P - 1) * db
-    _, _, lp, ap = OscillatingPower(alpha, P).log_h_hprime(zs)
+    _, _, lp, ap = OscillatingPower(alpha, P).log_h(zs, deriv=True)
     assert np.all(_rel(np.exp(lp + 1j * ap), want) <= 1e-13)

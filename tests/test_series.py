@@ -149,15 +149,13 @@ def test_singular_point_rejected(params_half, cs_half):
 
 def _reads_one_call(params, cs, z):
     """Each one-point function at z is the matching `evaluate_many` field of
-    one call at z, bit for bit (G and g but at a constructed zero, which
-    short-circuits); returns that call."""
+    one call at z, bit for bit; returns that call."""
     v = evaluate_many(params, cs, z)
     F = decay_exponent(params, cs, z)
     assert (F.value, F.tail_bound) == (complex(v.F[0]), v.F_tail[0])
-    reads = [(decay_factor, v.log_f, v.arg_f, v.f_tail)]
-    if not isinstance(z, ProductZero):
-        reads += [(cosine_product, v.log_G, v.arg_G, v.G_tail),
-                  (branched_product, v.log_g, v.arg_g, v.g_tail)]
+    reads = [(decay_factor, v.log_f, v.arg_f, v.f_tail),
+             (cosine_product, v.log_G, v.arg_G, v.G_tail),
+             (branched_product, v.log_g, v.arg_g, v.g_tail)]
     for fn, log_mag, arg, tail in reads:
         tv = fn(params, cs, z)
         assert (tv.value.log_mag, tv.value.arg, tv.tail_bound) == (log_mag[0], arg[0], tail[0])
@@ -191,10 +189,11 @@ def test_anchored_point_matches_complex(params_half, cs_half, monkeypatch):
     assert v.d[0] == 0.0
     assert all(math.isinf(t[0]) for t in (v.F_tail, v.f_tail, v.G_tail, v.g_tail))
     assert v.f()[0] == 0.0 and v.g()[0] == 0.0
-    # a constructed zero: G = g = 0 with tail 0, and nothing evaluated
+    # a constructed zero: G = g = 0 with tail 0 (the floating cosine is not
+    # 0.0 there), and the one-point functions evaluate nothing
     z = product_zero(params_half, cs_half, IntervalIndex(2, 3), 1)
     v = _reads_one_call(params_half, cs_half, z)
-    assert v.log_G[0] > -math.inf  # the floating cosine is not 0.0 there
+    assert (v.g_zero[0], v.log_G[0], v.G_tail[0]) == (True, -math.inf, 0.0)
     calls = []
     monkeypatch.setattr(series, "evaluate_many", lambda *args, **kw: calls.append(args))
     for fn in (cosine_product, branched_product):
@@ -295,8 +294,11 @@ def test_product_zeros_accumulate_at_anchor(params_half, cs_half):
 def test_deep_product_zeros_give_the_exact_zero_of_f(params_half, cs_half):
     """At every ProductZero of generations 1-6 (m <= 3) F, f and g carry no
     NaN.  Where the own-anchor term passes the largest double, Re F = +inf
-    is the exact zero log f = -inf with tail 0, and g = 0 (320 of these 378
-    points gave F = nan+nanj, when that term overflowed in neg_power)."""
+    is the exact zero log f = -inf with tail 0 (320 of these 378 points gave
+    F = nan+nanj, when that term overflowed in neg_power).  G and g are the
+    exact zero at all of them, as `cosine_product` and `branched_product`
+    read them (G used to read log|G| between -74 and -36, with an infinite
+    tail where the offset underflows)."""
     deep = 0
     for k in range(1, 7):
         for pos in range(1, 2**k + 1):
@@ -306,10 +308,12 @@ def test_deep_product_zeros_give_the_exact_zero_of_f(params_half, cs_half):
                 fields = (v.F.real, v.F.imag, v.F_tail, v.log_f, v.arg_f, v.f_tail,
                           v.log_g, v.arg_g, v.g_tail)
                 assert not any(np.isnan(a[0]) for a in fields), (k, pos, m)
+                G = (v.g_zero[0], v.log_G[0], v.arg_G[0], v.G_tail[0],
+                     v.log_g[0], v.arg_g[0], v.g_tail[0])
+                assert G == (True, -math.inf, 0.0, 0.0, -math.inf, 0.0, 0.0), (k, pos, m)
                 if v.F.real[0] == math.inf:
                     deep += 1
                     assert (v.log_f[0], v.arg_f[0], v.f_tail[0]) == (-math.inf, 0.0, 0.0)
-                    assert v.log_g[0] == -math.inf
                 else:
                     assert math.isfinite(v.F.real[0]) and v.log_f[0] == -v.F.real[0]
     assert deep == 320
