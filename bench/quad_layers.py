@@ -40,13 +40,14 @@ the time, the integrand nodes of the line integrals, the level at which
 each of them stops, the integrand nodes of any disk integral (a checkout
 that still takes these D from the disk) and log D with its log-error.
 
-It also times arc samples of `frequency`, where H and D are line integrals
-on the arc: the two polynomial ladders of `anchor_quad` (Q = 2, 8 rungs
-each, through `frequency_curve`) and the branch-point sample of the
-`SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
-0.01294).  Each row records the time, the integrand nodes and calls of the
-line integrals that `frequency` makes (`log_line_integral` wrapped where
-the module calls it), the level at which H and D each stop (from their
+It also times arc samples of `frequency`, where H and D are integrals on
+the arc, full circles all: the two polynomial ladders of `anchor_quad` (Q =
+2, 8 rungs each, through `frequency_curve`) and the branch-point samples of
+the `SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
+0.01294, r/4 and r/16).  Each row records the time, the integrand nodes
+and calls of the quadratures that `frequency` makes (`log_line_integral`,
+and `log_ring_integral` on a checkout that has it, wrapped where the
+module calls them), the level at which H and D each stop (from their
 one-part integrals, `log_boundary_mass` and `log_dirichlet_energy`) and
 the answers: I, its error, log H and log D.
 """
@@ -66,7 +67,7 @@ BLOCK_RADII = (0.2, 0.1, 0.05)
 MASS_RADIUS = 10.0 ** (-1.1)
 # anchor_quad's polynomial ladders: (coefficients, centre, (r_min, r_max)), 8 rungs
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
-BRANCH_POINT = (0.0432139, 0.01294)
+BRANCH_POINT = (0.0432139, (0.01294, 0.01294 / 4, 0.01294 / 16))
 
 
 class Split:
@@ -140,13 +141,17 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
 
 
 class LineCount:
-    """Integrand nodes and calls of the line integrals a module makes, and
-    the calls of each integral in `levels`."""
+    """Integrand nodes and calls of the line and ring integrals a module
+    makes (one integrand call per level in either), and the calls of each
+    integral in `levels`."""
 
     def __init__(self, freq):
         self.clear()
-        line = freq.log_line_integral
+        for name in ("log_line_integral", "log_ring_integral"):
+            if hasattr(freq, name):
+                setattr(freq, name, self._counted(getattr(freq, name)))
 
+    def _counted(self, integral):
         def counted(L_fn, *args, **kwargs):
             self.levels.append(0)
 
@@ -156,9 +161,9 @@ class LineCount:
                 self.levels[-1] += 1
                 return L_fn(th)
 
-            return line(L, *args, **kwargs)
+            return integral(L, *args, **kwargs)
 
-        freq.log_line_integral = counted
+        return counted
 
     def clear(self):
         self.nodes = self.calls = 0
@@ -245,9 +250,10 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
     ]
     product = freq.SeriesProduct(params=SeriesParams(s=0.5, max_gen=12),
                                  cs=CantorSet.build(0.5, 12))
-    center, r = BRANCH_POINT
-    arcs.append(measure_arcs(f"branch point r={r}", freq.MinimizerSpec(h=product, Q=3),
-                             complex(center), [r], repeats, sampler, freq, count))
+    center, radii = BRANCH_POINT
+    arcs += [measure_arcs(f"branch point r={r:.6g}", freq.MinimizerSpec(h=product, Q=3),
+                          complex(center), [r], repeats, sampler, freq, count)
+             for r in radii]
     return {"repeats": repeats, "disks": rows, "block_D": lines, "arcs": arcs}
 
 

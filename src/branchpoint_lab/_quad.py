@@ -1,16 +1,19 @@
-"""Log-space panel quadrature for integrands spanning thousands of e-folds.
+"""Log-space quadrature for integrands spanning thousands of e-folds.
 
-Integrals of exp(L) are assembled with Gauss-Legendre panels and a
-log-sum-exp, so masses like exp(-10^4) keep their logarithm even though the
-integrand underflows every double.  Panels are seeded geometrically toward
-integrable singularities and exponential boundary layers (with an optional
-decay-rate hint), then the whole mesh is halved until two successive
-estimates agree.
+Integrals of exp(L) are assembled with a log-sum-exp, so masses like
+exp(-10^4) keep their logarithm even though the integrand underflows every
+double.  Lines and disks take Gauss-Legendre panels, seeded geometrically
+toward integrable singularities and exponential boundary layers (with an
+optional decay-rate hint); the whole mesh is halved until two successive
+estimates agree.  A full circle whose integrand is analytic in a strip
+about it takes the periodic trapezoid rule on nested equispaced rings
+instead, doubling the node count until two successive rings agree.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,7 +25,7 @@ from .errors import ConvergenceError, ValidationError
 
 # The smallest geometric panel as a share of its span; the log gap below the
 # running total at which inner radial panels of a disk integral count as
-# negligible; the node budget of one line-integral level.
+# negligible; the node budget of one level of a line or ring integral.
 MIN_FRAC = 1e-8
 DROP = 45.0
 MAX_NODES = 2**16
@@ -130,10 +133,25 @@ def refined_panels(
     x.sort(axis=1)
     if first_zero is not None:
         x = np.where(x == 0.0, first_zero, x)
-    # merge edges indistinguishable at double precision
+    # merge edges indistinguishable at double precision: each edge into the
+    # last kept edge below it, so a chain of close edges keeps every edge
+    # more than the merge distance past the one kept before it
+    tol = 1e-15 * span[:, None]
+    gap = x[:, 1:] - x[:, :-1]
     keep = np.empty(x.shape, dtype=bool)
     keep[:, 0] = True
-    np.greater(x[:, 1:] - x[:, :-1], 1e-15 * span[:, None], out=keep[:, 1:])
+    np.greater(gap, tol, out=keep[:, 1:])
+    close = gap <= tol  # False at NaN, as keep
+    if (close[:, 1:] & close[:, :-1]).any():
+        cols = np.arange(x.shape[1])
+        while True:
+            last = np.maximum.accumulate(np.where(keep, cols, 0), axis=1)
+            far = ~keep & (x - np.take_along_axis(x, last, axis=1) > tol)
+            if not far.any():
+                break
+            # the first such edge after each kept edge is kept
+            seen = np.cumsum(far, axis=1)
+            keep |= far & (seen - np.take_along_axis(seen, last, axis=1) == 1)
     r = keep.nonzero()[0]
     x = x[keep]
     same = r[1:] == r[:-1]
@@ -155,8 +173,8 @@ def refined_breakpoints(
 
     A target may carry its own smallest cluster width as (position, width);
     bare floats use MIN_FRAC times the span.  A target on an end of [a, b]
-    is clustered toward from inside; one outside is skipped.  Edges closer
-    than 1e-15 of the span to the one below are merged into it.
+    is clustered toward from inside; one outside is skipped.  An edge within
+    1e-15 of the span of the last edge kept below it is merged into that one.
     """
     pairs = [t if isinstance(t, tuple) else (t, MIN_FRAC * (b - a)) for t in targets]
     t, w = np.array(pairs, dtype=float).reshape(-1, 2).T
@@ -215,8 +233,8 @@ def _step(est: list[float]) -> float:
 
 
 def _refine(
-    level_fn: Callable[[int, np.ndarray], Callable[[int], float]],
-    edges: np.ndarray,
+    level_fn: Callable[[int, np.ndarray | None], Callable[[int], float]],
+    edges: np.ndarray | None,
     cfgs: Sequence[QuadConfig | None],
     kind: str,
 ) -> list[tuple[float, float] | ConvergenceError]:
@@ -224,13 +242,15 @@ def _refine(
 
     `level_fn(level, edges)` evaluates the level-th mesh and returns
     `estimate(i)`, the log-integral of part i on it; only the parts still
-    open are asked.  cfgs[i] holds part i's rel_tol and max_refine, or is
-    None for a part that drives nothing: it is asked on every level the
-    others take and gets the last one's estimate, with the last change as
-    its error.  Returns one (log of the integral, log-error estimate) per
-    part, from the level where it first passed, or the ConvergenceError
-    that ended it: one its estimate raised, or, when it never agreed within
-    max_refine halvings, one carrying every level's estimate.
+    open are asked.  With edges None (a rule that is not a panel mesh, as
+    the rings of `log_ring_integral`) the level alone sets the nodes.
+    cfgs[i] holds part i's rel_tol and max_refine, or is None for a part
+    that drives nothing: it is asked on every level the others take and
+    gets the last one's estimate, with the last change as its error.
+    Returns one (log of the integral, log-error estimate) per part, from
+    the level where it first passed, or the ConvergenceError that ended it:
+    one its estimate raised, or, when it never agreed within max_refine
+    halvings, one carrying every level's estimate.
     """
     runs: list[list[float]] = [[] for _ in cfgs]
     out: list = [None] * len(cfgs)
@@ -256,7 +276,7 @@ def _refine(
         if all(o is not None for o, c in zip(out, cfgs) if c is not None):
             break
         level += 1
-        edges = halve_edges(edges)
+        edges = None if edges is None else halve_edges(edges)
     return [(est[-1], _step(est)) if o is None else o for o, est in zip(out, runs)]
 
 
@@ -265,6 +285,23 @@ def _passed(part: tuple[float, float] | ConvergenceError) -> tuple[float, float]
     if isinstance(part, ConvergenceError):
         raise part
     return part
+
+
+def _over_cap(kind: str, cfgs: Sequence[QuadConfig | None]) -> Callable[[int], float]:
+    """The estimate of a level past MAX_NODES: it raises for every part."""
+    def over(i: int) -> float:
+        raise ConvergenceError(
+            f"{kind} quadrature exceeded {MAX_NODES} nodes without "
+            f"meeting rel_tol {(cfgs[i] or cfgs[0]).rel_tol}"
+        )
+    return over
+
+
+def _floored(parts: list, floors: Sequence[float]) -> list:
+    """`_refine`'s parts, each passed part's log-error raised to the rounding
+    floor of the level it ended on."""
+    return [p if isinstance(p, ConvergenceError) else (p[0], max(p[1], floor))
+            for p, floor in zip(parts, floors)]
 
 
 def log_difference(lp: float, ln: float) -> tuple[float, float]:
@@ -311,12 +348,7 @@ def log_line_integral(
 
     def level_fn(level: int, edges: np.ndarray) -> Callable[[int], float]:
         if (edges.size - 1) * order > MAX_NODES:
-            def over(i: int) -> float:
-                raise ConvergenceError(
-                    f"line quadrature exceeded {MAX_NODES} nodes without "
-                    f"meeting rel_tol {(cfgs[i] or cfgs[0]).rel_tol}"
-                )
-            return over
+            return _over_cap("line", cfgs)
         nodes, logw = panel_nodes(edges, order)
         vals = L_fn(nodes)
         if one:
@@ -335,11 +367,101 @@ def log_line_integral(
 
         return estimate
 
-    parts = [
-        p if isinstance(p, ConvergenceError) else (p[0], max(p[1], floor))
-        for p, floor in zip(_refine(level_fn, edges, cfgs, "line"), floors)
-    ]
+    parts = _floored(_refine(level_fn, edges, cfgs, "line"), floors)
     return _passed(parts[0]) if one else parts
+
+
+class Ring:
+    """Samples of fn on nested equispaced rings, the angles 2 pi k / n.
+
+    The angles of an n-node ring are the even-indexed angles of the 2n-node
+    ring, bit for bit, so only the largest ring's samples are kept:
+    `values(n)` takes every (N/n)-th of the N held and evaluates only the
+    new odd-indexed half of each doubling past N.  fn maps an array of
+    angles to an array whose last axis runs over them.  The held samples
+    change only after fn has returned, so an fn that raises leaves them as
+    they were.
+    """
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self.fn = fn
+        self.vals: np.ndarray | None = None
+
+    def _sample(self, k: np.ndarray, n: int) -> np.ndarray:
+        return np.asarray(self.fn(2.0 * math.pi * k / n))
+
+    def values(self, n: int) -> np.ndarray:
+        """fn at the angles 2 pi k / n, k = 0..n-1; n is a power of two
+        times the held count, or divides it."""
+        vals = self._sample(np.arange(n), n) if self.vals is None else self.vals
+        while vals.shape[-1] < n:
+            odd = self._sample(np.arange(1, 2 * vals.shape[-1], 2), 2 * vals.shape[-1])
+            ring = np.empty((*vals.shape[:-1], 2 * vals.shape[-1]), dtype=vals.dtype)
+            ring[..., 0::2] = vals
+            ring[..., 1::2] = odd
+            vals = ring
+        self.vals = vals
+        return np.ascontiguousarray(vals[..., :: vals.shape[-1] // n])
+
+
+def log_ring_integral(
+    L_fn: Callable[[np.ndarray], Sequence],
+    n0: int,
+    cfgs: Sequence[QuadConfig | None],
+    signed: Sequence[bool],
+) -> list[tuple[float, float] | ConvergenceError]:
+    """Log-space integrals of exp(L) over a period [0, 2 pi), several parts
+    at once, by the trapezoid rule on nested rings of n0, 2 n0, 4 n0, ...
+    equispaced nodes (`Ring`).
+
+    L_fn maps an array of angles to one value per part, (log|f|, f < 0) for
+    a signed part, as `log_line_integral`'s; each level calls it once, on
+    the new odd-indexed nodes only.  The parts refine and end as in
+    `_refine`, so each equals its one-part integral bit for bit; a level
+    past MAX_NODES raises ConvergenceError.  For an integrand analytic in
+    the strip |Im theta| < a the rule converges like e^(-a n), so the last
+    doubling's step, the reported log-error estimate, overstates the error
+    of the finer ring.  It is never below the rounding floor 2^-52 amp
+    (|log v| + log n + 4) of the n-node sum, amp the factor by which a
+    signed part's difference amplifies its terms' errors (1 unsigned), and
+    0 for log v = -inf.
+    """
+    # part i's rows start at row at[i]; a signed part takes two
+    at = list(itertools.accumulate((1 + s for s in signed), initial=0))
+
+    def columns(thetas: np.ndarray) -> np.ndarray:
+        # a signed part as two rows: the logs of its positive and of its
+        # negative node values, -inf elsewhere
+        out = []
+        for v, s in zip(L_fn(thetas), signed):
+            if s:
+                la, neg = v
+                out += [np.where(neg, -np.inf, la), np.where(neg, la, -np.inf)]
+            else:
+                out.append(v)
+        return np.stack(out)
+
+    ring = Ring(columns)
+    floors = [0.0] * len(cfgs)
+
+    def level_fn(level: int, _: None) -> Callable[[int], float]:
+        n = n0 << level
+        if n > MAX_NODES:
+            return _over_cap("ring", cfgs)
+        vals = ring.values(n)
+        logw = math.log(2.0 * math.pi / n)
+
+        def estimate(i: int) -> float:
+            sums = [_lse(v) for v in vals[at[i] : at[i + 1]]]
+            log_v, amp = log_difference(*sums) if signed[i] else (sums[0], 1.0)
+            log_v += logw
+            floors[i] = (2.0**-52 * amp * (abs(log_v) + math.log(n) + 4.0)
+                         if log_v > -math.inf else 0.0)
+            return log_v
+
+        return estimate
+
+    return _floored(_refine(level_fn, None, cfgs, "ring"), floors)
 
 
 def _disk_level(

@@ -2,9 +2,10 @@
 
 The Q-valued minimizer u(z) = sum of the Q-th roots of h(z) has closed-form
 energy and mass densities: |Du|^2 = (2/Q)|h|^(2/Q - 2)|h'|^2 and
-|u|^2 = Q|h|^(2/Q).  Both are integrated in log space (via the shared panel
-quadrature) so the frequency ratio I = D/H stays computable even when D and
-H individually underflow near the boundary set.  On the plane D is taken on
+|u|^2 = Q|h|^(2/Q).  Both are integrated in log space (via the shared
+quadrature: nested trapezoid rings on full circles, Gauss panels elsewhere)
+so the frequency ratio I = D/H stays computable even when D and H
+individually underflow near the boundary set.  On the plane D is taken on
 the arc of H, by Green's identity, and on a half-disk that crosses the
 imaginary axis on that arc and the chord on the axis.
 """
@@ -23,8 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._quad import DROP, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
-from ._quad import Arcs, _passed, log_line_integral, refined_breakpoints, refined_panels
+from ._quad import DROP, MAX_NODES, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
+from ._quad import Arcs, _passed, log_line_integral, log_ring_integral, refined_breakpoints
+from ._quad import refined_panels
 from .cantor import CantorSet, IntervalIndex
 from .errors import ConvergenceError, DegenerateMassError, ValidationError
 from .logcomplex import log_cos, log_polar, neg_power
@@ -538,6 +540,34 @@ def _arc_mesh(spec: MinimizerSpec, center: complex, r: float) -> np.ndarray:
     return np.append(lo, hi[-1])
 
 
+def _first_ring(spec: MinimizerSpec, center: complex, r: float) -> int | None:
+    """The node count of the first ring on the circle of radius r, or None
+    where the arc pass takes panels: a clipped arc, or a zero of h so near
+    the circle that the ring could not double within MAX_NODES.
+
+    On a full circle (the plane, or r < Re c) the pass's integrands are
+    analytic in theta on |Im theta| < a, the annulus r e^-a < |z - c| <
+    r e^a being clear of the zeros of h (one at c is no obstacle) and of
+    the axis; a is taken at most log 2, so only zeros within 2r matter.
+    The rule's error on n nodes is about e^(-a n), so the first ring is the
+    smallest power of two n with n a >= 6 pi (e^(-6 pi) = 6.5e-9): its
+    nodes, no wider apart than a/3, see a zero next to the circle that
+    coarser rings can miss and agree on, and its first doubling's step,
+    the reported error, is already small.
+    """
+    if spec.domain == "half_plane" and not r < center.real:
+        return None
+    a = math.log(2.0)
+    if spec.domain == "half_plane":
+        a = min(a, math.log(center.real / r))
+    for z0 in spec.h.zeros_in_disk(center, 2.0 * r):
+        if z0 != center:
+            a = min(a, abs(math.log(abs(z0 - center) / r)))
+    if not a * MAX_NODES >= 12.0 * math.pi:
+        return None
+    return 1 << math.ceil(math.log2(6.0 * math.pi / a))
+
+
 def _d_form(spec: MinimizerSpec, center: complex, r: float) -> str:
     """How D on the disk is taken (`_log_D`): "arc", the arc integral (the
     plane, or a half-plane disk clear of the axis, r < Re c); "chord", the
@@ -553,9 +583,12 @@ def _log_arc_pass(
     spec: MinimizerSpec, center: complex, r: float, cfg_H: QuadConfig | None,
     cfg_D: QuadConfig | None, form: str = "arc",
 ) -> dict:
-    """The arc integrals of H and D, on one mesh of the arc of radius r with
-    one call of h per level: the parts of one `log_line_integral` by name,
-    each its own one-part integral under its config, bit for bit.
+    """The arc integrals of H and D, on one set of nodes on the arc of radius
+    r with one call of h per level: the parts of one quadrature by name,
+    each its own one-part integral under its config, bit for bit.  A full
+    circle takes `log_ring_integral` on nested rings from `_first_ring`'s
+    node count; a clipped arc, or a circle with a zero of h on or at it,
+    `log_line_integral` on the Gauss panels of `_arc_mesh`.
 
     "H" (with cfg_H) is H.  "D" (with cfg_D, unless `form` is "disk") is
     the signed arc integral of |h|^(2/Q) phi: D on the "arc" form, the
@@ -587,8 +620,13 @@ def _log_arc_pass(
             return (*H, D, spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
         return (*H, D, (D[0], ~D[1])) if "-D" in cfgs else (*H, D)
 
-    parts = log_line_integral(L, _arc_mesh(spec, center, r), list(cfgs.values()),
-                              signed=[k in ("D", "-D") for k in cfgs])
+    signed = [k in ("D", "-D") for k in cfgs]
+    n0 = _first_ring(spec, center, r)
+    if n0 is None:
+        parts = log_line_integral(L, _arc_mesh(spec, center, r), list(cfgs.values()),
+                                  signed=signed)
+    else:
+        parts = log_ring_integral(L, n0, list(cfgs.values()), signed)
     return dict(zip(cfgs, parts))
 
 
@@ -728,7 +766,9 @@ def frequency(
     `log_dirichlet_energy`).
 
     H and D's arc parts come from one arc pass (`_log_arc_pass`), as in
-    those two calls, and `_log_D` forms D, so both are theirs bit for bit.
+    those two calls, and `_log_D` forms D, so both are theirs bit for bit:
+    on a full circle from nested rings of the periodic trapezoid rule, on
+    a clipped arc from Gauss panels.
     Where D is an arc integral the pass also gives C, and the sample
     carries the slope I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and
     D' = (2/(Q r)) C; I' is NaN on the chord and disk forms.

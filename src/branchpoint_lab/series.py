@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._quad import Ring
 from .cantor import CantorSet, IntervalIndex, interval_length
 from .errors import ConvergenceError, SingularPointError, ValidationError
 from .logcomplex import LOG_TINY, LogComplex, log_cos, log_polar, neg_power
@@ -1024,38 +1025,9 @@ def cosine_factor(
 # ---------------------------------------------------------------------------
 
 
-class _Ring:
-    """Samples of fn on the nested rings |w - z| = radius.
-
-    The angles 2 pi k / n of an n-node ring are the even-indexed angles of
-    the 2n-node ring, bit for bit, so only the largest ring's samples are
-    kept: `values(n)` takes every (N/n)-th of the N held and evaluates only
-    the new odd-indexed half of each doubling past N.  The held samples
-    change only after fn has returned, so an fn that raises leaves them as
-    they were.
-    """
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], z: complex, radius: float):
-        self.fn = fn
-        self.z = z
-        self.radius = radius
-        self.vals = np.zeros(0, dtype=complex)
-
-    def _sample(self, k: np.ndarray, n: int) -> np.ndarray:
-        theta = 2.0 * math.pi * k / n
-        return np.asarray(self.fn(self.z + self.radius * np.exp(1j * theta)), dtype=complex)
-
-    def values(self, n: int) -> np.ndarray:
-        """fn at the nodes z + radius exp(2 pi i k / n), k = 0..n-1; n is a
-        power of two times the held count, or divides it."""
-        vals = self.vals if self.vals.size else self._sample(np.arange(n), n)
-        while vals.size < n:
-            ring = np.empty(2 * vals.size, dtype=complex)
-            ring[0::2] = vals
-            ring[1::2] = self._sample(np.arange(1, ring.size, 2), ring.size)
-            vals = ring
-        self.vals = vals
-        return np.ascontiguousarray(vals[:: vals.size // n])
+def _contour_ring(fn: Callable[[np.ndarray], np.ndarray], z: complex, radius: float) -> Ring:
+    """The nested rings of fn's values on the circle |w - z| = radius."""
+    return Ring(lambda theta: np.asarray(fn(z + radius * np.exp(1j * theta)), dtype=complex))
 
 
 def _check_contour(z: complex, radius: float | None, orders: Sequence[int]) -> None:
@@ -1081,11 +1053,11 @@ def cauchy_derivatives(
     from 16 until every order's two latest estimates agree to 1e-9 relative
     (or 1e-300 absolute), at most up to 2^14 nodes; the final
     inter-refinement difference is the error estimate.  The rings are
-    nested (`_Ring`): the first evaluator call takes the 32 nodes of the
-    first two rings, the 16-node estimate uses their even half, and each
+    nested (`_quad.Ring`): the first evaluator call takes the 32 nodes of
+    the first two rings, the 16-node estimate uses their even half, and each
     later doubling evaluates only the new odd-indexed half.  `fn` may also
-    be a `_Ring` about the same z and radius, whose samples are then reused
-    (`derivative` passes its last one).
+    be the `Ring` of `_contour_ring` about the same z and radius, whose
+    samples are then reused (`derivative` passes its last one).
 
     A non-finite z, a radius that is not positive and finite, or an order
     that is not an integer >= 0 raises ValidationError before any
@@ -1093,7 +1065,7 @@ def cauchy_derivatives(
     """
     orders = list(orders)
     _check_contour(z, radius, orders)
-    ring = fn if isinstance(fn, _Ring) else _Ring(fn, z, radius)
+    ring = fn if isinstance(fn, Ring) else _contour_ring(fn, z, radius)
     ring.values(2 * _CONTOUR_START)  # the first two rings in one call
     prev: dict[int, complex] = {}
     n = _CONTOUR_START
@@ -1151,7 +1123,7 @@ def function_evaluator(
 
 
 # derivative's last ring, as (cs, the rest of its key, ring)
-_last_ring: tuple[CantorSet, tuple, _Ring] | None = None
+_last_ring: tuple[CantorSet, tuple, Ring] | None = None
 
 
 def derivative(
@@ -1187,7 +1159,7 @@ def derivative(
     if _last_ring is not None and _last_ring[0] is cs and _last_ring[1] == key:
         ring = _last_ring[2]
     else:
-        ring = _Ring(function_evaluator(params, cs, name), z, radius)
+        ring = _contour_ring(function_evaluator(params, cs, name), z, radius)
     out = cauchy_derivatives(ring, z, radius, [m])
     _last_ring = (cs, key, ring)
     return out[m]

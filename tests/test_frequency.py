@@ -527,60 +527,101 @@ _ARC_PASS_CASES = [
     (Polynomial(coeffs=(0.3, 1.0)), 2, 0j, 0.25, QuadConfig(rel_tol=1e-10, max_refine=6)),
     (SmoothBlock(alpha=0.5), 3, 0.3 + 0.1j, 0.25, None),
     (_series_product(), 3, 0.5 + 0j, 0.3, QuadConfig(rel_tol=0.25, order=6, max_refine=2)),
+    # a clipped arc (the chord form of D): panels
+    (SmoothBlock(alpha=0.5), 2, 0.05 + 0j, 0.1, None),
 ]
+
+
+def _counted(monkeypatch, name: str, calls: list) -> None:
+    """Record (name, the node count of each integrand call) of every call of
+    the quadrature entry `name` that `frequency` makes."""
+    entry = getattr(_FREQ, name)
+
+    def counted(L, *args, **kwargs):
+        sizes = []
+        calls.append((name, sizes))
+        return entry(lambda th: sizes.append(th.size) or L(th), *args, **kwargs)
+
+    monkeypatch.setattr(_FREQ, name, counted)
 
 
 @pytest.mark.parametrize("h, Q, center, r, cfg", _ARC_PASS_CASES)
 def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r, cfg):
-    """Where D is an arc integral, `frequency` meshes the arc once and makes
-    one line integral whose integrand calls log_h (with h') once per level; its
-    H and D are `log_boundary_mass` and `log_dirichlet_energy` bit for bit,
-    under their own defaults or one given config."""
+    """`frequency` takes H and D's arc part from one arc pass, whose
+    integrand calls log_h (with h') once per level: on a full circle one
+    ring integral on nested rings, each level on the new nodes only; on a
+    clipped arc one panel mesh and one line integral.  Its H and D are
+    `log_boundary_mass` and `log_dirichlet_energy` bit for bit, under their
+    own defaults or one given config."""
     spec = MinimizerSpec(h=h, Q=Q)
     H = log_boundary_mass(spec, center, r, cfg)
     D = log_dirichlet_energy(spec, center, r, cfg)
-    parts = _log_arc_pass(spec, center, r, cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG)
-    assert [parts["H"], parts["D"]] == [H, D]
-    meshes, levels = [], []
-    arc_mesh, line = _FREQ._arc_mesh, _FREQ.log_line_integral
-
-    def counted_line(L, *args, **kwargs):
-        return line(lambda th: levels.append(th.size) or L(th), *args, **kwargs)
-
+    form = _FREQ._d_form(spec, center, r)
+    parts = _log_arc_pass(spec, center, r, cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG, form)
+    assert parts["H"] == H
+    n0 = _FREQ._first_ring(spec, center, r)
+    assert (n0 is None) == (form != "arc")
+    if n0 is not None:
+        assert parts["D"] == D
+    calls, meshes = [], []
+    arc_mesh = _FREQ._arc_mesh
     monkeypatch.setattr(_FREQ, "_arc_mesh", lambda *a: meshes.append(a) or arc_mesh(*a))
-    monkeypatch.setattr(_FREQ, "log_line_integral", counted_line)
+    for name in ("log_ring_integral", "log_line_integral"):
+        _counted(monkeypatch, name, calls)
     fs = frequency(spec, center, r, cfg, log_scale=True)
     assert (fs.log_H, fs.log_D) == (H[0], D[0])
     assert fs.I == math.exp(D[0] - H[0])
-    assert len(meshes) == 1
-    # sizes double from level to level: one integrand call per level
-    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    (name, sizes), *chord = calls
+    if n0 is None:
+        # the arc's line integral, then the chord's; sizes double per level
+        assert name == "log_line_integral" and len(meshes) == 1 and len(chord) == 1
+        assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert math.isnan(fs.dI_dr)
+        return
+    # the first ring, then the new half of each doubling
+    assert name == "log_ring_integral" and meshes == [] and chord == []
+    assert sizes == [n0] + [n0 << k for k in range(len(sizes) - 1)]
     assert math.isfinite(fs.dI_dr) and fs.dI_dr_error >= 0.0
 
 
-@pytest.mark.parametrize(
-    "parts, log_scale, raised",
-    [
-        # H vanishes or underflows: DegenerateMassError before D's error
-        ([(-math.inf, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, DegenerateMassError),
-        ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], False, DegenerateMassError),
-        ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, "D"),
-        ([ConvergenceError("H"), ConvergenceError("D"), (0.0, 0.0)], True, "H"),
-    ],
-)
+_MASS_CHECK_CASES = [
+    # H vanishes or underflows: DegenerateMassError before D's error
+    ([(-math.inf, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, DegenerateMassError),
+    ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], False, DegenerateMassError),
+    ([(-800.0, 0.0), ConvergenceError("D"), (0.0, 0.0)], True, "D"),
+    ([ConvergenceError("H"), ConvergenceError("D"), (0.0, 0.0)], True, "H"),
+]
+
+
+def _assert_mass_checks_first(monkeypatch, entry, spec, r, parts, log_scale, raised):
+    monkeypatch.setattr(_FREQ, entry, lambda *args, **kwargs: parts)
+    if isinstance(raised, str):
+        with pytest.raises(ConvergenceError, match=raised):
+            frequency(spec, 0j, r, log_scale=log_scale)
+    else:
+        with pytest.raises(raised):
+            frequency(spec, 0j, r, log_scale=log_scale)
+
+
+@pytest.mark.parametrize("parts, log_scale, raised", _MASS_CHECK_CASES)
 def test_mass_checks_come_before_the_energy_s_convergence_error(monkeypatch, parts, log_scale,
                                                                 raised):
     """From one arc pass, H's errors and checks are raised first, in the
     order of the separate integrals: H's ConvergenceError, then the vanishing
-    or underflowing H, and only then D's ConvergenceError."""
-    monkeypatch.setattr(_FREQ, "log_line_integral", lambda *args, **kwargs: parts)
-    spec = MinimizerSpec(h=Monomial(P=1), Q=2)
-    if isinstance(raised, str):
-        with pytest.raises(ConvergenceError, match=raised):
-            frequency(spec, 0j, 0.5, log_scale=log_scale)
-    else:
-        with pytest.raises(raised):
-            frequency(spec, 0j, 0.5, log_scale=log_scale)
+    or underflowing H, and only then D's ConvergenceError.  On the full
+    circle the pass is one ring integral of H, D and C."""
+    _assert_mass_checks_first(monkeypatch, "log_ring_integral",
+                              MinimizerSpec(h=Monomial(P=1), Q=2), 0.5, parts, log_scale, raised)
+
+
+@pytest.mark.parametrize("parts, log_scale, raised", _MASS_CHECK_CASES)
+def test_mass_checks_come_first_on_a_clipped_arc(monkeypatch, parts, log_scale, raised):
+    """The same order on a clipped arc, whose pass is one line integral of
+    H, D and -D; here -D fails with D (and the chord's line integral gets
+    the same parts)."""
+    _assert_mass_checks_first(monkeypatch, "log_line_integral",
+                              MinimizerSpec(h=SmoothBlock(alpha=0.5), Q=2), 0.1,
+                              parts[:2] + parts[1:2], log_scale, raised)
 
 
 @pytest.mark.parametrize("P, Q", [(1, 2), (3, 2), (2, 3), (1, 3), (5, 3)])

@@ -10,7 +10,9 @@ from scipy.special import logsumexp
 from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError
 from branchpoint_lab._quad import (
     DROP,
+    MAX_NODES,
     MIN_FRAC,
+    Ring,
     _disk_level,
     _gl,
     _lse,
@@ -18,6 +20,7 @@ from branchpoint_lab._quad import (
     halve_edges,
     log_disk_integral,
     log_line_integral,
+    log_ring_integral,
     panel_nodes,
     refined_breakpoints,
     refined_panels,
@@ -76,7 +79,8 @@ def test_breakpoints_empty_interval():
 
 def _set_breakpoints(a, b, *, geo_a=False, rate_a=0.0, rate_b=0.0, targets=()):
     """The breakpoint rule one edge at a time, in a set: the form it had
-    before `refined_panels` formed it for many intervals at once."""
+    before `refined_panels` formed it for many intervals at once, with each
+    edge merged into the last one kept."""
 
     def doublings(w):
         while w < 0.5 * span:
@@ -101,8 +105,11 @@ def _set_breakpoints(a, b, *, geo_a=False, rate_a=0.0, rate_b=0.0, targets=()):
                 edges.add(t - w)
             if t + w < b:
                 edges.add(t + w)
-    out = np.array(sorted(edges))
-    return out[np.concatenate(([True], np.diff(out) > 1e-15 * span))]
+    kept = []
+    for x in sorted(edges):
+        if not kept or x - kept[-1] > 1e-15 * span:
+            kept.append(x)
+    return np.array(kept)
 
 
 @st.composite
@@ -140,6 +147,20 @@ def test_breakpoints_follow_the_set_rule_bit_for_bit(case):
     got = refined_breakpoints(a, b, **kw)
     want = _set_breakpoints(a, b, **kw)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_a_chain_of_close_targets_keeps_each_within_the_merge_distance():
+    """Edges merge into the last kept edge, not into their neighbours, so
+    the last of three targets 0.9e-15 apart keeps its own edge (it was left
+    1.8e-15 from every kept edge), and a longer chain keeps one edge per
+    merge distance."""
+    for targets in ([0.3, 0.3 + 0.9e-15, 0.3 + 1.8e-15],
+                    [0.3 + k * 0.4e-15 for k in range(12)]):
+        edges = refined_breakpoints(0.0, 1.0, targets=targets)
+        assert all(np.min(np.abs(edges - t)) <= 1e-15 for t in targets)
+        assert np.all(np.diff(edges) > 1e-15)
+    assert 0.3 + 1.8e-15 in refined_breakpoints(0.0, 1.0, targets=[0.3, 0.3 + 0.9e-15,
+                                                                    0.3 + 1.8e-15])
 
 
 def test_breakpoint_rows_are_their_own_breakpoints():
@@ -297,6 +318,83 @@ def test_parts_fail_alike_at_the_node_cap():
     with pytest.raises(ConvergenceError) as info:
         log_line_integral(parts[1][0], edges, parts[1][1])
     assert str(got[1]) == str(info.value) and "65536 nodes" in str(got[1])
+
+
+def test_ring_samples_are_nested():
+    """A ring of n nodes is the even half of the 2n-node ring: each doubling
+    samples only the new odd-indexed angles, smaller rings are taken from
+    the held samples, and an fn that raises leaves them as they were."""
+    calls = []
+
+    def fn(th):
+        calls.append(th)
+        if th.size > 64:
+            raise ConvergenceError("too many")
+        return np.stack([np.cos(th), np.sin(th)])
+
+    ring = Ring(fn)
+    got = ring.values(16)
+    assert np.array_equal(got, fn(2.0 * math.pi * np.arange(16) / 16))
+    calls.clear()
+    full = ring.values(64)
+    assert [c.size for c in calls] == [16, 32]
+    assert np.array_equal(calls[1], 2.0 * math.pi * np.arange(1, 64, 2) / 64)
+    assert np.array_equal(full, fn(2.0 * math.pi * np.arange(64) / 64))
+    assert np.array_equal(ring.values(16), got) and ring.values(8).shape == (2, 8)
+    with pytest.raises(ConvergenceError):
+        ring.values(256)
+    assert np.array_equal(ring.values(64), full)
+
+
+def _von_mises(kappa):
+    # the integral of exp(kappa cos theta) over a period, 2 pi I_0(kappa)
+    want = mpmath.log(2 * mpmath.pi * mpmath.besseli(0, kappa))
+    return lambda th: kappa * np.cos(th), float(want)
+
+
+def test_ring_parts_are_their_one_part_integrals():
+    """Each part of a ring integral ends on the level where it passed, so it
+    is its one-part integral bit for bit; L_fn is called once per level, on
+    the new nodes only.  The answers match closed forms within the
+    reported errors: exp(kappa cos theta) far past the largest double, and
+    the signed integral of cos theta + 1/2, pi."""
+    parts = [_von_mises(3.0), _von_mises(2000.0)]
+    signed = (lambda th: (np.log(np.abs(np.cos(th) + 0.5)), np.cos(th) + 0.5 < 0),
+              math.log(math.pi))
+    cfg = QuadConfig(rel_tol=1e-12)
+    sizes = []
+
+    def L(th):
+        sizes.append(th.size)
+        return [fn(th) for fn, _ in parts] + [signed[0](th)]
+
+    got = log_ring_integral(L, 16, [cfg, cfg, cfg], [False, False, True])
+    assert sizes == [16] + [16 << k for k in range(len(sizes) - 1)] and len(sizes) > 2
+    for part, (fn, want), s in zip(got, parts + [signed], [False, False, True]):
+        assert part == log_ring_integral(lambda th: [fn(th)], 16, [cfg], [s])[0]
+        assert abs(part[0] - want) <= part[1] <= 1e-12
+
+
+def test_ring_integral_reports_its_rounding_floor():
+    """A constant integrand agrees from the first doubling on; its error is
+    the rounding floor 2^-52 (|log v| + log n + 4), and 0 for an exact
+    zero."""
+    [(log_v, err), zero] = log_ring_integral(
+        lambda th: [np.full(th.size, 3.0), np.full(th.size, -math.inf)], 16,
+        [QuadConfig(), QuadConfig()], [False, False])
+    assert log_v == pytest.approx(3.0 + math.log(2.0 * math.pi), rel=1e-15)
+    assert err == 2.0**-52 * (abs(log_v) + math.log(32) + 4.0)
+    assert zero == (-math.inf, 0.0)
+
+
+def test_ring_integral_stops_at_the_node_cap():
+    # theta is not periodic, so the rings never agree to 1e-15; the ring
+    # past MAX_NODES raises instead of sampling it
+    calls = []
+    [part] = log_ring_integral(lambda th: calls.append(th.size) or [np.log1p(th)],
+                               MAX_NODES // 2, [QuadConfig(rel_tol=1e-15)], [False])
+    assert isinstance(part, ConvergenceError) and f"{MAX_NODES} nodes" in str(part)
+    assert calls == [MAX_NODES // 2, MAX_NODES // 2]
 
 
 def _same(got: float, want: float) -> bool:
