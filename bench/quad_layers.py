@@ -8,13 +8,15 @@ the blocks' D on half-disks and the arc samples of `frequency`.
     python3 bench/quad_layers.py --src ../parent/src --label parent --out BENCH_quad.json
     python3 bench/quad_layers.py --quick              # a few seconds, for CI
 
-Times the disk integral of the perfbench workload that runs one, the
-innermost disk of `mass_curve` (the log L2 mass of `RealPartTarget`, s =
-0.5, max_gen 18, R = 10^-1.1, `QuadConfig(rel_tol=1e-3, order=10,
-max_refine=6)`), through the public API (`log_mass`) with the
-angular-mesh callable of `polar_mesh` and the integrand of
-`log_disk_integral` wrapped in timers, so the split does not depend on how
-a checkout meshes its arcs:
+Times the disk integrals of the two perfbench workloads that run them:
+the innermost disk of `mass_curve` (the log L2 mass of `RealPartTarget`, s
+= 0.5, max_gen 18, R = 10^-1.1, `QuadConfig(rel_tol=1e-3, order=10,
+max_refine=6)`, through `log_mass`) and the R_2 energy disk of
+`cantor_ladder` (D of exp(-F), s = 0.5, max_gen 20, Q = 3, about 0, R_2 =
+0.1458, `QuadConfig(rel_tol=0.25, order=10, max_refine=2)`, through
+`log_dirichlet_energy`), with the angular-mesh callable of `polar_mesh`
+and the integrand of `log_disk_integral` wrapped in timers, so the split
+does not depend on how a checkout meshes its arcs:
 
 - mesh_us_per_radial_node: time in the angular-mesh callable over the
   radial nodes whose rings the integral visits (rings x order);
@@ -27,10 +29,12 @@ in reference seconds as in perfbench (perfbench/speed.py: wall time scaled
 by the host's speed, which a fixed probe samples while the run goes on);
 the split of that run is scaled alike.  Beside the times it records what
 does not depend on the machine: rings visited, radial nodes meshed,
-integrand nodes and the answers (log D or log mass and their log-errors),
-so a speed-up that moves an answer shows at once.  --out merges the entry
-into a JSON file under --label, so two checkouts measured on one machine
-sit side by side.  --quick (2 repeats) only checks that the script runs.
+integrand nodes, each level's integrand nodes and frozen rings (the radial
+panels of the level inside its frozen block, `_quad._disk_level`'s `stop`;
+0 on a checkout without the freeze) and the answers (log D or log mass and
+their log-errors), so a speed-up that moves an answer shows at once.
+--out merges the entry into a JSON file under --label, so two checkouts
+measured on one machine sit side by side.  --quick (2 repeats) only checks that the script runs.
 
 It times D of the `SmoothBlock(0.5)` half-disks (Q = 2, R = 0.2, 0.1,
 0.05, the default config of `frequency`), as `anchor_quad` takes them,
@@ -68,11 +72,14 @@ MASS_RADIUS = 10.0 ** (-1.1)
 # anchor_quad's polynomial ladders: (coefficients, centre, (r_min, r_max)), 8 rungs
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
 BRANCH_POINT = (0.0432139, (0.01294, 0.01294 / 4, 0.01294 / 16))
+# cantor_ladder's energy disk at R_2 = gap_centered_radii(0.5, 2)
+LADDER_GEN, LADDER_RUNG = 20, 2
 
 
 class Split:
     """Wall seconds of the disk integrals, their arc meshes and integrands,
-    with the counts of rings, meshed radial nodes and integrand nodes."""
+    with the counts of rings, meshed radial nodes and integrand nodes, and
+    [integrand nodes, frozen rings] per level."""
 
     def __init__(self):
         self.clear()
@@ -80,12 +87,19 @@ class Split:
     def clear(self):
         self.disk_s = self.mesh_s = self.integrand_s = 0.0
         self.rings = self.meshed = self.nodes = 0
+        self.levels = []
 
-    def install(self, freq, van):
-        """Wrap `polar_mesh` and `log_disk_integral` where the modules call them."""
+    def install(self, freq, van, quad):
+        """Wrap `polar_mesh` and `log_disk_integral` where the modules call
+        them, and `_quad._disk_level`, one call per level."""
         split = self
         polar_mesh = freq.polar_mesh
         disk = freq.log_disk_integral
+        disk_level = quad._disk_level
+
+        def counted_level(*args, **kwargs):
+            split.levels.append([0, kwargs.get("stop", 0)])
+            return disk_level(*args, **kwargs)
 
         def timed_mesh(*args, **kwargs):
             r_edges, mesh, inner = polar_mesh(*args, **kwargs)
@@ -106,6 +120,7 @@ class Split:
                 split.integrand_s += time.perf_counter() - t0
                 split.rings += 1
                 split.nodes += zs.size
+                split.levels[-1][0] += zs.size
                 return out
 
             t0 = time.perf_counter()
@@ -116,6 +131,7 @@ class Split:
         for mod in (freq, van):
             mod.polar_mesh = timed_mesh
             mod.log_disk_integral = timed_disk
+        quad._disk_level = counted_level
 
 
 def measure_case(name, run, order, repeats, sampler, split) -> dict:
@@ -126,8 +142,8 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
         out, wall, ref = sampler.timed(run)
         if best is None or ref < best[0]:
             best = (ref, ref / wall, out, split.disk_s, split.mesh_s, split.integrand_s,
-                    split.rings, split.meshed, split.nodes)
-    _, scale, (value, err), disk_s, mesh_s, integrand_s, rings, meshed, nodes = best
+                    split.rings, split.meshed, split.nodes, split.levels)
+    _, scale, (value, err), disk_s, mesh_s, integrand_s, rings, meshed, nodes, levels = best
     assembly_s = disk_s - mesh_s - integrand_s
     return {
         "case": name,
@@ -136,6 +152,8 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
         "assembly_ns_per_node": round(1e9 * scale * assembly_s / nodes, 2),
         "nodes_per_s": round(nodes / (scale * disk_s)),
         "rings": rings, "radial_nodes_meshed": meshed, "nodes": nodes,
+        "nodes_per_level": [n for n, _ in levels],
+        "frozen_rings_per_level": [k for _, k in levels],
         "log_value": value, "log_err": err,
     }
 
@@ -220,11 +238,12 @@ def measure_arcs(name, spec, center, radii, repeats, sampler, freq, count) -> di
 def measure(quick: bool, sampler: SpeedSampler) -> dict:
     freq = importlib.import_module("branchpoint_lab.frequency")
     van = importlib.import_module("branchpoint_lab.vanishing")
+    quad = importlib.import_module("branchpoint_lab._quad")
     from branchpoint_lab import CantorSet, QuadConfig, SeriesParams
 
     repeats = 2 if quick else REPEATS
     split = Split()
-    split.install(freq, van)
+    split.install(freq, van, quad)
     params = SeriesParams(s=0.5, max_gen=18)
     target = van.RealPartTarget(params=params, cs=CantorSet.build(0.5, 18))
     mass_cfg = QuadConfig(rel_tol=1e-3, order=10, max_refine=6)
@@ -233,6 +252,16 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
         lambda: van.log_mass(target, 0j, MASS_RADIUS, mass_cfg),
         mass_cfg.order, repeats, sampler, split,
     )]
+    ladder = freq.MinimizerSpec(
+        h=freq.SeriesFactor(params=SeriesParams(s=0.5, max_gen=LADDER_GEN),
+                            cs=CantorSet.build(0.5, LADDER_GEN)), Q=3)
+    ladder_cfg = QuadConfig(rel_tol=0.25, order=10, max_refine=2)
+    R = freq.gap_centered_radii(0.5, LADDER_RUNG)
+    rows.append(measure_case(
+        f"cantor_ladder energy disk R_{LADDER_RUNG}={R:.6g}",
+        lambda: freq.log_dirichlet_energy(ladder, 0j, R, ladder_cfg),
+        ladder_cfg.order, repeats, sampler, split,
+    ))
     count = LineCount(freq)
     block = freq.MinimizerSpec(h=freq.SmoothBlock(alpha=0.5), Q=2)
     block_cfg = QuadConfig(rel_tol=1e-6)

@@ -5,9 +5,11 @@ exp(-10^4) keep their logarithm even though the integrand underflows every
 double.  Lines and disks take Gauss-Legendre panels, seeded geometrically
 toward integrable singularities and exponential boundary layers (with an
 optional decay-rate hint); the whole mesh is halved until two successive
-estimates agree.  A full circle whose integrand is analytic in a strip
-about it takes the periodic trapezoid rule on nested equispaced rings
-instead, doubling the node count until two successive rings agree.
+estimates agree, except for a disk's innermost rings once they carry under
+FREEZE * rel_tol of its mass, which keep their last values.  A full circle
+whose integrand is analytic in a strip about it takes the periodic
+trapezoid rule on nested equispaced rings instead, doubling the node count
+until two successive rings agree.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .errors import ConvergenceError, ValidationError
 MIN_FRAC = 1e-8
 DROP = 45.0
 MAX_NODES = 2**16
+# the share of rel_tol under which the innermost rings of a disk level, by
+# their last-level log-sums, keep those values and are not evaluated again
+FREEZE = 2.0**-20
 # radial panels of a disk level whose arcs are meshed in one call: the early
 # exit leaves about half of a level's panels unvisited
 RING_BLOCK = 8
@@ -472,6 +477,10 @@ def _disk_level(
     cfg: QuadConfig,
     level: int,
     inner_targets: Sequence[float],
+    *,
+    stop: int = 0,
+    block: float = -math.inf,
+    rings: np.ndarray | None = None,
 ) -> float:
     """One mesh level of the polar integral, outermost radial panel first,
     with early exit once inner panels are provably negligible.
@@ -481,12 +490,17 @@ def _disk_level(
     are one flat (lo, hi) pair, each panel split at its midpoint `level`
     times, so the nodes and weights, in their order, are those of halving
     each node's own mesh.
+
+    The innermost `stop` rings are a frozen block, not evaluated: a walk
+    that reaches its outer edge adds `block`, its log-sum.  `rings`, if
+    given, receives each evaluated ring's log-sum by index and, once the
+    block is added, the block's in slot 0 and -inf in its other slots.
     """
     total = -math.inf
     quiet = 0
     n = cfg.order
-    for top in range(r_edges.size - 1, 0, -RING_BLOCK):
-        bottom = max(top - RING_BLOCK, 0)
+    for top in range(r_edges.size - 1, stop, -RING_BLOCK):
+        bottom = max(top - RING_BLOCK, stop)
         rho_b, logw_rb = panel_nodes(r_edges[bottom : top + 1], n)
         lo, hi, count = arcs(rho_b)
         first = np.concatenate(([0], np.cumsum(count))).tolist()
@@ -508,6 +522,8 @@ def _disk_level(
             with np.errstate(invalid="ignore"):
                 vals = L_fn(zs.ravel()) + logw.ravel()
             contrib = _lse(vals)
+            if rings is not None:
+                rings[i] = contrib
             total = float(np.logaddexp(total, contrib))
             if contrib < total - DROP:
                 quiet += 1
@@ -515,7 +531,39 @@ def _disk_level(
                     return total
             else:
                 quiet = 0
+    if stop:
+        total = float(np.logaddexp(total, block))
+        if rings is not None:
+            rings[:stop] = -math.inf
+            rings[0] = block
     return total
+
+
+def _frozen_block(
+    last: dict, rel_tol: float, inner_targets: Sequence[float]
+) -> tuple[int, float]:
+    """The frozen block of the next level, from the last level's radial
+    edges, ring log-sums (NaN where its walk did not reach) and log-integral
+    in `last` (empty before level 0).
+
+    It is the largest run of innermost reached rings whose log-sums add up
+    to under FREEZE * rel_tol of the total and below whose outer edge no
+    inner target lies, with the unreached rings under them, left by the
+    early exit.  Returns (the next level's radial panels it spans, its
+    log-sum), or (0, -inf) when it holds no reached ring.
+    """
+    share = FREEZE * rel_tol
+    if not (last and share > 0.0 and math.isfinite(last["total"])):
+        return 0, -math.inf
+    rings = last["rings"]
+    q = int(np.count_nonzero(np.isnan(rings)))
+    cum = np.logaddexp.accumulate(rings[q:])
+    # the partial sums do not fall, so those under the cut lead
+    k = q + int(np.count_nonzero(cum < last["total"] + math.log(share)))
+    if inner_targets:
+        k = min(k, int(np.searchsorted(last["edges"], min(inner_targets), side="right")) - 1)
+    # the next level's panels 2i and 2i + 1 are the halves of panel i here
+    return (2 * k, float(cum[k - q - 1])) if k > q else (0, -math.inf)
 
 
 def log_disk_integral(
@@ -532,14 +580,30 @@ def log_disk_integral(
     `arcs` supplies the angular panels at an array of radii, as
     `refined_panels` returns them (domain clips and singularity targets are
     baked in there); `inner_targets` lists radii of interior singularities
-    that must never be skipped by early exit.  Returns (log integral,
-    log-error estimate).
+    that must never be skipped by early exit nor frozen.  Each level halves
+    the radial and angular panels, except for the frozen block
+    (`_frozen_block`): the innermost rings whose last-level log-sums add up
+    to under FREEZE * rel_tol of the last level's total keep those values,
+    and the walk stops at the block's outer edge.  Returns (log integral,
+    log-error estimate): the last halving's change plus the mass of the
+    frozen block the final level added, relative to its total, a bound on
+    what the frozen rings could still have moved.
     """
-    return _passed(_refine(
-        lambda level, edges: lambda _: _disk_level(
-            L_fn, center, edges, arcs, cfg, level, inner_targets
-        ),
-        r_edges,
-        (cfg,),
-        "disk",
-    )[0])
+    last: dict = {}  # the last level: edges, ring log-sums, total, frozen share
+
+    def level_fn(level: int, edges: np.ndarray) -> Callable[[int], float]:
+        def estimate(_: int) -> float:
+            stop, block = _frozen_block(last, cfg.rel_tol, inner_targets)
+            rings = np.full(edges.size - 1, math.nan)
+            total = _disk_level(L_fn, center, edges, arcs, cfg, level, inner_targets,
+                                stop=stop, block=block, rings=rings)
+            # rings[0] holds the block once the walk added it, NaN before
+            last.update(edges=edges, rings=rings, total=total,
+                        share=math.exp(rings[0] - total) if stop and rings[0] > -math.inf
+                        else 0.0)
+            return total
+
+        return estimate
+
+    log_v, step = _passed(_refine(level_fn, r_edges, (cfg,), "disk")[0])
+    return log_v, step + last["share"]

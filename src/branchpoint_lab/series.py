@@ -228,9 +228,11 @@ def _direct_sum(
         a_k = params.coeff(k)
         al = params.exponent(k)
         for lr, th in _pair_blocks(zs, cs.left_endpoints(k)):
-            F += _power_sum(a_k, lr, th, al)
-            if with_deriv:
-                Fp += _power_sum(-al * a_k, lr, th, al + 1.0)
+            # a point on the set makes its own terms infinite, of any sign
+            with np.errstate(invalid="ignore"):
+                F += _power_sum(a_k, lr, th, al)
+                if with_deriv:
+                    Fp += _power_sum(-al * a_k, lr, th, al + 1.0)
     return F, Fp, np.zeros(n)
 
 

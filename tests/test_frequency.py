@@ -651,3 +651,41 @@ def test_disk_form_samples_have_no_slope():
     ]:
         fs = frequency(spec, center, r, cfg, log_scale=True)
         assert math.isnan(fs.dI_dr) and math.isnan(fs.dI_dr_error)
+
+
+# the E1 ladder's config (perfbench cantor_ladder)
+_LADDER_CFG = QuadConfig(rel_tol=0.25, order=10, max_refine=2)
+
+
+def _disk_D(monkeypatch, spec, r):
+    """log D on the half-disk about 0, with its log-error, from the disk
+    form on the E1 ladder's config, and the integrand nodes it took."""
+    calls = []
+    with monkeypatch.context() as m:
+        _counted(m, "log_disk_integral", calls)
+        got = log_dirichlet_energy(spec, 0j, r, _LADDER_CFG)
+    assert [name for name, _ in calls] == ["log_disk_integral"]
+    return got, sum(calls[0][1])
+
+
+def test_frozen_rings_of_a_series_half_disk(monkeypatch):
+    # exp(-F) vanishes to infinite order at 0, so the inner rings of the
+    # R_3 disk are frozen from level 1 on: the freeze off takes more nodes
+    # for a log D within the reported error
+    spec = MinimizerSpec(h=SeriesFactor(params=SeriesParams(s=0.5, max_gen=8),
+                                        cs=CantorSet.build(0.5, 8)), Q=3)
+    r = gap_centered_radii(0.5, 3)
+    (got, err), nodes = _disk_D(monkeypatch, spec, r)
+    monkeypatch.setattr(importlib.import_module("branchpoint_lab._quad"), "FREEZE", 0.0)
+    (full, _), full_nodes = _disk_D(monkeypatch, spec, r)
+    assert abs(got - full) <= err
+    assert nodes < full_nodes
+
+
+def test_ladder_energy_disk_keeps_to_its_node_budget(monkeypatch):
+    # the E1 R_2 energy disk: 72,280 integrand nodes when every level
+    # evaluated every ring down to the early exit, 46,720 with the freeze
+    spec = MinimizerSpec(h=SeriesFactor(params=SeriesParams(s=0.5, max_gen=20),
+                                        cs=CantorSet.build(0.5, 20)), Q=3)
+    _, nodes = _disk_D(monkeypatch, spec, gap_centered_radii(0.5, 2))
+    assert nodes <= 100_000

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError
+from branchpoint_lab import ConvergenceError, QuadConfig, ValidationError, _quad
 from branchpoint_lab._quad import (
     DROP,
     MAX_NODES,
@@ -472,12 +472,42 @@ def test_disk_integral_early_exit_matches_full():
     assert got == pytest.approx(math.log(2.0 * math.pi * ref), abs=1e-7)
 
 
-def _per_node_level(L_fn, center, r_edges, theta_edges_fn, cfg, level, inner_targets):
+def _freeze_rule(last, rel_tol, inner_targets):
+    """The frozen block of a level from the last level's ring log-sums, ring
+    by ring: out from the innermost ring the last level reached, the rings
+    whose running log-sum stays under FREEZE * rel_tol of its total, up to
+    the first with an inner target below its outer edge; as (the panels it
+    spans on this level, its log-sum), or (0, -inf) if it holds no ring the
+    last level reached."""
+    edges, sums, total = last["edges"], last["sums"], last["total"]
+    if _quad.FREEZE == 0.0 or not math.isfinite(total):
+        return 0, -math.inf
+    cut = total + math.log(_quad.FREEZE * rel_tol)
+    lowest = min(sums)
+    run, k, block = -math.inf, lowest, -math.inf
+    for i in range(lowest, edges.size - 1):
+        run = np.logaddexp(run, sums[i])
+        if not run < cut or any(t < edges[i + 1] for t in inner_targets):
+            break
+        k, block = i + 1, float(run)
+    return (2 * k, block) if k > lowest else (0, -math.inf)
+
+
+def _per_node_level(L_fn, center, r_edges, theta_edges_fn, cfg, level, inner_targets,
+                    last=None):
     """A disk level assembled node by node: each radial node halves its own
-    angular mesh and the ring's log-sum-exp is scipy's."""
+    angular mesh and the ring's log-sum-exp is scipy's.
+
+    With `last`, a dict of the last level's edges, ring log-sums by index
+    and total (empty on level 0), the innermost rings keep their log-sums by
+    `_freeze_rule`; it then receives this level's, and the share of the
+    total that a frozen block it added carries."""
+    stop, block = _freeze_rule(last, cfg.rel_tol, inner_targets) if last else (0, -math.inf)
     total = -math.inf
     quiet = 0
-    for i in range(r_edges.size - 2, -1, -1):
+    sums = {}
+    added = False
+    for i in range(r_edges.size - 2, stop - 1, -1):
         lo, hi = r_edges[i], r_edges[i + 1]
         rho, logw_r = panel_nodes(np.array([lo, hi]), cfg.order)
         zs, logw = [], []
@@ -491,6 +521,7 @@ def _per_node_level(L_fn, center, r_edges, theta_edges_fn, cfg, level, inner_tar
         with np.errstate(invalid="ignore"):
             vals = L_fn(np.concatenate(zs)) + np.concatenate(logw)
         contrib = float(logsumexp(vals))
+        sums[i] = contrib
         total = float(np.logaddexp(total, contrib))
         if contrib < total - DROP:
             quiet += 1
@@ -498,6 +529,17 @@ def _per_node_level(L_fn, center, r_edges, theta_edges_fn, cfg, level, inner_tar
                 break
         else:
             quiet = 0
+    else:
+        if stop:
+            # the walk reached the frozen block: it adds it and holds it in
+            # slot 0, as the last level's log-sum of all its rings
+            added = True
+            total = float(np.logaddexp(total, block))
+            sums.update({j: -math.inf for j in range(1, stop)})
+            sums[0] = block
+    if last is not None:
+        last.update(edges=r_edges, sums=sums, total=total,
+                    share=math.exp(block - total) if added and block > -math.inf else 0.0)
     return total
 
 
@@ -536,9 +578,10 @@ def test_ring_assembly_matches_per_node_loop(case, level):
 def test_log_disk_integral_matches_per_node_loop(case):
     L, center, r_edges, inner = _RING_CASES[case]
     cfg = QuadConfig(rel_tol=1e-9, order=6, max_refine=4)
-    [want] = _refine(
+    last = {}
+    [(want, step)] = _refine(
         lambda level, edges: lambda _: _per_node_level(
-            L, center, edges, _ragged_theta, cfg, level, inner
+            L, center, edges, _ragged_theta, cfg, level, inner, last
         ),
         r_edges,
         [cfg],
@@ -547,4 +590,52 @@ def test_log_disk_integral_matches_per_node_loop(case):
     got = log_disk_integral(
         L, center, r_edges, _per_node(_ragged_theta), cfg, inner_targets=inner
     )
-    assert got == want
+    assert got == (want, step + last["share"])
+
+
+def _disk_run(case, cfg, inner=None):
+    """The disk of _RING_CASES[case] (with inner targets `inner`, if given):
+    (its result, its integrand node count, each level's frozen panels)."""
+    L, center, r_edges, targets = _RING_CASES[case]
+    level = _quad._disk_level
+    nodes, stops = [0], []
+
+    def recorded(*args, stop=0, **kwargs):
+        stops.append(stop)
+        return level(*args, stop=stop, **kwargs)
+
+    def counted(zs):
+        nodes[0] += zs.size
+        return L(zs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_quad, "_disk_level", recorded)
+        got = log_disk_integral(counted, center, r_edges, _per_node(_ragged_theta), cfg,
+                                inner_targets=targets if inner is None else inner)
+    return got, nodes[0], stops
+
+
+def test_frozen_rings_stay_within_the_reported_error(monkeypatch):
+    # the sharp decay: with the freeze off every level evaluates every ring
+    # down to the early exit, more nodes for the same integral
+    cfg = QuadConfig(rel_tol=1e-9, order=6, max_refine=4)
+    (got, err), nodes, stops = _disk_run(1, cfg)
+    monkeypatch.setattr(_quad, "FREEZE", 0.0)
+    (full, _), full_nodes, full_stops = _disk_run(1, cfg)
+    assert stops[0] == 0 and all(stops[1:]) and not any(full_stops)
+    assert abs(got - full) <= err
+    assert nodes < full_nodes
+
+
+def test_no_ring_below_an_inner_target_is_frozen(monkeypatch):
+    # case 2's target at 0.05 lies under the light rings: it holds every
+    # level's walk above it, so nothing is frozen and the integral is the one
+    # without the freeze, bit for bit; without the target the level-1 frozen
+    # block reaches past it
+    cfg = QuadConfig(rel_tol=1e-6, order=6, max_refine=6)
+    got, nodes, stops = _disk_run(2, cfg)
+    assert not any(stops)
+    _, _, free_stops = _disk_run(2, cfg, inner=())
+    assert halve_edges(_RING_CASES[2][2])[free_stops[1]] > 0.05
+    monkeypatch.setattr(_quad, "FREEZE", 0.0)
+    assert _disk_run(2, cfg)[:2] == (got, nodes)

@@ -702,6 +702,10 @@ _SPLIT_POINTS = st.lists(
     points=[(0.0, 0.0)] * 8 + [(0.0, 0.5), (0.25, 0.2696110836534924)],
     s=0.5, far_tol=FAR_TOL, chunks=[0] * 9 + [1] * 31,
 )
+@example(  # a point on the set, whose own terms of F' meet as inf - inf
+    points=[(0.0, 0.0), (-6.88588512685584e-212, 0.0)],
+    s=1.0, far_tol=None, chunks=[0, 1] + [0] * 38,
+)
 @given(
     points=_SPLIT_POINTS,
     s=st.sampled_from([0.5, 1.0]),
