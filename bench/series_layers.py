@@ -10,12 +10,15 @@ contour derivatives in µs per derivative.
 Times `decay_exponent_many` (F) on POINTS points, seeded by SEED, in the
 half-disk of radius R_2 about the boundary point 0 (the E1 ladder's first
 rung, s = 0.5), for max_gen 12, 16 and 20, far_tol POINT_FAR_TOL and
-FAR_TOL, with and without F'; `log_cosine_product_many` (the cosine product
-G, which shares F's walk) on the same points and max_gens, with and without
-G'/G; `logcomplex.neg_power` on 8,192-element arrays; and `derivative` of
-`decay_factor` and `branched_product` (s = 0.5, max_gen 8, as in perfbench's
-`pointwise`) at CONTOUR_PROBES, orders 1-3 asked for one at a time at each
-probe, with the evaluator calls and nodes they take.  Each time is the
+FAR_TOL, with and without F', and the same rows at s = 0.75 (max_gen 16,
+in that set's own R_2 half-disk); F with F' at max_gen 20 over the opening
+ratios SWEEP, the trade of pairs per point against the far-field order;
+`log_cosine_product_many` (the cosine product G, which shares F's walk at
+its own opening ratio _COSINE_FAR_TOL) on the s = 0.5 points and max_gens,
+with and without G'/G; `logcomplex.neg_power` on 8,192-element arrays; and
+`derivative` of `decay_factor` and `branched_product` (s = 0.5, max_gen 8,
+as in perfbench's `pointwise`) at CONTOUR_PROBES, orders 1-3 asked for one
+at a time at each probe, with the evaluator calls and nodes they take.  Each time is the
 best of REPEATS calls after one warm-up call, in reference seconds as in
 perfbench (perfbench/speed.py: wall time scaled by the host's speed, which a
 fixed probe samples while the call runs).  Beside the times it records
@@ -24,8 +27,9 @@ near pairs, and the answers (sums of F and F' or of log|G| and G'/G,
 largest bound, derivatives and their error figures), so a speed-up that
 moves an answer shows at once.  --out merges the entry into a JSON file
 under --label, so two checkouts measured on one machine sit side by side.
---quick (max_gen 12, 200 points, 2 repeats; the contour layer whole) only
-checks that the script still runs.
+--quick (max_gen 12 for the s = 0.5 rows, 200 points, 2 repeats; the
+s = 0.75 rows, the sweep and the contour layer whole) only checks that the
+script still runs.
 """
 
 from __future__ import annotations
@@ -41,17 +45,23 @@ POINTS = 2240
 SEED = 0
 REPEATS = 9
 MAX_GENS = (12, 16, 20)
+# F rows at s = 0.75: (s, max_gen)
+OTHER_S = ((0.75, 16),)
+# opening ratios of the far_tol sweep (F with F', s = 0.5, max_gen SWEEP_GEN)
+SWEEP = (0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
+SWEEP_GEN = 20
 # contour centres in perfbench pointwise's probe box (Re 0.6-1.2, |Im| <= 0.4)
 CONTOUR_PROBES = (0.9 + 0.1j, 0.7 - 0.3j, 1.1 + 0.35j)
 CONTOUR_GEN = 8
 
 
-def _points(n: int, seed: int) -> np.ndarray:
-    """n seeded points, uniform in the right half-disk of radius R_2 about 0."""
+def _points(n: int, seed: int, s: float = 0.5) -> np.ndarray:
+    """n seeded points, uniform in the right half-disk of radius R_2 about 0
+    (R_2 of the set with ratio parameter s)."""
     from branchpoint_lab.frequency import gap_centered_radii
 
     rng = np.random.default_rng(seed)
-    r = gap_centered_radii(0.5, 2) * np.sqrt(rng.uniform(0.0, 1.0, n))
+    r = gap_centered_radii(s, 2) * np.sqrt(rng.uniform(0.0, 1.0, n))
     return r * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
 
 
@@ -133,12 +143,12 @@ def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dic
     from branchpoint_lab.logcomplex import neg_power
 
     zs = _points(n_points, SEED)
-    rows = []
+    rows, sweep = [], []
 
-    def row(run, answers, **key):
+    def row(out, zs, run, answers, **key):
         best = _best(run, repeats, sampler)
         counts = _walk_counts(series, run)
-        rows.append({
+        out.append({
             **key,
             "us_per_point": round(1e6 * best / zs.size, 4),
             "pairs_per_point": round((counts["far"] + counts["near"]) / zs.size, 4),
@@ -146,22 +156,36 @@ def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dic
             **answers(run()),
         })
 
+    def f_row(out, s, max_gen, zs, tol, with_deriv, **key):
+        params = SeriesParams(s=s, max_gen=max_gen)
+        cs = CantorSet.build(s, max_gen)
+        row(out, zs,
+            lambda: series.decay_exponent_many(
+                params, cs, zs, with_deriv=with_deriv, far_tol=tol),
+            lambda out: dict(zip(("sum_F", "sum_Fp"), _sums(*out[:2])),
+                             ferr_max=float(out[2].max())),
+            function="F", s=s, max_gen=max_gen, with_deriv=with_deriv, **key)
+
+    cases = [(0.5, max_gen, zs) for max_gen in max_gens]
+    cases += [(s, max_gen, _points(n_points, SEED, s)) for s, max_gen in OTHER_S]
+    for s, max_gen, pts in cases:
+        for tol_name in ("POINT_FAR_TOL", "FAR_TOL"):
+            for with_deriv in (False, True):
+                f_row(rows, s, max_gen, pts, getattr(series, tol_name), with_deriv,
+                      far_tol=tol_name)
     for max_gen in max_gens:
         params = SeriesParams(s=0.5, max_gen=max_gen)
         cs = CantorSet.build(0.5, max_gen)
-        for tol_name in ("POINT_FAR_TOL", "FAR_TOL"):
-            far_tol = getattr(series, tol_name)
-            for with_deriv in (False, True):
-                row(lambda: series.decay_exponent_many(
-                        params, cs, zs, with_deriv=with_deriv, far_tol=far_tol),
-                    lambda out: dict(zip(("sum_F", "sum_Fp"), _sums(*out[:2])),
-                                     ferr_max=float(out[2].max())),
-                    function="F", max_gen=max_gen, far_tol=tol_name, with_deriv=with_deriv)
         for with_deriv in (False, True):
-            row(lambda: series.log_cosine_product_many(params, cs, zs, with_deriv=with_deriv),
+            row(rows, zs,
+                lambda: series.log_cosine_product_many(params, cs, zs, with_deriv=with_deriv),
                 lambda out: dict(zip(("sum_log_abs", "sum_dlog"), _sums(out[0], out[3])),
                                  rem_max=float(out[4].max())),
-                function="G", max_gen=max_gen, far_tol="FAR_TOL", with_deriv=with_deriv)
+                function="G", s=0.5, max_gen=max_gen, far_tol="_COSINE_FAR_TOL",
+                with_deriv=with_deriv)
+    for far_tol in SWEEP:
+        f_row(sweep, 0.5, SWEEP_GEN, zs, far_tol, True, far_tol=far_tol,
+              order=series.expansion_order(far_tol, SeriesParams(s=0.5).alpha))
     rng = np.random.default_rng(SEED)
     lr = rng.uniform(-20.0, 20.0, 8192)
     th = rng.uniform(-math.pi, math.pi, 8192)
@@ -171,7 +195,7 @@ def measure(max_gens, n_points: int, repeats: int, sampler: SpeedSampler) -> dic
         power[str(alpha)] = round(1e9 * best / lr.size, 3)
     return {
         "points": zs.size, "seed": SEED, "repeats": repeats,
-        "series": rows, "neg_power_ns_per_element": power,
+        "series": rows, "far_tol_sweep": sweep, "neg_power_ns_per_element": power,
         "contour": measure_contour(repeats, sampler),
     }
 
@@ -183,4 +207,5 @@ def run(quick: bool, sampler: SpeedSampler) -> dict:
 
 
 if __name__ == "__main__":
-    sys.exit(harness.main(__doc__, "max_gen 12 only, 200 points, 2 repeats", run))
+    sys.exit(harness.main(__doc__, "max_gen 12 for the s = 0.5 rows, 200 points, 2 repeats",
+                          run))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,9 +38,11 @@ _PAIR_BLOCK = 8192
 # many and its peak memory stays that of one block.
 _POINT_BLOCK = 8192
 
-# Default opening ratio of the array-valued base functions (SeriesFactor,
-# SeriesProduct, RealPartTarget); the far-field order rises to match it.
-FAR_TOL = 0.25
+# Default opening ratio of F's walk in the array-valued base functions
+# (SeriesFactor, SeriesProduct, RealPartTarget); the far-field order rises to
+# match it (p = 17 at a = 0.75), and fewer pairs are opened than at 0.25
+# (see decay_exponent_many).
+FAR_TOL = 0.4
 # Opening ratio of the point path (evaluate_many and the one-point wrappers
 # over it); see decay_exponent_many for why it stays at the two-term setting.
 POINT_FAR_TOL = 3e-4
@@ -47,11 +50,13 @@ POINT_FAR_TOL = 3e-4
 # subtree's weight, that sets the expansion order p.
 _ORDER_TARGET = 1e-7
 _MAX_ORDER = 40
-# Chebyshev proxies per far subtree of the cosine product, and the reach of
-# their Bernstein ellipse as a share of the distance to the subtree: at the
-# far test's bound, rho = 6 + sqrt(37), the remainder per endpoint is below
-# 1e-13 M (see _proxy_remainder).
+# Chebyshev proxies per far subtree of the cosine product, the opening ratio
+# of its walk (see log_cosine_product_many for why it is not FAR_TOL), and
+# the reach of their Bernstein ellipse as a share of the distance to the
+# subtree: at the far test's bound, rho = 6 + sqrt(37), the remainder per
+# endpoint is below 1e-13 M (see _proxy_remainder).
 _PROXIES = 13
+_COSINE_FAR_TOL = 0.25
 _ELLIPSE_REACH = 0.75
 # A proxy sums the generations with b_k |log w| <= _POLY_CAP in one polynomial
 # of _POLY_TERMS terms in (log w)^2, truncated by at most 1.5e-20 at the cap.
@@ -436,10 +441,15 @@ def decay_exponent_many(
 
     Order: p is the smallest p >= 2 with |C(-a, p)| far_tol^p <= 1e-7, a
     the largest exponent in use.  At far_tol = 3e-4 that is p = 2 for every
-    a <= 1; at the base functions' default far_tol = 0.25 (FAR_TOL) and
-    a = 0.75 it is p = 12.  The opening ratio can so widen from 3e-4 to
-    0.25 at the same accuracy, and the walk visits O(max_gen) pairs per
-    point instead of O(max_gen / sqrt(far_tol)).
+    a <= 1; at the base functions' default far_tol = 0.4 (FAR_TOL) and
+    a = 0.75 it is p = 17.  The opening ratio can so widen from 3e-4 to
+    0.4 at the same accuracy, and the walk visits O(max_gen) pairs per
+    point instead of O(max_gen / sqrt(far_tol)).  A wider ratio trades
+    more terms per far pair for fewer pairs: with lengths shrinking by 1/4
+    per generation, 0.25 (p = 12) opens a pair 2.5 to 4 lengths away into
+    a near pair and two far children, where 0.4 keeps one far pair (12.8
+    against 20.4 pairs per point on the E1 ladder).  far_tol must be None
+    or lie in (0, 1); anything else raises ValidationError.
 
     Remainder: each collapsed subtree adds C0[j] |C(-a, p)| len_j^p
     max(1, 1/d)^(a+p) to the point's bound, d the distance to the
@@ -463,6 +473,8 @@ def decay_exponent_many(
     An AnchoredPoint is summed directly, with no far field, as with
     far_tol None.
     """
+    if far_tol is not None and not (isinstance(far_tol, numbers.Real) and 0.0 < far_tol < 1.0):
+        raise ValidationError(f"far_tol must be None or a number in (0, 1), got {far_tol!r}")
     anchored = isinstance(zs, AnchoredPoint)
     if not anchored:
         zs = np.ascontiguousarray(np.asarray(zs, dtype=complex).ravel())
@@ -693,8 +705,12 @@ def log_cosine_product_many(
     -b_k tan(b_k log w) / w over the shifts w = z + i*y.  The remainder
     bounds the proxies' error in log G (both parts), not in G'/G.
 
-    Array input takes the tree walk of `decay_exponent_many` at FAR_TOL, in
-    its point blocks.  Near pairs add their own generation-j term exactly.
+    Array input takes the tree walk of `decay_exponent_many`, in its point
+    blocks, at its own opening ratio 0.25 (_COSINE_FAR_TOL), not F's
+    FAR_TOL: the proxies' order is fixed, so the ratio sets the accuracy of
+    G'/G, which the remainder does not bound (at 0.4 G'/G misses 1e-14 of
+    the sum of its terms' magnitudes).  Near pairs add their own
+    generation-j term exactly.
     A far subtree becomes p = _PROXIES Chebyshev proxies w_i on its interval
     (`_proxy_table`): its generation-k endpoints sum as
     sum_i W[j, k, i] log cos(b_k log w_i), and the same weights give arg G
@@ -745,7 +761,7 @@ def _cosine_sum(
     tau, W = _proxy_table(params, p)
     T, A = _poly_table(params, p, _POLY_TERMS)
     m1 = np.arange(1.0, _POLY_TERMS + 1.0)[:, None, None]  # m + 1 of P'(x)'s T[m + 1]
-    for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, FAR_TOL):
+    for j, len_j, idx, wr, wi, lr, th, d2, far in _tree_walk(params, cs, zs, _COSINE_FAR_TOL):
         ks = np.arange(max(j, 1), K + 1)  # generations left to sum
         v_log = np.zeros(idx.size, dtype=complex)  # log cos, summed per pair
         v_dl = np.zeros(idx.size, dtype=complex) if with_deriv else None

@@ -102,7 +102,7 @@ def test_expansion_order_rule():
         assert expansion_order(POINT_FAR_TOL, a) == 2
         orders = [expansion_order(t, a) for t in np.geomspace(1e-5, 0.9, 60)]
         assert orders == sorted(orders)
-    assert expansion_order(FAR_TOL, 0.75) == 12
+    assert expansion_order(FAR_TOL, 0.75) == 17
 
 
 @pytest.mark.parametrize("s,max_gen", [(0.5, 16), (0.75, 14), (1.0, 12)])
@@ -599,6 +599,20 @@ def test_tree_walk_keeps_to_the_ladder_budget():
     assert peak < 6.5 * 2**20
 
 
+def test_tree_walk_keeps_to_the_pair_budget():
+    """F's walk at FAR_TOL on the layer bench's 2,240 seeded points in the
+    R_2 half-disk (s = 0.5, max_gen 20) visits at most 9 pairs per point:
+    8.04 at FAR_TOL = 0.4 (p = 17), 11.48 at 0.25 (p = 12)."""
+    params = SeriesParams(s=0.5, max_gen=20)
+    cs = CantorSet.build(0.5, 20)
+    rng = np.random.default_rng(0)
+    n = 2240
+    r = gap_centered_radii(0.5, 2) * np.sqrt(rng.uniform(0.0, 1.0, n))
+    zs = r * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n))
+    pairs = sum(far.size for *_, far in series._tree_walk(params, cs, zs, FAR_TOL))
+    assert pairs <= 9 * n
+
+
 def test_large_calls_walk_their_points_in_blocks():
     """F and G on 2.5 point blocks (_POINT_BLOCK) give the answers of calls
     on a split that does not follow the blocks, bit for bit, and peak at
@@ -684,6 +698,19 @@ def test_series_rejects_a_set_of_another_s():
         cosine_product(params, cs, z)
 
 
+@pytest.mark.parametrize("far_tol", [0.0, -0.25, math.inf, math.nan, 1.0, "0.25"])
+def test_series_rejects_an_opening_ratio_outside_0_1(far_tol):
+    """Rejected before any walk.  Unchecked, 0 raised ZeroDivisionError in
+    the far test, a negative ratio stopped the order at p = 3 (F off by
+    3e-5), inf put F off by a factor of 1e48, and NaN silently took the
+    direct sums."""
+    params = SeriesParams(s=0.5, max_gen=10)
+    cs = CantorSet.build(0.5, 10)
+    zs = np.array([0.05 + 0.01j, 0.3 - 0.2j])
+    with pytest.raises(ValidationError, match="far_tol"):
+        decay_exponent_many(params, cs, zs, with_deriv=True, far_tol=far_tol)
+
+
 _SPLIT_POINTS = st.lists(
     st.one_of(
         # anywhere around the set, left of the axis included
@@ -751,8 +778,8 @@ def test_batching_does_not_change_results(points, s, far_tol, chunks):
 def test_loop_integral_of_the_derivative_vanishes(s, max_gen, center, r):
     """(1/2 pi i) of the loop integral of F' dz is 0 for the exact F' on a
     circle clear of the set: a check of F' that needs no reference value.
-    Trapezoid rule on 512 nodes; the far field leaves at most 2.2e-10, the
-    direct sum rounding only."""
+    Trapezoid rule on 512 nodes; the far field leaves at most 4.3e-10 (at
+    FAR_TOL), the direct sum rounding only."""
     params = SeriesParams(s=s, max_gen=max_gen)
     cs = CantorSet.build(s, max_gen)
     e = np.exp(2j * np.pi * np.arange(512) / 512)
