@@ -49,11 +49,11 @@ the arc, full circles all: the two polynomial ladders of `anchor_quad` (Q =
 2, 8 rungs each, through `frequency_curve`) and the branch-point samples of
 the `SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
 0.01294, r/4 and r/16).  Each row records the time, the integrand nodes
-and calls of the quadratures that `frequency` makes (`log_line_integral`,
-and `log_ring_integral` on a checkout that has it, wrapped where the
-module calls them), the level at which H and D each stop (from their
-one-part integrals, `log_boundary_mass` and `log_dirichlet_energy`) and
-the answers: I, its error, log H and log D.
+and calls of the line integrals that `frequency` makes
+(`log_line_integral`, wrapped where the module calls it, on rings and
+panels alike), the level at which H and D each stop (from their one-part
+integrals, `log_boundary_mass` and `log_dirichlet_energy`) and the
+answers: I, its error, log H and log D.
 """
 
 from __future__ import annotations
@@ -159,15 +159,13 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
 
 
 class LineCount:
-    """Integrand nodes and calls of the line and ring integrals a module
-    makes (one integrand call per level in either), and the calls of each
-    integral in `levels`."""
+    """Integrand nodes and calls of the line integrals a module makes (one
+    integrand call per level, on rings and panels alike), and the calls of
+    each integral in `levels`."""
 
     def __init__(self, freq):
         self.clear()
-        for name in ("log_line_integral", "log_ring_integral"):
-            if hasattr(freq, name):
-                setattr(freq, name, self._counted(getattr(freq, name)))
+        freq.log_line_integral = self._counted(freq.log_line_integral)
 
     def _counted(self, integral):
         def counted(L_fn, *args, **kwargs):

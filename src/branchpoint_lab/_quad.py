@@ -6,16 +6,15 @@ double.  Lines and disks take Gauss-Legendre panels, seeded geometrically
 toward integrable singularities and exponential boundary layers (with an
 optional decay-rate hint); the whole mesh is halved until two successive
 estimates agree, except for a disk's innermost rings once they carry under
-FREEZE * rel_tol of its mass, which keep their last values.  A full circle
-whose integrand is analytic in a strip about it takes the periodic
-trapezoid rule on nested equispaced rings instead, doubling the node count
-until two successive rings agree.
+FREEZE * rel_tol of its mass, which keep their last values.  The line
+integral also takes a full circle whose integrand is analytic in a strip
+about it, by the periodic trapezoid rule on nested equispaced rings,
+doubling the node count until two successive rings agree.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +26,7 @@ from .errors import ConvergenceError, ValidationError
 
 # The smallest geometric panel as a share of its span; the log gap below the
 # running total at which inner radial panels of a disk integral count as
-# negligible; the node budget of one level of a line or ring integral.
+# negligible; the node budget of one level of a line integral.
 MIN_FRAC = 1e-8
 DROP = 45.0
 MAX_NODES = 2**16
@@ -247,8 +246,8 @@ def _refine(
 
     `level_fn(level, edges)` evaluates the level-th mesh and returns
     `estimate(i)`, the log-integral of part i on it; only the parts still
-    open are asked.  With edges None (a rule that is not a panel mesh, as
-    the rings of `log_ring_integral`) the level alone sets the nodes.
+    open are asked.  With edges None (the rings of `log_line_integral`)
+    the level alone sets the nodes.
     cfgs[i] holds part i's rel_tol and max_refine, or is None for a part
     that drives nothing: it is asked on every level the others take and
     gets the last one's estimate, with the last change as its error.
@@ -292,23 +291,6 @@ def _passed(part: tuple[float, float] | ConvergenceError) -> tuple[float, float]
     return part
 
 
-def _over_cap(kind: str, cfgs: Sequence[QuadConfig | None]) -> Callable[[int], float]:
-    """The estimate of a level past MAX_NODES: it raises for every part."""
-    def over(i: int) -> float:
-        raise ConvergenceError(
-            f"{kind} quadrature exceeded {MAX_NODES} nodes without "
-            f"meeting rel_tol {(cfgs[i] or cfgs[0]).rel_tol}"
-        )
-    return over
-
-
-def _floored(parts: list, floors: Sequence[float]) -> list:
-    """`_refine`'s parts, each passed part's log-error raised to the rounding
-    floor of the level it ended on."""
-    return [p if isinstance(p, ConvergenceError) else (p[0], max(p[1], floor))
-            for p, floor in zip(parts, floors)]
-
-
 def log_difference(lp: float, ln: float) -> tuple[float, float]:
     """log(P - N) from lp = log P and ln = log N, with the factor
     (P + N) / (P - N) by which the difference amplifies the relative errors
@@ -321,59 +303,6 @@ def log_difference(lp: float, ln: float) -> tuple[float, float]:
         )
     x = math.exp(ln - lp)
     return lp + math.log1p(-x), (1.0 + x) / (1.0 - x)
-
-
-def log_line_integral(
-    L_fn: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    cfg: QuadConfig | Sequence[QuadConfig | None],
-    *,
-    signed: bool | Sequence[bool] = False,
-) -> tuple[float, float] | list[tuple[float, float] | ConvergenceError]:
-    """Adaptive log-space integral of exp(L) over a 1-d panel mesh.
-
-    With `signed`, L_fn returns (log|f|, f < 0) and each level sums the
-    positive and the negative node terms apart, as log(P - N); the
-    log-error is then never below the rounding floor 2^-52 (P + N) / (P - N).
-    Returns (log of the integral, log-error estimate from the last halving).
-
-    Several parts share one mesh when `cfg` is a sequence, one config per
-    part (the first QuadConfig among them sets the order all parts take;
-    None: a part that drives nothing, see `_refine`), and `signed` one flag per
-    part: L_fn then returns one value per part, and the result is
-    `_refine`'s list.  The mesh is halved until every part has passed its
-    own test, and each part ends on the level where it passed, so it
-    equals its one-part integral bit for bit.
-    """
-    one = isinstance(cfg, QuadConfig)
-    cfgs = [cfg] if one else list(cfg)
-    signs = [signed] if one else list(signed)
-    order = next(c for c in cfgs if c is not None).order
-    floors = [0.0] * len(cfgs)
-
-    def level_fn(level: int, edges: np.ndarray) -> Callable[[int], float]:
-        if (edges.size - 1) * order > MAX_NODES:
-            return _over_cap("line", cfgs)
-        nodes, logw = panel_nodes(edges, order)
-        vals = L_fn(nodes)
-        if one:
-            vals = (vals,)
-
-        def estimate(i: int) -> float:
-            if not signs[i]:
-                with np.errstate(invalid="ignore"):
-                    return _lse(vals[i] + logw)
-            la, neg = vals[i]
-            with np.errstate(invalid="ignore"):
-                v = la + logw
-            out, amp = log_difference(_lse(v[~neg]), _lse(v[neg]))
-            floors[i] = 2.0**-52 * amp if out > -math.inf else 0.0
-            return out
-
-        return estimate
-
-    parts = _floored(_refine(level_fn, edges, cfgs, "line"), floors)
-    return _passed(parts[0]) if one else parts
 
 
 class Ring:
@@ -409,64 +338,84 @@ class Ring:
         return np.ascontiguousarray(vals[..., :: vals.shape[-1] // n])
 
 
-def log_ring_integral(
-    L_fn: Callable[[np.ndarray], Sequence],
-    n0: int,
-    cfgs: Sequence[QuadConfig | None],
-    signed: Sequence[bool],
-) -> list[tuple[float, float] | ConvergenceError]:
-    """Log-space integrals of exp(L) over a period [0, 2 pi), several parts
-    at once, by the trapezoid rule on nested rings of n0, 2 n0, 4 n0, ...
-    equispaced nodes (`Ring`).
+def log_line_integral(
+    L_fn: Callable[[np.ndarray], np.ndarray],
+    mesh: np.ndarray | int,
+    cfg: QuadConfig | Sequence[QuadConfig | None],
+    *,
+    signed: bool | Sequence[bool] = False,
+) -> tuple[float, float] | list[tuple[float, float] | ConvergenceError]:
+    """Adaptive log-space integral of exp(L) over a 1-d mesh.
 
-    L_fn maps an array of angles to one value per part, (log|f|, f < 0) for
-    a signed part, as `log_line_integral`'s; each level calls it once, on
-    the new odd-indexed nodes only.  The parts refine and end as in
-    `_refine`, so each equals its one-part integral bit for bit; a level
-    past MAX_NODES raises ConvergenceError.  For an integrand analytic in
-    the strip |Im theta| < a the rule converges like e^(-a n), so the last
-    doubling's step, the reported log-error estimate, overstates the error
-    of the finer ring.  It is never below the rounding floor 2^-52 amp
-    (|log v| + log n + 4) of the n-node sum, amp the factor by which a
-    signed part's difference amplifies its terms' errors (1 unsigned), and
-    0 for log v = -inf.
+    `mesh` is either the edges of Gauss-Legendre panels, halved each level,
+    or n0, for the trapezoid rule on the period [0, 2 pi) on nested rings of
+    n0, 2 n0, 4 n0, ... equispaced nodes (`Ring`), whose levels call L_fn
+    on the new odd-indexed nodes only.  For an integrand analytic in the
+    strip |Im theta| < a the rings converge like e^(-a n), so the last
+    doubling's step overstates the error of the finer ring.
+
+    With `signed`, L_fn returns (log|f|, f < 0) and each level sums the
+    positive and the negative node terms apart, as log(P - N).  Returns
+    (log v of the integral v, log-error estimate): the last level's change,
+    never below the rounding floor 2^-52 amp (|log v| + log n + 4) of the
+    n-node sum, amp the factor (P + N) / (P - N) by which a signed part's
+    difference amplifies its terms' errors (1 unsigned), and 0 for log v =
+    -inf.  A level past MAX_NODES nodes raises ConvergenceError.
+
+    Several parts share one mesh when `cfg` is a sequence, one config per
+    part (the first QuadConfig among them sets the order all parts take;
+    None: a part that drives nothing, see `_refine`), and `signed` one flag per
+    part: L_fn then returns one value per part, and the result is
+    `_refine`'s list.  The mesh is refined until every part has passed its
+    own test, and each part ends on the level where it passed, so it
+    equals its one-part integral bit for bit.
     """
-    # part i's rows start at row at[i]; a signed part takes two
-    at = list(itertools.accumulate((1 + s for s in signed), initial=0))
-
-    def columns(thetas: np.ndarray) -> np.ndarray:
-        # a signed part as two rows: the logs of its positive and of its
-        # negative node values, -inf elsewhere
-        out = []
-        for v, s in zip(L_fn(thetas), signed):
-            if s:
-                la, neg = v
-                out += [np.where(neg, -np.inf, la), np.where(neg, la, -np.inf)]
-            else:
-                out.append(v)
-        return np.stack(out)
-
-    ring = Ring(columns)
+    one = isinstance(cfg, QuadConfig)
+    cfgs = [cfg] if one else list(cfg)
+    signs = [signed] if one else list(signed)
+    order = next(c for c in cfgs if c is not None).order
     floors = [0.0] * len(cfgs)
 
-    def level_fn(level: int, _: None) -> Callable[[int], float]:
-        n = n0 << level
+    def parts(x: np.ndarray) -> Sequence:
+        vals = L_fn(x)
+        return (vals,) if one else vals
+
+    ring = None
+    if np.ndim(mesh) == 0:
+        ring = Ring(lambda th: np.stack([row for v, s in zip(parts(th), signs)
+                                         for row in (v if s else (v,))]))
+
+    def level_fn(level: int, edges: np.ndarray | None) -> Callable[[int], float]:
+        n = (edges.size - 1) * order if ring is None else mesh << level
         if n > MAX_NODES:
-            return _over_cap("ring", cfgs)
-        vals = ring.values(n)
-        logw = math.log(2.0 * math.pi / n)
+            def over(i: int) -> float:
+                raise ConvergenceError(f"line quadrature exceeded {MAX_NODES} nodes without "
+                                       f"meeting rel_tol {(cfgs[i] or cfgs[0]).rel_tol}")
+            return over
+        if ring is None:
+            nodes, logw = panel_nodes(edges, order)
+            vals = parts(nodes)
+        else:
+            # one row per unsigned part, two (log|f|, f < 0) per signed one
+            rows = iter(ring.values(n))
+            vals = [(next(rows), next(rows) != 0.0) if s else next(rows) for s in signs]
+            logw = math.log(2.0 * math.pi / n)
 
         def estimate(i: int) -> float:
-            sums = [_lse(v) for v in vals[at[i] : at[i + 1]]]
-            log_v, amp = log_difference(*sums) if signed[i] else (sums[0], 1.0)
-            log_v += logw
-            floors[i] = (2.0**-52 * amp * (abs(log_v) + math.log(n) + 4.0)
-                         if log_v > -math.inf else 0.0)
-            return log_v
+            if signs[i]:
+                la, neg = vals[i]
+                v = la + logw
+                out, amp = log_difference(_lse(v[~neg]), _lse(v[neg]))
+            else:
+                out, amp = _lse(vals[i] + logw), 1.0
+            floors[i] = 2.0**-52 * amp * (abs(out) + math.log(n) + 4.0) if out > -math.inf else 0.0
+            return out
 
         return estimate
 
-    return _floored(_refine(level_fn, None, cfgs, "ring"), floors)
+    out = [p if isinstance(p, ConvergenceError) else (p[0], max(p[1], floor)) for p, floor
+           in zip(_refine(level_fn, mesh if ring is None else None, cfgs, "line"), floors)]
+    return _passed(out[0]) if one else out
 
 
 def _disk_level(

@@ -3,11 +3,12 @@
 The Q-valued minimizer u(z) = sum of the Q-th roots of h(z) has closed-form
 energy and mass densities: |Du|^2 = (2/Q)|h|^(2/Q - 2)|h'|^2 and
 |u|^2 = Q|h|^(2/Q).  Both are integrated in log space (via the shared
-quadrature: nested trapezoid rings on full circles, Gauss panels elsewhere)
-so the frequency ratio I = D/H stays computable even when D and H
-individually underflow near the boundary set.  On the plane D is taken on
-the arc of H, by Green's identity, and on a half-disk that crosses the
-imaginary axis on that arc and the chord on the axis.
+quadrature, whose one line integral takes nested trapezoid rings on full
+circles and Gauss panels on arcs and chords) so the frequency ratio I = D/H
+stays computable even when D and H individually underflow near the
+boundary set.  On the plane D is taken on the arc of H, by Green's
+identity, and on a half-disk that crosses the imaginary axis on that arc
+and the chord on the axis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from ._quad import DROP, MAX_NODES, MIN_FRAC, QuadConfig, log_difference, log_disk_integral
-from ._quad import Arcs, _passed, log_line_integral, log_ring_integral, refined_breakpoints
+from ._quad import Arcs, _passed, log_line_integral, refined_breakpoints
 from ._quad import refined_panels
 from .cantor import CantorSet, IntervalIndex
 from .errors import ConvergenceError, DegenerateMassError, ValidationError
@@ -585,10 +586,10 @@ def _log_arc_pass(
 ) -> dict:
     """The arc integrals of H and D, on one set of nodes on the arc of radius
     r with one call of h per level: the parts of one quadrature by name,
-    each its own one-part integral under its config, bit for bit.  A full
-    circle takes `log_ring_integral` on nested rings from `_first_ring`'s
-    node count; a clipped arc, or a circle with a zero of h on or at it,
-    `log_line_integral` on the Gauss panels of `_arc_mesh`.
+    each its own one-part integral under its config, bit for bit, from one
+    `log_line_integral`: on a full circle its nested rings from
+    `_first_ring`'s node count; on a clipped arc, or a circle with a zero of
+    h on or at it, the Gauss panels of `_arc_mesh`.
 
     "H" (with cfg_H) is H.  "D" (with cfg_D, unless `form` is "disk") is
     the signed arc integral of |h|^(2/Q) phi: D on the "arc" form, the
@@ -621,12 +622,8 @@ def _log_arc_pass(
         return (*H, D, (D[0], ~D[1])) if "-D" in cfgs else (*H, D)
 
     signed = [k in ("D", "-D") for k in cfgs]
-    n0 = _first_ring(spec, center, r)
-    if n0 is None:
-        parts = log_line_integral(L, _arc_mesh(spec, center, r), list(cfgs.values()),
-                                  signed=signed)
-    else:
-        parts = log_ring_integral(L, n0, list(cfgs.values()), signed)
+    parts = log_line_integral(L, _first_ring(spec, center, r) or _arc_mesh(spec, center, r),
+                              list(cfgs.values()), signed=signed)
     return dict(zip(cfgs, parts))
 
 
@@ -767,8 +764,8 @@ def frequency(
 
     H and D's arc parts come from one arc pass (`_log_arc_pass`), as in
     those two calls, and `_log_D` forms D, so both are theirs bit for bit:
-    on a full circle from nested rings of the periodic trapezoid rule, on
-    a clipped arc from Gauss panels.
+    one `log_line_integral`, on a full circle by nested rings of the
+    periodic trapezoid rule, on a clipped arc by Gauss panels.
     Where D is an arc integral the pass also gives C, and the sample
     carries the slope I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and
     D' = (2/(Q r)) C; I' is NaN on the chord and disk forms.

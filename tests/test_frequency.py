@@ -549,7 +549,7 @@ def _counted(monkeypatch, name: str, calls: list) -> None:
 def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r, cfg):
     """`frequency` takes H and D's arc part from one arc pass, whose
     integrand calls log_h (with h') once per level: on a full circle one
-    ring integral on nested rings, each level on the new nodes only; on a
+    line integral on nested rings, each level on the new nodes only; on a
     clipped arc one panel mesh and one line integral.  Its H and D are
     `log_boundary_mass` and `log_dirichlet_energy` bit for bit, under their
     own defaults or one given config."""
@@ -566,8 +566,7 @@ def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r,
     calls, meshes = [], []
     arc_mesh = _FREQ._arc_mesh
     monkeypatch.setattr(_FREQ, "_arc_mesh", lambda *a: meshes.append(a) or arc_mesh(*a))
-    for name in ("log_ring_integral", "log_line_integral"):
-        _counted(monkeypatch, name, calls)
+    _counted(monkeypatch, "log_line_integral", calls)
     fs = frequency(spec, center, r, cfg, log_scale=True)
     assert (fs.log_H, fs.log_D) == (H[0], D[0])
     assert fs.I == math.exp(D[0] - H[0])
@@ -579,7 +578,7 @@ def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r,
         assert math.isnan(fs.dI_dr)
         return
     # the first ring, then the new half of each doubling
-    assert name == "log_ring_integral" and meshes == [] and chord == []
+    assert name == "log_line_integral" and meshes == [] and chord == []
     assert sizes == [n0] + [n0 << k for k in range(len(sizes) - 1)]
     assert math.isfinite(fs.dI_dr) and fs.dI_dr_error >= 0.0
 
@@ -609,8 +608,8 @@ def test_mass_checks_come_before_the_energy_s_convergence_error(monkeypatch, par
     """From one arc pass, H's errors and checks are raised first, in the
     order of the separate integrals: H's ConvergenceError, then the vanishing
     or underflowing H, and only then D's ConvergenceError.  On the full
-    circle the pass is one ring integral of H, D and C."""
-    _assert_mass_checks_first(monkeypatch, "log_ring_integral",
+    circle the pass is one line integral of H, D and C on rings."""
+    _assert_mass_checks_first(monkeypatch, "log_line_integral",
                               MinimizerSpec(h=Monomial(P=1), Q=2), 0.5, parts, log_scale, raised)
 
 

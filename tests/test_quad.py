@@ -20,7 +20,6 @@ from branchpoint_lab._quad import (
     halve_edges,
     log_disk_integral,
     log_line_integral,
-    log_ring_integral,
     panel_nodes,
     refined_breakpoints,
     refined_panels,
@@ -353,11 +352,11 @@ def _von_mises(kappa):
 
 
 def test_ring_parts_are_their_one_part_integrals():
-    """Each part of a ring integral ends on the level where it passed, so it
-    is its one-part integral bit for bit; L_fn is called once per level, on
-    the new nodes only.  The answers match closed forms within the
-    reported errors: exp(kappa cos theta) far past the largest double, and
-    the signed integral of cos theta + 1/2, pi."""
+    """Each part of a line integral on rings ends on the level where it
+    passed, so it is its one-part integral bit for bit; L_fn is called once
+    per level, on the new nodes only.  The answers match closed forms
+    within the reported errors: exp(kappa cos theta) far past the largest
+    double, and the signed integral of cos theta + 1/2, pi."""
     parts = [_von_mises(3.0), _von_mises(2000.0)]
     signed = (lambda th: (np.log(np.abs(np.cos(th) + 0.5)), np.cos(th) + 0.5 < 0),
               math.log(math.pi))
@@ -368,31 +367,33 @@ def test_ring_parts_are_their_one_part_integrals():
         sizes.append(th.size)
         return [fn(th) for fn, _ in parts] + [signed[0](th)]
 
-    got = log_ring_integral(L, 16, [cfg, cfg, cfg], [False, False, True])
+    got = log_line_integral(L, 16, [cfg, cfg, cfg], signed=[False, False, True])
     assert sizes == [16] + [16 << k for k in range(len(sizes) - 1)] and len(sizes) > 2
     for part, (fn, want), s in zip(got, parts + [signed], [False, False, True]):
-        assert part == log_ring_integral(lambda th: [fn(th)], 16, [cfg], [s])[0]
+        assert part == log_line_integral(lambda th: [fn(th)], 16, [cfg], signed=[s])[0]
         assert abs(part[0] - want) <= part[1] <= 1e-12
 
 
 def test_ring_integral_reports_its_rounding_floor():
-    """A constant integrand agrees from the first doubling on; its error is
-    the rounding floor 2^-52 (|log v| + log n + 4), and 0 for an exact
-    zero."""
-    [(log_v, err), zero] = log_ring_integral(
-        lambda th: [np.full(th.size, 3.0), np.full(th.size, -math.inf)], 16,
-        [QuadConfig(), QuadConfig()], [False, False])
-    assert log_v == pytest.approx(3.0 + math.log(2.0 * math.pi), rel=1e-15)
-    assert err == 2.0**-52 * (abs(log_v) + math.log(32) + 4.0)
-    assert zero == (-math.inf, 0.0)
+    """A constant integrand agrees from the first refinement on, on rings
+    of 16 and 32 nodes and on Gauss panels of 48 and 96 alike; its error is
+    the rounding floor 2^-52 (|log v| + log n + 4) of the n-node sum, and 0
+    for an exact zero."""
+    for mesh, n in [(16, 32), (np.linspace(0.0, 2.0 * math.pi, 5), 96)]:
+        [(log_v, err), zero] = log_line_integral(
+            lambda th: [np.full(th.size, 3.0), np.full(th.size, -math.inf)], mesh,
+            [QuadConfig(), QuadConfig()], signed=[False, False])
+        assert log_v == pytest.approx(3.0 + math.log(2.0 * math.pi), rel=1e-15)
+        assert err == 2.0**-52 * (abs(log_v) + math.log(n) + 4.0)
+        assert zero == (-math.inf, 0.0)
 
 
 def test_ring_integral_stops_at_the_node_cap():
     # theta is not periodic, so the rings never agree to 1e-15; the ring
     # past MAX_NODES raises instead of sampling it
     calls = []
-    [part] = log_ring_integral(lambda th: calls.append(th.size) or [np.log1p(th)],
-                               MAX_NODES // 2, [QuadConfig(rel_tol=1e-15)], [False])
+    [part] = log_line_integral(lambda th: calls.append(th.size) or [np.log1p(th)],
+                               MAX_NODES // 2, [QuadConfig(rel_tol=1e-15)], signed=[False])
     assert isinstance(part, ConvergenceError) and f"{MAX_NODES} nodes" in str(part)
     assert calls == [MAX_NODES // 2, MAX_NODES // 2]
 

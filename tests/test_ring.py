@@ -3,8 +3,9 @@ quadrature.
 
 On a full circle H, D and C are integrals of periodic functions analytic in
 a strip about the circle, and `frequency` takes them from nested equispaced
-rings (`_quad.log_ring_integral`).  Their reported errors are estimates, the
-last doubling's step; here they must bound the deviation from an mpmath
+rings (`_quad.log_line_integral` given the first ring's node count).  Their
+reported errors are estimates, the last doubling's step or the rounding
+floor of the sum; here they must bound the deviation from an mpmath
 quadrature at 30 digits: on polynomials with every integrand evaluated in
 mpmath, and at a branch point of the branched product, whose integrand is
 the package's own (double precision, so the reference checks the quadrature
@@ -163,8 +164,10 @@ def test_a_zero_next_to_the_circle_sizes_the_first_ring():
     _assert_errors_bound(spec, center, r, *_mp_polynomial(coeffs, Q, center, r))
 
 
-# h = z - 1/4, Q = 3, r = 1/4 about 0, from the panels
-_PANEL_H = (2.1363615648509056, 4.440892098500626e-16)
+# h = z - 1/4, Q = 3, r = 1/4 about 0, from the panels; H's error is the
+# rounding floor 2^-52 (|log H| + log n + 4) of its 1,296-node sum, which
+# the panels share with the rings (its last step was 4.4e-16)
+_PANEL_H = (2.1363615648509056, 2.9539480732061754e-15)
 _PANEL_D = (0.3446020956228599, 5.329070518200751e-15)
 _PANEL_I = 0.16666666666666824
 
@@ -172,7 +175,7 @@ _PANEL_I = 0.16666666666666824
 def test_a_zero_on_the_circle_keeps_the_panels():
     """A zero on the circle leaves no strip: the arc pass takes the Gauss
     panels, and H, D and I are the panels' answers bit for bit (recorded
-    before the rings were added)."""
+    before the rings were added; H's error since raised to its floor)."""
     spec = MinimizerSpec(h=Polynomial(coeffs=(-0.25, 1.0)), Q=3)
     assert _FREQ._first_ring(spec, 0j, 0.25) is None
     assert log_boundary_mass(spec, 0j, 0.25) == _PANEL_H
