@@ -45,15 +45,19 @@ each of them stops, the integrand nodes of any disk integral (a checkout
 that still takes these D from the disk) and log D with its log-error.
 
 It also times arc samples of `frequency`, where H and D are integrals on
-the arc, full circles all: the two polynomial ladders of `anchor_quad` (Q =
-2, 8 rungs each, through `frequency_curve`) and the branch-point samples of
-the `SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
-0.01294, r/4 and r/16).  Each row records the time, the integrand nodes
-and calls of the line integrals that `frequency` makes
+the arc, full circles all, through `frequency_curve`: the two polynomial
+ladders of `anchor_quad` (Q = 2, 8 rungs each), the branch-point samples
+of the `SeriesProduct` (s = 0.5, max_gen 12, Q = 3, centre 0.0432139, r =
+0.01294, r/4 and r/16, one sample each), the ladder of the five radii
+0.01294/4^k, k = 0..4, about that point (one 32-node first ring) and the
+ladder of the radii 0.0431 x (0.001, 0.01, 0.1, 0.3, 0.6, 0.8, 0.9)
+(first rings 32-256).  Each row records the time, the integrand nodes and
+calls of the line integrals that `frequency_curve` makes
 (`log_line_integral`, wrapped where the module calls it, on rings and
-panels alike), the level at which H and D each stop (from their one-part
-integrals, `log_boundary_mass` and `log_dirichlet_energy`) and the
-answers: I, its error, log H and log D.
+panels alike; nodes are circles x angles, the circles of a ring group
+sharing each call), the level at which H and D each stop (from their
+one-part integrals, `log_boundary_mass` and `log_dirichlet_energy`) and
+the answers: I, its error, log H and log D.
 """
 
 from __future__ import annotations
@@ -72,6 +76,10 @@ MASS_RADIUS = 10.0 ** (-1.1)
 # anchor_quad's polynomial ladders: (coefficients, centre, (r_min, r_max)), 8 rungs
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
 BRANCH_POINT = (0.0432139, (0.01294, 0.01294 / 4, 0.01294 / 16))
+# ladders about the branch point: one first ring, and first rings 32-256
+BRANCH_LADDERS = [("branch point ladder r=0.01294/4^k", [0.01294 / 4**k for k in range(4, -1, -1)]),
+                  ("branch point ladder n0=32-256",
+                   [0.0431 * f for f in (0.001, 0.01, 0.1, 0.3, 0.6, 0.8, 0.9)])]
 # cantor_ladder's energy disk at R_2 = gap_centered_radii(0.5, 2)
 LADDER_GEN, LADDER_RUNG = 20, 2
 
@@ -161,23 +169,27 @@ def measure_case(name, run, order, repeats, sampler, split) -> dict:
 class LineCount:
     """Integrand nodes and calls of the line integrals a module makes (one
     integrand call per level, on rings and panels alike), and the calls of
-    each integral in `levels`."""
+    each integral in `levels`.  A call's nodes are its angles times its
+    circles: the parts without a config, one C per circle of a ring group,
+    or one circle where there are none."""
 
     def __init__(self, freq):
         self.clear()
         freq.log_line_integral = self._counted(freq.log_line_integral)
 
     def _counted(self, integral):
-        def counted(L_fn, *args, **kwargs):
+        def counted(L_fn, mesh, cfg, *args, **kwargs):
             self.levels.append(0)
+            cfgs = cfg if isinstance(cfg, (list, tuple)) else [cfg]
+            circles = max(1, cfgs.count(None))
 
             def L(th):
-                self.nodes += th.size
+                self.nodes += th.size * circles
                 self.calls += 1
                 self.levels[-1] += 1
                 return L_fn(th)
 
-            return integral(L, *args, **kwargs)
+            return integral(L, mesh, cfg, *args, **kwargs)
 
         return counted
 
@@ -281,6 +293,9 @@ def measure(quick: bool, sampler: SpeedSampler) -> dict:
     arcs += [measure_arcs(f"branch point r={r:.6g}", freq.MinimizerSpec(h=product, Q=3),
                           complex(center), [r], repeats, sampler, freq, count)
              for r in radii]
+    arcs += [measure_arcs(name, freq.MinimizerSpec(h=product, Q=3), complex(center), ladder,
+                          repeats, sampler, freq, count)
+             for name, ladder in BRANCH_LADDERS]
     return {"repeats": repeats, "disks": rows, "block_D": lines, "arcs": arcs}
 
 

@@ -249,8 +249,10 @@ def _refine(
     open are asked.  With edges None (the rings of `log_line_integral`)
     the level alone sets the nodes.
     cfgs[i] holds part i's rel_tol and max_refine, or is None for a part
-    that drives nothing: it is asked on every level the others take and
-    gets the last one's estimate, with the last change as its error.
+    that drives nothing: it follows the driving parts listed before it,
+    back to the last such part, is asked on every level they take and
+    ends with the last of them, on its estimate there with the last change
+    as its error.
     Returns one (log of the integral, log-error estimate) per part, from
     the level where it first passed, or the ConvergenceError that ended it:
     one its estimate raised, or, when it never agreed within max_refine
@@ -258,6 +260,8 @@ def _refine(
     """
     runs: list[list[float]] = [[] for _ in cfgs]
     out: list = [None] * len(cfgs)
+    nones = [i for i, c in enumerate(cfgs) if c is None]
+    followers = list(zip(nones, [0] + [i + 1 for i in nones]))
     level = 0
     while True:
         estimate = level_fn(level, edges)
@@ -277,6 +281,9 @@ def _refine(
                     f"{kind} quadrature did not converge within {cfg.max_refine} refinements",
                     tuple(est),
                 )
+        for i, lead in followers:
+            if out[i] is None and all(o is not None for o in out[lead:i]):
+                out[i] = (runs[i][-1], _step(runs[i]))
         if all(o is not None for o, c in zip(out, cfgs) if c is not None):
             break
         level += 1

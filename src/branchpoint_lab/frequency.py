@@ -581,24 +581,25 @@ def _d_form(spec: MinimizerSpec, center: complex, r: float) -> str:
 
 
 def _log_arc_pass(
-    spec: MinimizerSpec, center: complex, r: float, cfg_H: QuadConfig | None,
-    cfg_D: QuadConfig | None, form: str = "arc",
-) -> dict:
-    """The arc integrals of H and D, on one set of nodes on the arc of radius
-    r with one call of h per level: the parts of one quadrature by name,
-    each its own one-part integral under its config, bit for bit, from one
-    `log_line_integral`: on a full circle its nested rings from
-    `_first_ring`'s node count; on a clipped arc, or a circle with a zero of
-    h on or at it, the Gauss panels of `_arc_mesh`.
+    spec: MinimizerSpec, center: complex, radii: Sequence[float], cfg_H: QuadConfig | None,
+    cfg_D: QuadConfig | None, form: str = "arc", mesh: int | np.ndarray | None = None,
+) -> list[dict]:
+    """The arc integrals of H and D on the arcs of `radii`, on one set of
+    angles with one call of h per level: per radius the parts of one
+    quadrature by name, each its own one-part integral under its config,
+    bit for bit, from one `log_line_integral` on `mesh`: the nested rings
+    from a first ring n0 all the circles share (`_first_ring`), or, for
+    one radius, the Gauss panels of `_arc_mesh` on a clipped arc or a
+    circle with a zero of h on or at it (by default the radius's own).
 
     "H" (with cfg_H) is H.  "D" (with cfg_D, unless `form` is "disk") is
     the signed arc integral of |h|^(2/Q) phi: D on the "arc" form, the
     arc's share of D on the "chord" form, with "-D" its negative (the pair
     as `_log_net` takes it).  "C" = integral of |h|^(2/Q) |psi|^2 d theta,
-    psi = (z - c) h'/h, comes with H and D on the "arc" form and drives
-    nothing.  Without D each level calls `log_h` without `deriv`, so H
-    computes no h'."""
-    log_r, power = math.log(r), 2.0 / spec.Q
+    psi = (z - c) h'/h, comes with H and D on the "arc" form, drives
+    nothing and ends with its own circle's H and D.  Without D each level
+    calls `log_h` without `deriv`, so H computes no h'."""
+    power = 2.0 / spec.Q
     cfgs: dict[str, QuadConfig | None] = {} if cfg_H is None else {"H": cfg_H}
     if cfg_D is not None and form != "disk":
         cfgs["D"] = cfg_D
@@ -607,24 +608,38 @@ def _log_arc_pass(
         elif "H" in cfgs:
             cfgs["C"] = None
     if not cfgs:
-        return {}
+        return [{} for _ in radii]
+    # scalars on one circle; on more, columns: circle i's nodes are row i
+    k = len(radii)
+    rs, log_r = (radii[0], math.log(radii[0])) if k == 1 else (
+        np.array(radii, dtype=float)[:, None], np.array([math.log(r) for r in radii])[:, None])
+    rows = (lambda v: (v,)) if k == 1 else (lambda v: v)
 
-    def L(thetas: np.ndarray) -> tuple:
-        zs = center + r * np.exp(1j * thetas)
+    def L(thetas: np.ndarray) -> list:
+        zs = center + rs * np.exp(1j * thetas)
         if "D" not in cfgs:
-            return (spec.log_density(zs),)
-        h_hp = spec.h.log_h(zs, deriv=True)
-        D = _log_flux(h_hp, log_r, thetas, power)
-        # the columns in the order of cfgs: H, D, then C or -D
-        H = (spec._log_density(h_hp[0]),) if "H" in cfgs else ()
+            return list(rows(spec.log_density(zs.ravel()).reshape(zs.shape)))
+        h_hp = [v.reshape(zs.shape) for v in spec.h.log_h(zs.ravel(), deriv=True)]
+        la, neg = map(rows, _log_flux(h_hp, log_r, thetas, power))
+        if "H" in cfgs:
+            H = rows(spec._log_density(h_hp[0]))
         if "C" in cfgs:
-            return (*H, D, spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
-        return (*H, D, (D[0], ~D[1])) if "-D" in cfgs else (*H, D)
+            C = rows(spec._log_energy(h_hp[0], h_hp[2], 2.0 * log_r))
+        out = []
+        for i in range(k):  # circle after circle, its parts in the order of cfgs
+            out += [H[i]] if "H" in cfgs else []
+            out.append((la[i], neg[i]))
+            if "C" in cfgs:
+                out.append(C[i])
+            elif "-D" in cfgs:
+                out.append((la[i], ~neg[i]))
+        return out
 
-    signed = [k in ("D", "-D") for k in cfgs]
-    parts = log_line_integral(L, _first_ring(spec, center, r) or _arc_mesh(spec, center, r),
-                              list(cfgs.values()), signed=signed)
-    return dict(zip(cfgs, parts))
+    if mesh is None:
+        mesh = _first_ring(spec, center, radii[0]) or _arc_mesh(spec, center, radii[0])
+    parts = log_line_integral(L, mesh, list(cfgs.values()) * k,
+                              signed=[key in ("D", "-D") for key in cfgs] * k)
+    return [dict(zip(cfgs, parts[i : i + len(cfgs)])) for i in range(0, len(parts), len(cfgs))]
 
 
 def _chord_parts(spec: MinimizerSpec, center: complex, r: float, cfg: QuadConfig) -> list:
@@ -698,7 +713,7 @@ def log_boundary_mass(
     """log of H = (1/r) * integral of Q|h|^(2/Q) over the arc, plus
     log-error: the arc pass (`_log_arc_pass`) with H alone."""
     center = _check_disk(center, r, spec.domain)
-    return _passed(_log_arc_pass(spec, center, r, config or _H_CONFIG, None)["H"])
+    return _passed(_log_arc_pass(spec, center, [r], config or _H_CONFIG, None)[0]["H"])
 
 
 def boundary_mass(
@@ -733,7 +748,7 @@ def log_dirichlet_energy(
     cfg = config or _D_CONFIG
     center = _check_disk(center, r, spec.domain)
     form = _d_form(spec, center, r)
-    return _log_D(spec, center, r, cfg, form, _log_arc_pass(spec, center, r, None, cfg, form))
+    return _log_D(spec, center, r, cfg, form, _log_arc_pass(spec, center, [r], None, cfg, form)[0])
 
 
 def dirichlet_energy(
@@ -754,7 +769,7 @@ def frequency(
     *,
     log_scale: bool = False,
 ) -> FrequencySample:
-    """Assemble the frequency I = D/H at one radius.
+    """Assemble the frequency I = D/H at one radius (`frequency_curve`).
 
     The ratio is always formed in log space, which is exactly the rescaling
     of both integrals by the common underflow scale; `log_scale` merely
@@ -763,16 +778,17 @@ def frequency(
     `log_dirichlet_energy`).
 
     H and D's arc parts come from one arc pass (`_log_arc_pass`), as in
-    those two calls, and `_log_D` forms D, so both are theirs bit for bit:
-    one `log_line_integral`, on a full circle by nested rings of the
-    periodic trapezoid rule, on a clipped arc by Gauss panels.
+    those two calls, and `_log_D` forms D, so both are theirs bit for bit.
     Where D is an arc integral the pass also gives C, and the sample
     carries the slope I' = (2/r)(C/(Q H) - I^2), from H' = (2/r) D and
     D' = (2/(Q r)) C; I' is NaN on the chord and disk forms.
     """
-    center = _check_disk(center, r, spec.domain)
-    form, cfg_D = _d_form(spec, center, r), config or _D_CONFIG
-    parts = _log_arc_pass(spec, center, r, config or _H_CONFIG, cfg_D, form)
+    return frequency_curve(spec, center, [r], config, log_scale=log_scale)[0]
+
+
+def _sample(spec: MinimizerSpec, center: complex, r: float, cfg_D: QuadConfig, form: str,
+            parts: dict, log_scale: bool) -> FrequencySample:
+    """The sample at radius r from its arc pass's parts (`frequency`)."""
     log_H, err_H = _passed(parts["H"])
     if log_H == -math.inf:
         raise DegenerateMassError(f"u vanishes identically on the arc r = {r}")
@@ -815,11 +831,27 @@ def frequency_curve(
     *,
     log_scale: bool = False,
 ) -> list[FrequencySample]:
-    """I(r) over an ascending radius ladder."""
+    """I(r) over an ascending radius ladder, each sample `frequency`'s: the
+    full circles with one first ring n0 (`_first_ring`) share an arc pass,
+    on the nodes of their own, from their smallest radius on; clipped arcs
+    and circles with a zero of h on them take one each."""
     radii = list(radii)
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValidationError(f"radii must be non-empty and strictly ascending, got {radii}")
-    return [frequency(spec, center, r, config, log_scale=log_scale) for r in radii]
+    center = [_check_disk(center, r, spec.domain) for r in radii][0]
+    cfg_D = config or _D_CONFIG
+    n0 = [_first_ring(spec, center, r) for r in radii]
+    parts: dict[int, dict] = {}
+    samples = []
+    for i, r in enumerate(radii):
+        form = _d_form(spec, center, r)
+        if i not in parts:
+            group = [j for j in range(i, len(radii)) if n0[j] == n0[i]] if n0[i] else [i]
+            parts.update(zip(group, _log_arc_pass(spec, center, [radii[j] for j in group],
+                                                  config or _H_CONFIG, cfg_D, form,
+                                                  n0[i] or _arc_mesh(spec, center, r))))
+        samples.append(_sample(spec, center, r, cfg_D, form, parts.pop(i), log_scale))
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -1071,9 +1071,10 @@ def cauchy_derivatives(
     from 16 until every order's two latest estimates agree to 1e-9 relative
     (or 1e-300 absolute), at most up to 2^14 nodes; the final
     inter-refinement difference is the error estimate.  The rings are
-    nested (`_quad.Ring`): the first evaluator call takes the 32 nodes of
-    the first two rings, the 16-node estimate uses their even half, and each
-    later doubling evaluates only the new odd-indexed half.  `fn` may also
+    nested (`_quad.Ring`): the first evaluator call takes the 64 nodes of
+    the first three rings (on `derivative`'s default radius d/2 n nodes err
+    by about 2^-n, so 16 and 32 never agree to 1e-9), and each later
+    doubling evaluates only the new odd-indexed half.  `fn` may also
     be the `Ring` of `_contour_ring` about the same z and radius, whose
     samples are then reused (`derivative` passes its last one).
 
@@ -1084,7 +1085,7 @@ def cauchy_derivatives(
     orders = list(orders)
     _check_contour(z, radius, orders)
     ring = fn if isinstance(fn, Ring) else _contour_ring(fn, z, radius)
-    ring.values(2 * _CONTOUR_START)  # the first two rings in one call
+    ring.values(4 * _CONTOUR_START)  # the first three rings in one call
     prev: dict[int, complex] = {}
     n = _CONTOUR_START
     while True:

@@ -4,29 +4,30 @@ import importlib
 import numpy as np
 import pytest
 
-import branchpoint_lab
 from branchpoint_lab import CantorSet, SeriesParams
 
 
-def _monotone(frequency):
-    """`frequency` that checks Almgren's monotonicity on every sample it
-    returns: I'(r) >= -(its error) on every full circle (a sample with a
-    slope).  With A, B and C the arc integrals of w, w phi and w |psi|^2,
-    w = |h|^(2/Q), I' = 2(AC - B^2)/(r Q^2 A^2) >= 0 by Cauchy-Schwarz."""
+def _monotone(sample):
+    """`frequency._sample` that checks Almgren's monotonicity on every
+    sample it makes: I'(r) >= -(its error) on every full circle (a sample
+    with a slope).  With A, B and C the arc integrals of w, w phi and
+    w |psi|^2, w = |h|^(2/Q), I' = 2(AC - B^2)/(r Q^2 A^2) >= 0 by
+    Cauchy-Schwarz."""
 
-    @functools.wraps(frequency)
+    @functools.wraps(sample)
     def checked(*args, **kwargs):
-        fs = frequency(*args, **kwargs)
+        fs = sample(*args, **kwargs)
         assert not fs.dI_dr < -fs.dI_dr_error, f"I' = {fs.dI_dr} < 0 at {fs}"
         return fs
 
     return checked
 
 
-# installed before the test modules import it, so every frequency sample
-# of the suite (through `frequency`, `frequency_curve` or the CLI) is checked
+# installed before the test modules run, on the one function that makes
+# every frequency sample of the suite (through `frequency`, a ladder of
+# `frequency_curve`, whose circles share ring passes, or the CLI)
 _freq = importlib.import_module("branchpoint_lab.frequency")
-_freq.frequency = branchpoint_lab.frequency = _monotone(_freq.frequency)
+_freq._sample = _monotone(_freq._sample)
 
 
 @pytest.fixture(scope="session")

@@ -557,7 +557,8 @@ def test_arc_pass_parts_are_the_one_part_integrals(monkeypatch, h, Q, center, r,
     H = log_boundary_mass(spec, center, r, cfg)
     D = log_dirichlet_energy(spec, center, r, cfg)
     form = _FREQ._d_form(spec, center, r)
-    parts = _log_arc_pass(spec, center, r, cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG, form)
+    [parts] = _log_arc_pass(spec, center, [r], cfg or _FREQ._H_CONFIG, cfg or _FREQ._D_CONFIG,
+                            form)
     assert parts["H"] == H
     n0 = _FREQ._first_ring(spec, center, r)
     assert (n0 is None) == (form != "arc")

@@ -132,7 +132,7 @@ def test_arc_energy_matches_disk_on_interior_half_plane_disks(h, Q, center, r):
     # series factor's arc and disk differ by 1.8e-9 (F' is not certified)
     spec = MinimizerSpec(h=h, Q=Q)
     got = log_dirichlet_energy(spec, center, r, ARC)
-    assert got == _log_arc_pass(spec, center, r, None, ARC)["D"]
+    assert got == _log_arc_pass(spec, center, [r], None, ARC)[0]["D"]
     want, _ = _disk_energy(spec, center, r)
     assert abs(math.expm1(got[0] - want)) <= 1e-8
 

@@ -417,17 +417,17 @@ def test_ring_evaluators_match_scalar_wrappers(params_half, cs_half, probe_grid)
 
 
 def test_cauchy_derivatives_reuse_ring_nodes():
-    """The first call takes the 32 nodes of the first two rings, and each
-    doubling evaluates only the new odd nodes: 32 + 32 when the estimates
-    agree at 64 nodes."""
+    """The first call takes the 64 nodes of the first three rings, and each
+    doubling evaluates only the new odd nodes: 64 + 64 when the estimates
+    agree at 128 nodes."""
     calls = []
 
     def fn(zs):
         calls.append(zs.size)
-        return 1.0 / (2.0 - zs)  # pole at distance 2; the ring ratio is 0.4
+        return 1.0 / (2.0 - zs)  # pole at distance 2; the ring ratio is 0.6
 
-    out = cauchy_derivatives(fn, 0j, 0.8, [1, 2, 3])
-    assert calls == [32, 32]
+    out = cauchy_derivatives(fn, 0j, 1.2, [1, 2, 3])
+    assert calls == [64, 64]
     for m in (1, 2, 3):
         assert out[m][0] == pytest.approx(math.factorial(m) / 2.0 ** (m + 1), rel=1e-12)
 
@@ -487,16 +487,34 @@ def test_derivative_rejects_bad_input(params_half, cs_half, evaluator_calls, z, 
 
 def test_derivative_orders_share_one_ring(params_half, cs_half, evaluator_calls):
     """Orders 1-3 asked for one at a time at one point take 2 evaluator calls
-    (32 nodes, then the odd half of 64), not 3 each, and each answer and
+    (64 nodes, then the odd half of 128), not 3 each, and each answer and
     error figure is a fresh single-order call's, bit for bit."""
-    z, r = 0.9 + 0.1j, 0.45
+    z, r = 0.9 + 0.1j, 0.6
     for name in ("decay_factor", "branched_product"):
         del evaluator_calls[:]
         got = {m: derivative(params_half, cs_half, name, z, m, radius=r) for m in (1, 2, 3)}
-        assert evaluator_calls == [32, 32]
+        assert evaluator_calls == [64, 64]
         for m in (1, 2, 3):
             fn = series.function_evaluator(params_half, cs_half, name)
             assert cauchy_derivatives(fn, z, r, [m])[m] == got[m]
+
+
+def test_default_radius_derivative_makes_one_evaluator_call(params_half, cs_half,
+                                                            evaluator_calls):
+    """On the default radius d/2 the 16- and 32-node estimates never agree
+    to 1e-9, so the first call takes the 64 nodes of the first three rings
+    and none follows; the answer is that of a ring first sampled at 32
+    nodes, bit for bit."""
+    z = 0.9 + 0.1j
+    for name in ("decay_factor", "branched_product"):
+        del evaluator_calls[:]
+        got = derivative(params_half, cs_half, name, z, 2)
+        assert evaluator_calls == [64]
+        radius = min(cs_half.dist_to_boundary_rays(z)[0], z.real) / 2.0
+        ring = series._contour_ring(series.function_evaluator(params_half, cs_half, name), z,
+                                    radius)
+        ring.values(32)
+        assert cauchy_derivatives(ring, z, radius, [2])[2] == got
 
 
 def test_derivative_starts_a_new_ring_for_a_new_key(params_half, cs_half, evaluator_calls):
@@ -512,7 +530,7 @@ def test_derivative_starts_a_new_ring_for_a_new_key(params_half, cs_half, evalua
         derivative(**base)
         assert len(evaluator_calls) == n
         derivative(**{**base, **change})
-        assert evaluator_calls[n:] == [32]
+        assert evaluator_calls[n:] == [64]
 
 
 def test_derivative_ring_survives_a_raising_evaluator(params_half, cs_half, monkeypatch):
@@ -534,8 +552,8 @@ def test_derivative_ring_survives_a_raising_evaluator(params_half, cs_half, monk
 
     monkeypatch.setattr(series, "function_evaluator", flaky)
     monkeypatch.setattr(series, "_last_ring", None)
-    # order 1 converges on the first 32 nodes here, order 3 needs 64
-    z, r = 0.8 + 0.3j, 0.2
+    # order 1 converges on the first 64 nodes here, order 3 needs 128
+    z, r = 0.8 + 0.3j, 0.5
     armed.append(True)
     with pytest.raises(RuntimeError):
         derivative(params_half, cs_half, "decay_factor", z, 1, radius=r)
