@@ -67,7 +67,6 @@ def refined_panels(
     a: np.ndarray,
     b: np.ndarray,
     *,
-    geo_a: bool = False,
     rate_a: np.ndarray | float = 0.0,
     rate_b: np.ndarray | float = 0.0,
     targets: tuple[np.ndarray, np.ndarray] | None = None,
@@ -89,24 +88,19 @@ def refined_panels(
     span = b - a
     half = 0.5 * span
     # the smallest widths of the clusters edged up from a, down from b and
-    # about the targets, in the order a row adds them (inf: the row has none)
-    up, down = [], []
-    if geo_a:
-        up.append(MIN_FRAC * span)
-    for side, rate in ((up, rate_a), (down, rate_b)):
-        # a boundary layer exp(rate * x): keep the per-panel log variation ~8
-        if np.ndim(rate):
-            side.append(np.divide(8.0, rate, out=np.full(n, np.inf), where=rate > 0.0))
-        elif rate > 0.0:
-            side.append(8.0 / rate)
+    # about the targets, in the order a row adds them (inf: the row has
+    # none); a boundary layer exp(rate * x) keeps the per-panel log
+    # variation ~8
+    widths = [np.divide(8.0, rate, out=np.full(n, np.inf), where=np.greater(rate, 0.0))
+              for rate in (rate_a, rate_b)]
     at = np.zeros((n, 0, 1))
     if targets is not None:
         t, wt = targets
         on = (a[:, None] <= t) & (t <= b[:, None])  # one outside is skipped
         at = np.where(on, t, np.nan)[..., None]
-        down += list(np.where(on, np.maximum(wt, 1e-15 * span[:, None]), np.inf).T)
-    w = np.empty((n, len(up) + len(down), 1))
-    for i, wi in enumerate(up + down):
+        widths += list(np.where(on, np.maximum(wt, 1e-15 * span[:, None]), np.inf).T)
+    w = np.empty((n, len(widths), 1))
+    for i, wi in enumerate(widths):
         w[:, i, 0] = wi
     # each cluster is edged at width, 2 width, 4 width, ... below span / 2
     most = np.fmax.reduce(half[:, None, None] / w, axis=None, initial=0.0)  # NaN: none
@@ -114,16 +108,12 @@ def refined_panels(
     w = np.ldexp(w, np.arange(k))
     w = np.where(w < half[:, None, None], w, np.nan)
     a3, b3 = a[:, None, None], b[:, None, None]
-    nu, nt = len(up), at.shape[1]
-    parts = [a[:, None], b[:, None], (0.5 * (a + b))[:, None]]
-    if nu:
-        parts.append((a3 + w[:, :nu]).reshape(n, -1))
-    if len(down) > nt:
-        parts.append((b3 - w[:, nu : w.shape[1] - nt]).reshape(n, -1))
-    if nt:
+    parts = [a[:, None], b[:, None], (0.5 * (a + b))[:, None],
+             (a3 + w[:, :1]).reshape(n, -1), (b3 - w[:, 1:2]).reshape(n, -1)]
+    if at.shape[1]:
         # a target is an edge itself; one of its edges past an end of
         # [a, b] falls on the end, which the merge below drops
-        wt = w[:, w.shape[1] - nt :]
+        wt = w[:, 2:]
         parts.append(np.concatenate(
             [at, np.maximum(at - wt, a3), np.minimum(at + wt, b3)], axis=2
         ).reshape(n, -1))
@@ -166,25 +156,25 @@ def refined_breakpoints(
     a: float,
     b: float,
     *,
-    geo_a: bool = False,
     rate_a: float = 0.0,
     rate_b: float = 0.0,
     targets: Sequence[float | tuple[float, float]] = (),
 ) -> np.ndarray:
-    """Panel edges on [a, b], geometrically clustered toward a (with geo_a,
-    from MIN_FRAC of the span), toward an end with a decay rate, and toward
-    interior targets (integrable singularities get an edge exactly on them).
+    """Panel edges on [a, b], geometrically clustered toward an end with a
+    decay rate and toward targets (integrable singularities get an edge
+    exactly on them).
 
     A target may carry its own smallest cluster width as (position, width);
     bare floats use MIN_FRAC times the span.  A target on an end of [a, b]
-    is clustered toward from inside; one outside is skipped.  An edge within
-    1e-15 of the span of the last edge kept below it is merged into that one.
+    is clustered toward from inside, geometrically from its width; one
+    outside is skipped.  An edge within 1e-15 of the span of the last edge
+    kept below it is merged into that one.
     """
     pairs = [t if isinstance(t, tuple) else (t, MIN_FRAC * (b - a)) for t in targets]
     t, w = np.array(pairs, dtype=float).reshape(-1, 2).T
     lo, hi, _ = refined_panels(
-        np.array([a], dtype=float), np.array([b], dtype=float), geo_a=geo_a,
-        rate_a=rate_a, rate_b=rate_b, targets=(t[None, :], w[None, :]) if t.size else None,
+        np.array([a], dtype=float), np.array([b], dtype=float), rate_a=rate_a,
+        rate_b=rate_b, targets=(t[None, :], w[None, :]) if t.size else None,
     )
     return np.append(lo, hi[-1])
 
@@ -288,7 +278,7 @@ def _refine(
             break
         level += 1
         edges = None if edges is None else halve_edges(edges)
-    return [(est[-1], _step(est)) if o is None else o for o, est in zip(out, runs)]
+    return out
 
 
 def _passed(part: tuple[float, float] | ConvergenceError) -> tuple[float, float]:
@@ -434,9 +424,9 @@ def _disk_level(
     level: int,
     inner_targets: Sequence[float],
     *,
-    stop: int = 0,
-    block: float = -math.inf,
-    rings: np.ndarray | None = None,
+    stop: int,
+    block: float,
+    rings: np.ndarray,
 ) -> float:
     """One mesh level of the polar integral, outermost radial panel first,
     with early exit once inner panels are provably negligible.
@@ -448,9 +438,9 @@ def _disk_level(
     each node's own mesh.
 
     The innermost `stop` rings are a frozen block, not evaluated: a walk
-    that reaches its outer edge adds `block`, its log-sum.  `rings`, if
-    given, receives each evaluated ring's log-sum by index and, once the
-    block is added, the block's in slot 0 and -inf in its other slots.
+    that reaches its outer edge adds `block`, its log-sum.  `rings` receives
+    each evaluated ring's log-sum by index and, once the block is added,
+    the block's in slot 0 and -inf in its other slots.
     """
     total = -math.inf
     quiet = 0
@@ -478,8 +468,7 @@ def _disk_level(
             with np.errstate(invalid="ignore"):
                 vals = L_fn(zs.ravel()) + logw.ravel()
             contrib = _lse(vals)
-            if rings is not None:
-                rings[i] = contrib
+            rings[i] = contrib
             total = float(np.logaddexp(total, contrib))
             if contrib < total - DROP:
                 quiet += 1
@@ -489,9 +478,8 @@ def _disk_level(
                 quiet = 0
     if stop:
         total = float(np.logaddexp(total, block))
-        if rings is not None:
-            rings[:stop] = -math.inf
-            rings[0] = block
+        rings[:stop] = -math.inf
+        rings[0] = block
     return total
 
 

@@ -17,7 +17,6 @@ import cmath
 import functools
 import itertools
 import math
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -453,23 +452,18 @@ def polar_mesh(
 
     Returns (radial edges, angular panels at an array of radii, the radii of
     the interior zeros in zero_polar that fall inside the annulus).  Radial
-    edges are geometric toward a disk's center and refined toward r by the
-    decay rate and around each zero radius; angular panels as _arc_panels.
+    edges are geometric toward a disk's center (a target there) and refined
+    toward r by the decay rate and around each zero radius, which is an
+    edge or within the merge distance of one (`refined_breakpoints`);
+    angular panels as _arc_panels.
     """
     inner = [x for x, _ in zero_polar if r_inner < x < r]
     r_edges = refined_breakpoints(
         r_inner,
         r,
-        geo_a=(r_inner == 0.0),
         rate_b=rate(r) / r,
-        targets=[(x, 1e-7 * x) for x in inner],
+        targets=([0.0] if r_inner == 0.0 else []) + [(x, 1e-7 * x) for x in inner],
     )
-    for x in inner:
-        # every interior zero must carry its own refinement cluster; a zero
-        # merely near a coarse panel edge would poison the Gauss nodes.  An
-        # edge within the merge distance of `refined_panels` stands for it.
-        if not np.any(np.abs(r_edges - x) <= 1e-15 * (r - r_inner)):
-            warnings.warn(f"interior zero at radius {x:.6g} is not a panel edge")
 
     def arcs(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _arc_panels(center, rho, domain, rate, zero_polar)
@@ -607,8 +601,6 @@ def _log_arc_pass(
             cfgs["-D"] = cfg_D
         elif "H" in cfgs:
             cfgs["C"] = None
-    if not cfgs:
-        return [{} for _ in radii]
     # scalars on one circle; on more, columns: circle i's nodes are row i
     k = len(radii)
     rs, log_r = (radii[0], math.log(radii[0])) if k == 1 else (
@@ -748,7 +740,8 @@ def log_dirichlet_energy(
     cfg = config or _D_CONFIG
     center = _check_disk(center, r, spec.domain)
     form = _d_form(spec, center, r)
-    return _log_D(spec, center, r, cfg, form, _log_arc_pass(spec, center, [r], None, cfg, form)[0])
+    parts = {} if form == "disk" else _log_arc_pass(spec, center, [r], None, cfg, form)[0]
+    return _log_D(spec, center, r, cfg, form, parts)
 
 
 def dirichlet_energy(

@@ -919,11 +919,11 @@ def evaluate_many(
     at d plus the far-field remainder; the log tail of f is F's (infinite
     past 0.1); that of G is its generation tail plus the proxy remainder
     (see `log_cosine_product_many`), and g's adds f's.  An exact zero of
-    the cosine product, a constructed ProductZero among them, gives
-    G = g = 0 with tail 0.  Raises SingularPointError if any complex
-    point's certified distance to the boundary set vanishes.  An anchored
-    point's d is at most its stored offset: one that underflowed gives
-    d = 0 and infinite tails.
+    the cosine product gives G = g = 0 with tail 0; at a constructed
+    ProductZero, G's sums are not taken.  Raises SingularPointError if any
+    complex point's certified distance to the boundary set vanishes.  An
+    anchored point's d is at most its stored offset: one that underflowed
+    gives d = 0 and infinite tails.
     """
     if product:
         _require_depth(params, cs)
@@ -941,8 +941,11 @@ def evaluate_many(
     log_f, arg_f, f_tail = _factor(F, F_tail)
     if not product:
         return PointValues(d, F, F_tail, log_f, arg_f, f_tail)
-    la, ar, g_zero, _, g_rem = log_cosine_product_many(params, cs, zs)
-    g_zero |= _constructed_zero(params, zs)
+    if _constructed_zero(params, zs):
+        la = ar = g_rem = np.zeros(1)
+        g_zero = np.ones(1, dtype=bool)
+    else:
+        la, ar, g_zero, _, g_rem = log_cosine_product_many(params, cs, zs)
     log_G = np.where(g_zero, -math.inf, la)
     arg_G = np.where(g_zero, 0.0, ar)
     G_tail = np.where(g_zero, 0.0, _cosine_log_tail(params, d) + g_rem)
@@ -982,14 +985,9 @@ def cosine_product(
     params: SeriesParams, cs: CantorSet, z: complex | AnchoredPoint
 ) -> TruncatedValue:
     """Truncated cosine product as a LogComplex, tail bound on its log (the
-    generation tail plus the proxy remainder of `log_cosine_product_many`).
-
-    A ProductZero of generation 1..max_gen is an exact zero, as in
-    `evaluate_many`, read without the sums.
+    generation tail plus the proxy remainder of `log_cosine_product_many`);
+    a ProductZero of generation 1..max_gen is an exact zero (`evaluate_many`).
     """
-    if _constructed_zero(params, z):
-        _require_depth(params, cs)
-        return TruncatedValue(LogComplex.zero(), 0.0)
     v = evaluate_many(params, cs, z)
     return _read(v.log_G, v.arg_G, v.G_tail)
 

@@ -23,8 +23,8 @@ import numpy as np
 from ._quad import QuadConfig, log_disk_integral
 from .cantor import CantorSet
 from .errors import ValidationError
-from .frequency import MinimizerSpec, _check_disk, polar_mesh
-from .series import FAR_TOL, SeriesParams, decay_exponent_many
+from .frequency import MinimizerSpec, SeriesFactor, _check_disk, _nan_is_zero, polar_mesh
+from .series import SeriesParams
 
 __all__ = [
     "MassCurve",
@@ -43,7 +43,9 @@ class RealPartTarget:
     """u = Re(exp(-F)) for the shifted power sum F over a boundary set.
 
     The density (Re u)^2 = exp(-2 Re F) cos^2(Im F) is smooth on the open
-    half-plane and dies to all orders on the boundary set.
+    half-plane and dies to all orders on the boundary set.  F is
+    `SeriesFactor`'s, at its opening ratio, the decay rate twice its, and a
+    NaN density is zero (`_nan_is_zero`).
     """
 
     params: SeriesParams
@@ -51,14 +53,13 @@ class RealPartTarget:
     domain = "half_plane"
 
     def log_density(self, zs: np.ndarray) -> np.ndarray:
-        F, _, _ = decay_exponent_many(self.params, self.cs, zs, far_tol=FAR_TOL)
+        # log|exp(-F)| = -Re F and arg exp(-F) = -Im F
+        la, ar = SeriesFactor(self.params, self.cs).log_h(zs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = -2.0 * F.real + 2.0 * np.log(np.abs(np.cos(F.imag)))
-        return np.where(np.isnan(out), -np.inf, out)
+            return _nan_is_zero(2.0 * la + 2.0 * np.log(np.abs(np.cos(ar))))
 
     def decay_rate(self, rho: float) -> float:
-        al = self.params.max_exponent()
-        return 2.0 * (math.pi**2 / 6.0) * al * rho ** (-al)
+        return 2.0 * SeriesFactor(self.params, self.cs).decay_rate(rho)
 
 
 @dataclass(frozen=True)

@@ -177,15 +177,44 @@ def test_polar_mesh_arcs_are_the_per_node_breakpoints():
 def test_zero_next_to_a_merged_edge_is_a_panel_edge():
     """`refined_panels` merges an edge within 1e-15 of the span into the one
     below: the zero at 0.001 gives way to its neighbour's cluster edge
-    5e-16 below it, which stands for it, so no warning."""
+    5e-16 below it, which stands for it."""
     x2 = (0.001 - 5e-16) / (1.0 - 1e-7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r_edges, _, inner = polar_mesh(0j, 1.0, "plane", lambda rho: 0.0,
-                                       zero_polar=[(0.001, 0.0), (x2, 1.0)])
+    r_edges, _, inner = polar_mesh(0j, 1.0, "plane", lambda rho: 0.0,
+                                   zero_polar=[(0.001, 0.0), (x2, 1.0)])
     assert inner == [0.001, x2]
     assert 0.001 not in r_edges
     assert np.min(np.abs(r_edges - 0.001)) <= 1e-15
+
+
+@st.composite
+def _zero_radii(draw):
+    """(r_inner, r, zero radii) of an annulus: radii anywhere in it, some in
+    runs closer together than 1e-15 r, and some past its ends."""
+    r = draw(st.floats(1e-3, 2.0))
+    r_inner = draw(st.sampled_from([0.0, 0.1, 0.9])) * r
+    radii = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(st.floats(r_inner, r))
+        if radii and draw(st.booleans()):
+            x = radii[-1] + draw(st.sampled_from([1e-16, 4e-16, 9e-16, -6e-16, 2e-15])) * r
+        radii.append(x)
+    return r_inner, r, radii
+
+
+@given(_zero_radii(), st.sampled_from([0.0, 50.0, 1e4]))
+@example((0.0, 1.0, [0.001, (0.001 - 5e-16) / (1.0 - 1e-7)]), 0.0)
+@example((0.0, 1.0, [0.3 + k * 0.4e-15 for k in range(12)]), 50.0)
+@settings(max_examples=200, deadline=None)
+def test_every_interior_zero_is_within_the_merge_distance_of_a_radial_edge(case, rate):
+    """Each radial edge merges into the last one kept, so every interior
+    zero radius of `polar_mesh`, in runs closer than the merge distance
+    too, lies within 1e-15 (r - r_inner) of a radial edge."""
+    r_inner, r, radii = case
+    r_edges, _, inner = polar_mesh(0j, r, "plane", lambda rho: rate, r_inner=r_inner,
+                                   zero_polar=[(x, 0.0) for x in radii])
+    assert inner == [x for x in radii if r_inner < x < r]
+    for x in inner:
+        assert np.min(np.abs(r_edges - x)) <= 1e-15 * (r - r_inner)
 
 
 _ANGLES = st.one_of(

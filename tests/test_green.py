@@ -16,7 +16,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from branchpoint_lab import (
     CantorSet,
@@ -51,16 +51,25 @@ DISK = QuadConfig(rel_tol=1e-7)
 LADDERS = [((0.3, 1.0), 0.0, (0.05, 0.25)), ((0.0, 0.0, -0.5, 1.0), 0.1, (0.04, 0.3))]
 
 
-def _disk_energy(spec, center, r, cfg=DISK):
+def _disk_energy(spec, center, r, cfg=None):
     """log D as the disk integral of the energy density, meshed as
-    `log_dirichlet_energy` meshes a half-plane disk that reaches the axis."""
+    `log_dirichlet_energy` meshes a half-plane disk that reaches the axis,
+    under cfg.  Without cfg it is the reference of the 1e-8 checks: the
+    integral at DISK, redone at rel_tol 1e-8 where its reported error
+    passes 1e-9."""
     r_edges, arcs, inner = polar_mesh(
         center, r, spec.domain, lambda rho: (2.0 / spec.Q + 2.0) * spec.h.decay_rate(rho),
         zero_polar=_zero_geometry(spec, center, r),
     )
-    return log_disk_integral(
-        spec.log_energy_density, center, r_edges, arcs, cfg, inner_targets=inner
-    )
+
+    def disk(c):
+        return log_disk_integral(spec.log_energy_density, center, r_edges, arcs, c,
+                                 inner_targets=inner)
+
+    if cfg is not None:
+        return disk(cfg)
+    got = disk(DISK)
+    return got if got[1] <= 1e-9 else disk(QuadConfig(rel_tol=1e-8))
 
 
 def _signs(spec, center, r):
@@ -245,6 +254,11 @@ def _polynomials(draw):
 
 
 @given(case=_polynomials())
+# the disk at DISK reported an error of 9.7e-8 here, and missed the arc by
+# 1.02e-8; at rel_tol 1e-8 it reads within 1e-15 of it
+@example(case=(MinimizerSpec(h=Polynomial(coeffs=(
+    2.8040726422046958 + 1.748752724056613j, -3.574745812675308 + 0.3210062893555343j,
+    -0.36309063252965945 - 0.9912276258177397j, 1.0 + 0.0j)), Q=3), 0j, 1.0))
 @settings(max_examples=10, deadline=None)
 def test_arc_energy_matches_disk_on_random_polynomials(case):
     spec, center, r = case

@@ -57,11 +57,11 @@ def test_gauss_legendre_rule_matches_mpmath(n):
 
 
 def test_breakpoints_contain_ends_and_targets():
-    edges = refined_breakpoints(0.0, 2.0, geo_a=True, targets=[0.7])
+    edges = refined_breakpoints(0.0, 2.0, targets=[0.0, 0.7])
     assert edges[0] == 0.0 and edges[-1] == 2.0
     assert np.any(edges == 0.7)
     assert np.all(np.diff(edges) > 0)
-    # geometric clustering reaches MIN_FRAC of the span
+    # a target on an end clusters toward it from MIN_FRAC of the span
     assert edges[1] <= 1e-8 * 2.0 * 1.0001
 
 
@@ -79,7 +79,9 @@ def test_breakpoints_empty_interval():
 def _set_breakpoints(a, b, *, geo_a=False, rate_a=0.0, rate_b=0.0, targets=()):
     """The breakpoint rule one edge at a time, in a set: the form it had
     before `refined_panels` formed it for many intervals at once, with each
-    edge merged into the last one kept."""
+    edge merged into the last one kept.  `geo_a` is its geometric run from
+    a, from MIN_FRAC of the span, which `refined_breakpoints` takes as a
+    bare target on a."""
 
     def doublings(w):
         while w < 0.5 * span:
@@ -141,9 +143,11 @@ def _breakpoint_cases(draw):
 def test_breakpoints_follow_the_set_rule_bit_for_bit(case):
     """Ends, targets on the ends or outside, zero targets of either sign and
     edges within 1e-15 of the span of each other (which merge) come out as
-    the one-edge-at-a-time rule gives them, to the bit."""
+    the one-edge-at-a-time rule gives them, to the bit; so does the rule's
+    geometric run from a, as a bare target on a."""
     a, b, kw = case
-    got = refined_breakpoints(a, b, **kw)
+    got = refined_breakpoints(a, b, rate_a=kw["rate_a"], rate_b=kw["rate_b"],
+                              targets=([a] if kw["geo_a"] else []) + list(kw["targets"]))
     want = _set_breakpoints(a, b, **kw)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -172,15 +176,14 @@ def test_breakpoint_rows_are_their_own_breakpoints():
     # NaN: no target
     t = np.array([[np.nan, np.nan], [0.1, -0.0], [math.pi, np.nan], [np.nan, 0.25]])
     w = np.array([[1.0, 1.0], [1e-6, 1e-3], [0.05, np.nan], [np.nan, 1e-17]])
-    for geo_a in (False, True):
-        lo, hi, count = refined_panels(
-            a, b, geo_a=geo_a, rate_a=rate_a, rate_b=rate_b, targets=(t, w)
-        )
+    # with and without a target on each a
+    for t, w in ((t, w), (np.column_stack([a, t]), np.column_stack([MIN_FRAC * (b - a), w]))):
+        lo, hi, count = refined_panels(a, b, rate_a=rate_a, rate_b=rate_b, targets=(t, w))
         at = np.concatenate(([0], np.cumsum(count)))
         for i in range(a.size):
             on = ~np.isnan(t[i])
             want = refined_breakpoints(
-                a[i], b[i], geo_a=geo_a, rate_a=rate_a[i], rate_b=rate_b[i],
+                a[i], b[i], rate_a=rate_a[i], rate_b=rate_b[i],
                 targets=list(zip(t[i, on], w[i, on])),
             )
             assert np.array_equal(lo[at[i] : at[i + 1]], want[:-1])
@@ -440,7 +443,7 @@ def _full_theta(rho):
 
 def test_disk_integral_constant():
     cfg = QuadConfig(rel_tol=1e-10)
-    r_edges = refined_breakpoints(0.0, 0.7, geo_a=True)
+    r_edges = refined_breakpoints(0.0, 0.7, targets=[0.0])
     got, _ = log_disk_integral(
         lambda zs: np.zeros(zs.shape), 1 + 1j, r_edges, _full_theta, cfg
     )
@@ -450,7 +453,7 @@ def test_disk_integral_constant():
 def test_disk_integral_radial_power():
     # integral of |z|^4 over the unit disk = 2 pi / 6
     cfg = QuadConfig(rel_tol=1e-10)
-    r_edges = refined_breakpoints(0.0, 1.0, geo_a=True)
+    r_edges = refined_breakpoints(0.0, 1.0, targets=[0.0])
     got, _ = log_disk_integral(
         lambda zs: 4.0 * np.log(np.abs(zs)), 0j, r_edges, _full_theta, cfg
     )
@@ -464,7 +467,7 @@ def test_disk_integral_early_exit_matches_full():
     def L(zs):
         return -rate * (1.0 - np.abs(zs))
 
-    r_edges = refined_breakpoints(0.0, 1.0, geo_a=True, rate_b=rate)
+    r_edges = refined_breakpoints(0.0, 1.0, rate_b=rate, targets=[0.0])
     got, _ = log_disk_integral(L, 0j, r_edges, _full_theta, QuadConfig(rel_tol=1e-9))
     # reference: 2 pi exp(-rate) int_0^1 exp(rate r) r dr
     from scipy.integrate import quad
@@ -554,13 +557,13 @@ def _ragged_theta(rho):
 _RING_CASES = [
     # (log-density, center, radial edges, inner targets)
     (lambda zs: -3.0 * np.abs(zs - 0.5) ** 2, 0.2 + 0.1j,
-     refined_breakpoints(0.0, 0.9, geo_a=True), ()),
+     refined_breakpoints(0.0, 0.9, targets=[0.0]), ()),
     # sharp decay toward the center: the early exit skips inner panels
     (lambda zs: -200.0 * (1.0 - np.abs(zs)), 0j,
-     refined_breakpoints(0.0, 1.0, geo_a=True, rate_b=200.0), ()),
+     refined_breakpoints(0.0, 1.0, rate_b=200.0, targets=[0.0]), ()),
     # the same, with an inner target that forbids the early exit
     (lambda zs: -200.0 * (1.0 - np.abs(zs)), 0j,
-     refined_breakpoints(0.0, 1.0, geo_a=True, rate_b=200.0, targets=[0.05]), (0.05,)),
+     refined_breakpoints(0.0, 1.0, rate_b=200.0, targets=[0.0, 0.05]), (0.05,)),
 ]
 
 
@@ -570,7 +573,8 @@ def test_ring_assembly_matches_per_node_loop(case, level):
     L, center, r_edges, inner = _RING_CASES[case]
     cfg = QuadConfig(order=6)
     for edges in (r_edges, halve_edges(r_edges)):
-        got = _disk_level(L, center, edges, _per_node(_ragged_theta), cfg, level, inner)
+        got = _disk_level(L, center, edges, _per_node(_ragged_theta), cfg, level, inner,
+                          stop=0, block=-math.inf, rings=np.full(edges.size - 1, math.nan))
         want = _per_node_level(L, center, edges, _ragged_theta, cfg, level, inner)
         assert math.isfinite(got) and got == want
 
@@ -601,7 +605,7 @@ def _disk_run(case, cfg, inner=None):
     level = _quad._disk_level
     nodes, stops = [0], []
 
-    def recorded(*args, stop=0, **kwargs):
+    def recorded(*args, stop, **kwargs):
         stops.append(stop)
         return level(*args, stop=stop, **kwargs)
 

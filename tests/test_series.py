@@ -190,14 +190,35 @@ def test_anchored_point_matches_complex(params_half, cs_half, monkeypatch):
     assert all(math.isinf(t[0]) for t in (v.F_tail, v.f_tail, v.G_tail, v.g_tail))
     assert v.f()[0] == 0.0 and v.g()[0] == 0.0
     # a constructed zero: G = g = 0 with tail 0 (the floating cosine is not
-    # 0.0 there), and the one-point functions evaluate nothing
+    # 0.0 there), and `branched_product` evaluates nothing
     z = product_zero(params_half, cs_half, IntervalIndex(2, 3), 1)
     v = _reads_one_call(params_half, cs_half, z)
     assert (v.g_zero[0], v.log_G[0], v.G_tail[0]) == (True, -math.inf, 0.0)
     calls = []
     monkeypatch.setattr(series, "evaluate_many", lambda *args, **kw: calls.append(args))
-    for fn in (cosine_product, branched_product):
-        tv = fn(params_half, cs_half, z)
+    tv = branched_product(params_half, cs_half, z)
+    assert (tv.value.log_mag, tv.value.arg, tv.tail_bound) == (-math.inf, 0.0, 0.0)
+    assert calls == []
+
+
+def test_constructed_zero_takes_no_cosine_sums(monkeypatch, params_half, cs_half):
+    """At a ProductZero of generations 1-6 (m <= 3) `evaluate_many` reads
+    G = g = 0 with tail 0 without G's pair sums, whose values the zero
+    masked: d, F and f are product=False's, G and g the exact zero, and
+    `cosine_product` reads that zero."""
+    zs = [product_zero(params_half, cs_half, IntervalIndex(k, pos), m)
+          for k in range(1, 7) for pos in range(1, 2**k + 1) for m in (1, 2, 3)]
+    want = [evaluate_many(params_half, cs_half, z, product=False) for z in zs]
+    calls = []
+    monkeypatch.setattr(series, "log_cosine_product_many", lambda *args, **kw: calls.append(args))
+    for z, w in zip(zs, want):
+        v = evaluate_many(params_half, cs_half, z)
+        for name in ("d", "F", "F_tail", "log_f", "arg_f", "f_tail"):
+            assert np.array_equal(getattr(v, name), getattr(w, name))
+        G = (v.g_zero, v.log_G, v.arg_G, v.G_tail, v.log_g, v.arg_g, v.g_tail)
+        assert [(a.dtype.kind, a.shape) for a in G] == [("b", (1,))] + [("f", (1,))] * 6
+        assert [a[0] for a in G] == [True, -math.inf, 0.0, 0.0, -math.inf, 0.0, 0.0]
+        tv = cosine_product(params_half, cs_half, z)
         assert (tv.value.log_mag, tv.value.arg, tv.tail_bound) == (-math.inf, 0.0, 0.0)
     assert calls == []
 
